@@ -12,8 +12,9 @@ import zlib
 from dataclasses import dataclass, field
 
 from .core import ExtendedNat, KupischSeries
-from .errors import NotGorenstein, PreconditionFailed
+from .errors import PreconditionFailed
 from .homology import (
+    _finite_degree,
     _gpd1,
     domdim,
     gldim,
@@ -148,11 +149,7 @@ def verify_thm_prinj(alg: KupischSeries, n: int) -> VerifierResult:
     error, not a verdict.
     """
     _require_precluster_level(n)
-    g = gorenstein_degree(alg)
-    if not g.is_finite:
-        raise NotGorenstein(
-            f"{alg.lengths} has infinite Gorenstein degree; nothing to check"
-        )
+    g = _finite_degree(alg)
     if not is_self_injective(alg) and g != n + 1:
         raise PreconditionFailed(
             f"verifier needs Gorenstein degree n+1 = {n + 1} or a "
@@ -200,11 +197,7 @@ def verify_thm_gp_socle_sub(
     seeded batch of direct sums: Gpd(N) <= n, Gpd(soc N) <= n, and N
     embeds into a finite direct sum of projectives."""
     _require_precluster_level(n)
-    g = gorenstein_degree(alg)
-    if not g.is_finite:
-        raise NotGorenstein(
-            f"{alg.lengths} has infinite Gorenstein degree; nothing to check"
-        )
+    _finite_degree(alg)
     mods: list[ModuleSum] = [ModuleSum.of(m) for m in indecomposables(alg)]
     mods.extend(_sample_sums(alg, seed, "gp-socle-sub"))
     witnesses = []
@@ -274,11 +267,7 @@ def verify_ses_gpd_bounds(alg: KupischSeries) -> VerifierResult:
     0 -> X -> Y -> Z -> 0 (X = rad^s Y, Z = Y/rad^s Y), check:
     Gpd Y <= max(Gpd X, Gpd Z), Gpd X <= max(Gpd Y, Gpd Z - 1),
     Gpd Z <= max(Gpd Y, Gpd X + 1)."""
-    g = gorenstein_degree(alg)
-    if not g.is_finite:
-        raise NotGorenstein(
-            f"{alg.lengths} has infinite Gorenstein degree; nothing to check"
-        )
+    _finite_degree(alg)
     checked = 0
     witnesses = []
     for y in indecomposables(alg):
@@ -371,22 +360,18 @@ def classify(alg: KupischSeries, seed: int = 0) -> ClassificationReport:
     g = gorenstein_degree(alg)
     if g.is_finite:
         simple_gpd = tuple(_gpd1(alg, simple(alg, i)) for i in alg.vertices())
+        n_check = max(g.value - 1, 0)
+        verdicts = [
+            ("prinj", verify_thm_prinj(alg, n_check).to_json()),
+            ("gp-socle-sub", verify_thm_gp_socle_sub(alg, n_check, seed).to_json()),
+            ("lemma22", verify_ses_gpd_bounds(alg).to_json()),
+        ]
     else:
         simple_gpd = tuple(pd(alg, simple(alg, i)) for i in alg.vertices())
-
-    verdicts = []
-    if g.is_finite:
-        n_check = max(g.value - 1, 0)
-        verdicts.append(("prinj", verify_thm_prinj(alg, n_check).to_json()))
-        verdicts.append(
-            ("gp-socle-sub", verify_thm_gp_socle_sub(alg, n_check, seed).to_json())
-        )
-        verdicts.append(("lemma22", verify_ses_gpd_bounds(alg).to_json()))
-    else:
-        note = "infinite Gorenstein degree"
-        verdicts.append(("prinj", _skipped_verdict(note, "error")))
-        verdicts.append(("gp-socle-sub", _skipped_verdict(note, "error")))
-        verdicts.append(("lemma22", _skipped_verdict(note, "error")))
+        verdicts = [
+            (name, _skipped_verdict("infinite Gorenstein degree", "error"))
+            for name in ("prinj", "gp-socle-sub", "lemma22")
+        ]
 
     mag = minimal_ag_parameter(alg)
     if all(c == 1 for c in alg.lengths):

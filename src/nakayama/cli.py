@@ -18,6 +18,7 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 
 from .classify import (
+    REPORT_KEYS,
     classify,
     is_minimal_ag,
     is_n_auslander,
@@ -229,8 +230,6 @@ def _range_check(records: list[dict], spec: str, seed: int) -> tuple[int, int]:
     levels: at each n the verdict must agree with the classifier, pass
     and fail alike.  'auto' means every level up to the Gorenstein
     degree; 'A:B' an inclusive window clipped to that."""
-    if spec != "auto" and not re.fullmatch(r"\d+:\d+", spec):
-        raise ParseError(f"--n-range wants 'auto' or 'A:B', got {spec!r}")
     checked = violations = 0
     for rec in records:
         alg = KupischSeries(tuple(rec["kupisch"]), bool(rec["cyclic"]))
@@ -267,16 +266,33 @@ def _read_jsonl(path: str) -> list[dict]:
     return records
 
 
+def _resumed(path: str) -> set:
+    """The algebras already in a sweep file.  Every record must be a whole
+    report of an admissible series in canonical form; anything else is a
+    damaged file, refused before any work."""
+    existing = set()
+    for rec in _read_jsonl(path):
+        missing = [k for k in REPORT_KEYS if not isinstance(rec, dict) or k not in rec]
+        if missing:
+            raise IoError(f"{path}: malformed record: lacks {', '.join(missing)}")
+        try:
+            alg = KupischSeries.validate(rec["kupisch"], bool(rec["cyclic"]))
+        except (TypeError, NakayamaError) as exc:
+            raise IoError(f"{path}: malformed record: {exc}") from exc
+        if list(alg.lengths) != rec["kupisch"]:
+            raise IoError(f"{path}: {rec['kupisch']} is not a canonical series")
+        existing.add((alg.lengths, alg.cyclic))
+    return existing
+
+
 def cmd_sweep(args) -> int:
+    if args.n_range not in (None, "auto") and not re.fullmatch(
+        r"\d+:\d+", args.n_range
+    ):
+        raise ParseError(f"--n-range wants 'auto' or 'A:B', got {args.n_range!r}")
+    existing = _resumed(args.out) if os.path.exists(args.out) else set()
     shapes = ("linear", "cyclic") if args.shapes == "both" else (args.shapes,)
     algs = enumerate_admissible(args.max_vertices, args.max_length, shapes)
-    existing: set = set()
-    if os.path.exists(args.out):
-        for rec in _read_jsonl(args.out):
-            try:
-                existing.add((tuple(rec["kupisch"]), bool(rec["cyclic"])))
-            except (KeyError, TypeError) as exc:
-                raise IoError(f"{args.out}: malformed record: {exc}") from exc
     todo = [a for a in algs if (a.lengths, a.cyclic) not in existing]
     payloads = [(a.lengths, a.cyclic, args.seed) for a in todo]
     if args.jobs > 1 and payloads:

@@ -3,8 +3,11 @@
 Syzygies of interval modules are interval modules, so minimal resolutions
 are deterministic walks on a finite set and every dimension is decided
 exactly: a walk either reaches zero (finite dimension) or revisits a
-state (infinite).  Ext dimensions come from the long exact sequence of
-the minimal presentation, one dimension shift at a time.
+state (infinite).  The Gorenstein projective dimension is the same
+syzygy walk stopped at the first Gorenstein projective: over an
+Iwanaga-Gorenstein algebra of degree g those are exactly the g-th
+syzygies.  Ext dimensions come from the long exact sequence of the
+minimal presentation, one dimension shift at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .modules import (
     is_projective,
     projective,
     projective_cover,
-    regular_module,
     simple,
     socle_vertex,
 )
@@ -84,36 +86,24 @@ def cosyzygy(alg: KupischSeries, m) -> ModuleSum:
 def _walk_dim(alg: KupischSeries, m: IntervalModule, step, tag: str) -> ExtendedNat:
     """Length of the minimal (co)resolution of one interval.
 
-    Walks the deterministic orbit until it dies (finite) or repeats
-    (infinite), memoizing the whole tail on the algebra instance.
+    Walks the deterministic orbit until it dies (finite), meets an
+    interval already known, or repeats (infinite), then memoizes every
+    interval walked in the algebra's `tag` table.
     """
-    memo = alg.__dict__.setdefault("_memo", {})
-    key = (tag, m)
-    if key in memo:
-        return memo[key]
-    chain = [m]
-    index = {m: 0}
+    memo = alg._cached(tag, dict)
+    if m in memo:
+        return memo[m]
+    walk: dict[IntervalModule, None] = {}  # insertion-ordered set
     cur = m
-    while True:
-        nxt = step(alg, cur)
-        if nxt is None:
-            for t, node in enumerate(chain):
-                memo[(tag, node)] = ExtendedNat(len(chain) - 1 - t)
-            return memo[key]
-        known = memo.get((tag, nxt))
-        if known is not None:
-            for t, node in enumerate(chain):
-                memo[(tag, node)] = (
-                    known + (len(chain) - t) if known.is_finite else INFINITY
-                )
-            return memo[key]
-        if nxt in index:
-            for node in chain:
-                memo[(tag, node)] = INFINITY
-            return INFINITY
-        chain.append(nxt)
-        index[nxt] = len(chain) - 1
-        cur = nxt
+    while cur is not None and cur not in memo and cur not in walk:
+        walk[cur] = None
+        cur = step(alg, cur)
+    # the last interval walked is one step before cur; a cur that is in the
+    # walk but not yet in memo closes a cycle, so the walk never dies
+    last = ExtendedNat(0) if cur is None else memo.get(cur, INFINITY) + 1
+    for t, node in enumerate(reversed(walk)):
+        memo[node] = last + t
+    return memo[m]
 
 
 def pd(alg: KupischSeries, m) -> ExtendedNat:
@@ -236,31 +226,38 @@ def gorenstein_degree(alg: KupischSeries) -> ExtendedNat:
     return alg._cached("gorenstein_degree", compute)
 
 
-def _gpd1(alg: KupischSeries, m: IntervalModule) -> int:
-    memo = alg.__dict__.setdefault("_memo", {})
-    key = ("gpd", m)
-    if key in memo:
-        return memo[key]
+def _finite_degree(alg: KupischSeries) -> int:
+    """The Gorenstein degree, for the invariants that need it finite."""
     g = gorenstein_degree(alg)
     if not g.is_finite:
-        raise NotGorenstein(
-            f"Gorenstein projective dimension needs finite Gorenstein "
-            f"degree; {alg.lengths} has infinite self-injective dimension"
-        )
-    reg = regular_module(alg)
-    val = 0
-    for k in range(g.value, 0, -1):
-        if ext_dim(alg, m, reg, k):
-            val = k
-            break
-    memo[key] = val
-    return val
+        raise NotGorenstein(f"{alg.lengths} has infinite Gorenstein degree")
+    return g.value
+
+
+def _gp_indecomposables(alg: KupischSeries) -> frozenset[IntervalModule]:
+    """The indecomposable Gorenstein projectives: the projectives and
+    every nonzero g-th syzygy of an interval, g the Gorenstein degree."""
+
+    def build():
+        layer = set(indecomposables(alg))
+        for _ in range(_finite_degree(alg)):
+            layer = {_syzygy1(alg, z) for z in layer} - {None}
+        return frozenset(layer).union(projective(alg, i) for i in alg.vertices())
+
+    return alg._cached("gp", build)
+
+
+def _gpd1(alg: KupischSeries, m: IntervalModule) -> int:
+    gp = _gp_indecomposables(alg)
+    return _walk_dim(
+        alg, m, lambda a, z: None if z in gp else _syzygy1(a, z), "gpd"
+    ).value
 
 
 def gpd(alg: KupischSeries, m) -> int:
-    """Gorenstein projective dimension: the largest k with
-    Ext^k(m, algebra) nonzero, which over a Gorenstein algebra lies in
-    0..gorenstein_degree.  Zero for Gorenstein projective modules."""
+    """Gorenstein projective dimension: the most syzygy steps any summand
+    of m takes to reach a Gorenstein projective.  Over a Gorenstein
+    algebra it lies in 0..gorenstein_degree; NotGorenstein otherwise."""
     return max((_gpd1(alg, piece) for piece in _as_sum(m)), default=0)
 
 
@@ -270,7 +267,8 @@ def is_gorenstein_projective(alg: KupischSeries, m) -> bool:
 
 def gp_census(alg: KupischSeries) -> tuple[IntervalModule, ...]:
     """All Gorenstein projective indecomposables, sorted."""
-    return tuple(m for m in indecomposables(alg) if _gpd1(alg, m) == 0)
+    gp = _gp_indecomposables(alg)
+    return tuple(m for m in indecomposables(alg) if m in gp)
 
 
 # -- explicit resolutions -----------------------------------------------------

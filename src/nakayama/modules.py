@@ -24,7 +24,6 @@ __all__ = [
     "dim_vector",
     "embeds_in",
     "hom_dim",
-    "hom_dim_sum",
     "in_sub_lambda",
     "indecomposables",
     "injective",
@@ -294,8 +293,3 @@ def hom_dim(alg: KupischSeries, x: IntervalModule, y: IntervalModule) -> int:
         if alg.shift(y.start, y.length - t) == x.start:
             n += 1
     return n
-
-
-def hom_dim_sum(alg: KupischSeries, x, y) -> int:
-    xs, ys = _as_sum(x), _as_sum(y)
-    return sum(hom_dim(alg, a, b) for a in xs for b in ys)

@@ -163,6 +163,8 @@ def search_precluster(
     """
     if n < 1:
         raise ValueError("search_precluster wants n >= 1")
+    if max_extra is not None and max_extra < 0:
+        raise ValueError("search_precluster wants max_extra >= 0")
     seed = {projective(alg, i) for i in alg.vertices()}
     seed.update(injective(alg, i) for i in alg.vertices())
     extras = [m for m in indecomposables(alg) if m not in seed]

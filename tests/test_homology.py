@@ -163,7 +163,26 @@ class TestExt:
             ext_dim(CYCLIC, M(1, 1), M(1, 1), -1)
 
 
+def ext_gpd(alg, m):
+    """Reference Gpd by the Ext characterization: the largest k in 1..g
+    with Ext^k(m, algebra) nonzero, else 0."""
+    reg = regular_module(alg)
+    g = gorenstein_degree(alg).value
+    return max((k for k in range(1, g + 1) if ext_dim(alg, m, reg, k)), default=0)
+
+
 class TestGorensteinProjectives:
+    def test_syzygy_walk_matches_ext_reference(self):
+        checked = 0
+        for alg in enumerate_admissible(6, 8):
+            if not gorenstein_degree(alg).is_finite:
+                continue
+            ref = {m: ext_gpd(alg, m) for m in indecomposables(alg)}
+            assert {m: gpd(alg, m) for m in ref} == ref
+            assert set(gp_census(alg)) == {m for m, k in ref.items() if k == 0}
+            checked += len(ref)
+        assert checked == 10067
+
     def test_census_cyclic(self):
         assert gp_census(CYCLIC) == (M(1, 1), M(1, 3), M(2, 2), M(2, 3), M(3, 4))
 

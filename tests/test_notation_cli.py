@@ -290,6 +290,21 @@ class TestVerifyCommand:
         assert code == 1
         assert payload["candidates"] == []
 
+    def test_precluster_negative_max_extra_rejected(self, capsys):
+        code, payload = run_cli(
+            capsys,
+            "verify",
+            "--kupisch",
+            "3,3,4",
+            "--cyclic",
+            "--theorem",
+            "precluster:1",
+            "--max-extra",
+            "-1",
+        )
+        assert code == 2
+        assert payload["error"] == "ValueError"
+
 
 class TestSweepCommand:
     def test_small_sweep(self, capsys, tmp_path):
@@ -384,6 +399,45 @@ class TestSweepCommand:
         assert code == 0
         assert summary["range_violations"] == 0
         assert summary["range_checked"] > 0
+
+    def test_bad_n_range_fails_before_any_work(self, capsys, tmp_path):
+        out = tmp_path / "rng.jsonl"
+        code, payload = run_cli(
+            capsys,
+            "sweep",
+            "--max-vertices",
+            "3",
+            "--max-length",
+            "3",
+            "--out",
+            str(out),
+            "--n-range",
+            "bogus",
+        )
+        assert code == 2
+        assert payload["error"] == "ParseError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda rec: rec.pop("theorem_verdicts"),
+            lambda rec: rec.update(kupisch=[0]),
+        ],
+        ids=["missing-key", "inadmissible-series"],
+    )
+    def test_malformed_resume_record_rejected(self, capsys, tmp_path, damage):
+        out = tmp_path / "sweep.jsonl"
+        args = ["sweep", "--max-vertices", "2", "--max-length", "2", "--out", str(out)]
+        assert run_cli(capsys, *args)[0] == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        damage(records[0])
+        before = "".join(json.dumps(r) + "\n" for r in records)
+        out.write_text(before)
+        code, payload = run_cli(capsys, *args)
+        assert code == 2
+        assert payload["error"] == "IoError"
+        assert out.read_text() == before
 
 
 class TestReproduceCommand:
