@@ -15,10 +15,12 @@ import argparse
 import json
 import os
 import re
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .classify import (
     REPORT_KEYS,
+    VerifierResult,
     classify,
     is_minimal_ag,
     is_n_auslander,
@@ -30,7 +32,7 @@ from .classify import (
     verify_thm_gp_socle_sub,
     verify_thm_prinj,
 )
-from .core import KupischSeries, enumerate_admissible
+from .core import ExtendedNat, KupischSeries, enumerate_admissible
 from .errors import IoError, NakayamaError, ParseError
 from .homology import (
     domdim,
@@ -44,13 +46,13 @@ from .homology import (
     regular_id_left,
 )
 from .modules import (
+    IntervalModule,
     ModuleSum,
     in_sub_lambda,
     injective,
     injective_envelope,
     is_projective,
     projective_cover,
-    regular_module,
     simple,
     socle,
     top,
@@ -90,26 +92,39 @@ def cmd_analyze(args) -> int:
 # -- module --------------------------------------------------------------------
 
 
+def _jsonable(value):
+    """The JSON value printed for a library result."""
+    if isinstance(value, ExtendedNat):
+        return value.to_json()
+    if isinstance(value, (IntervalModule, ModuleSum)):
+        return format_module(value)
+    if isinstance(value, VerifierResult):
+        return "pass" if value.passed else "fail"
+    if isinstance(value, KupischSeries):
+        return list(value.lengths)
+    if isinstance(value, (tuple, list)):
+        return [_jsonable(x) for x in value]
+    return value
+
+
+_MODULE_QUERIES = {
+    "pd": pd,
+    "id": idim,
+    "gpd": gpd,
+    "socle": socle,
+    "top": top,
+    "envelope": injective_envelope,
+    "cover": projective_cover,
+    "in-sub-lambda": in_sub_lambda,
+}
+
+
 def cmd_module(args) -> int:
     alg = _algebra(args)
     msum = parse_module(alg, args.expr)
     query = args.query
-    if query == "pd":
-        result = pd(alg, msum).to_json()
-    elif query == "id":
-        result = idim(alg, msum).to_json()
-    elif query == "gpd":
-        result = gpd(alg, msum)
-    elif query == "socle":
-        result = format_module(socle(alg, msum))
-    elif query == "top":
-        result = format_module(top(alg, msum))
-    elif query == "envelope":
-        result = format_module(injective_envelope(alg, msum))
-    elif query == "cover":
-        result = format_module(projective_cover(alg, msum))
-    elif query == "in-sub-lambda":
-        result = in_sub_lambda(alg, msum)
+    if query in _MODULE_QUERIES:
+        result = _MODULE_QUERIES[query](alg, msum)
     elif query.startswith("ext:"):
         chunks = query.split(":", 2)
         if len(chunks) != 3 or not chunks[1].isdigit():
@@ -130,9 +145,7 @@ def cmd_module(args) -> int:
         )
     elif query == "oracle-tau":
         images = [oracle_tau(alg, piece, args.field_p) for piece in msum]
-        result = format_module(
-            ModuleSum.of(*(q for img in images for q in img))
-        )
+        result = ModuleSum.of(*(q for img in images for q in img))
     else:
         raise ParseError(f"unknown query {query!r}")
     payload = {
@@ -140,7 +153,7 @@ def cmd_module(args) -> int:
         "cyclic": alg.cyclic,
         "module": format_module(msum),
         "query": query,
-        "result": result,
+        "result": _jsonable(result),
     }
     print(json.dumps(payload))
     return 0
@@ -163,7 +176,7 @@ def cmd_verify(args) -> int:
             "theorem": "precluster",
             "n": n,
             "status": "pass" if found else "fail",
-            "candidates": [[format_module(m) for m in cand] for cand in found],
+            "candidates": _jsonable(found),
         }
         print(json.dumps(payload))
         return 0 if found else 1
@@ -250,28 +263,34 @@ def _range_check(records: list[dict], spec: str, seed: int) -> tuple[int, int]:
     return checked, violations
 
 
-def _read_jsonl(path: str) -> list[dict]:
-    records = []
+def _read_jsonl(path: str) -> tuple[list[dict], int]:
+    """The records on the whole lines of a JSONL file, and the length of
+    an unterminated last line: a record whose write was cut short."""
+    records, torn = [], 0
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise IoError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+                if not line.endswith(b"\n"):
+                    torn = len(line)
+                elif line.strip():
+                    try:
+                        records.append(json.loads(line))
+                    except ValueError as exc:
+                        raise IoError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    return records
+    return records, torn
 
 
 def _resumed(path: str) -> set:
     """The algebras already in a sweep file.  Every record must be a whole
-    report of an admissible series in canonical form; anything else is a
-    damaged file, refused before any work."""
+    report of an admissible series in canonical form, and no algebra may
+    appear twice; anything else is a damaged file, refused before any
+    work.  A torn final record, left by a killed run, is cut off so that
+    its algebra is computed again."""
+    records, torn = _read_jsonl(path)
     existing = set()
-    for rec in _read_jsonl(path):
+    for rec in records:
         missing = [k for k in REPORT_KEYS if not isinstance(rec, dict) or k not in rec]
         if missing:
             raise IoError(f"{path}: malformed record: lacks {', '.join(missing)}")
@@ -281,8 +300,31 @@ def _resumed(path: str) -> set:
             raise IoError(f"{path}: malformed record: {exc}") from exc
         if list(alg.lengths) != rec["kupisch"]:
             raise IoError(f"{path}: {rec['kupisch']} is not a canonical series")
-        existing.add((alg.lengths, alg.cyclic))
+        key = (alg.lengths, alg.cyclic)
+        if key in existing:
+            raise IoError(f"{path}: {rec['kupisch']} appears twice")
+        existing.add(key)
+    if torn:
+        print(f"warning: {path}: dropping a torn final record", file=sys.stderr)
+        try:
+            with open(path, "r+b") as fh:
+                fh.seek(-torn, os.SEEK_END)
+                fh.truncate()
+        except OSError as exc:
+            raise IoError(f"cannot cut {path}: {exc}") from exc
     return existing
+
+
+def _append_lines(path: str, lines) -> None:
+    """Append each line as soon as it is produced, so a killed run keeps
+    every record finished before it."""
+    try:
+        with open(path, "a", encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+                fh.flush()
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_sweep(args) -> int:
@@ -298,17 +340,10 @@ def cmd_sweep(args) -> int:
     if args.jobs > 1 and payloads:
         chunk = max(1, len(payloads) // (args.jobs * 4))
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            lines = list(pool.map(_sweep_record, payloads, chunksize=chunk))
-    else:
-        lines = [_sweep_record(p) for p in payloads]
-    if lines:
-        try:
-            with open(args.out, "a", encoding="utf-8") as fh:
-                for line in lines:
-                    fh.write(line + "\n")
-        except OSError as exc:
-            raise IoError(f"cannot write {args.out}: {exc}") from exc
-    records = _read_jsonl(args.out)
+            _append_lines(args.out, pool.map(_sweep_record, payloads, chunksize=chunk))
+    elif payloads:
+        _append_lines(args.out, map(_sweep_record, payloads))
+    records, _ = _read_jsonl(args.out)
     failed = sum(
         1
         for rec in records
@@ -317,7 +352,7 @@ def cmd_sweep(args) -> int:
     violations = sum(1 for rec in records if _sweep_violations(rec))
     summary = {
         "algebras": len(records),
-        "computed": len(lines),
+        "computed": len(payloads),
         "resumed": len(existing),
         "self_injective": sum(1 for r in records if r["self_injective"]),
         "gorenstein": sum(
@@ -340,130 +375,90 @@ def cmd_sweep(args) -> int:
 # -- reproduce ---------------------------------------------------------------------
 
 
-def _golden_rows():
-    """Frozen expectations for two worked algebras, compared on demand.
+def _over_simples(alg: KupischSeries, fn) -> list:
+    return [fn(alg, simple(alg, i)) for i in alg.vertices()]
 
-    Every expected value here was derived by hand before the engine ran;
-    the rows are the regression anchor for the whole package.
-    """
-    a = KupischSeries.validate([3, 3, 4], True)
-    b = KupischSeries.validate([3, 3, 3, 3, 2, 1], False)
-    m12 = parse_module(a, "M(1,2)")
-    rows = [
-        ("cyclic(3,3,4) opposite", "[3,3,4]",
-         lambda: json.dumps(list(a.opposite().lengths), separators=(",", ":"))),
-        ("cyclic(3,3,4) minimal_ag_n", "1",
-         lambda: json.dumps(minimal_ag_parameter(a))),
-        ("cyclic(3,3,4) n_auslander_n", "null",
-         lambda: json.dumps(n_auslander_parameter(a))),
-        ("cyclic(3,3,4) gldim", '"infinity"',
-         lambda: json.dumps(gldim(a).to_json())),
-        ("cyclic(3,3,4) regular_id", "2",
-         lambda: json.dumps(regular_id(a).to_json())),
-        ("cyclic(3,3,4) regular_id_left", "2",
-         lambda: json.dumps(regular_id_left(a).to_json())),
-        ("cyclic(3,3,4) domdim", "2",
-         lambda: json.dumps(domdim(a).to_json())),
-        ("cyclic(3,3,4) gorenstein_degree", "2",
-         lambda: json.dumps(gorenstein_degree(a).to_json())),
-        ("cyclic(3,3,4) pd M(1,2)", "2",
-         lambda: json.dumps(pd(a, m12).to_json())),
-        ("cyclic(3,3,4) socle M(1,2)", "S(2)",
-         lambda: format_module(socle(a, m12))),
-        ("cyclic(3,3,4) pd S(2)", '"infinity"',
-         lambda: json.dumps(pd(a, simple(a, 2)).to_json())),
-        ("cyclic(3,3,4) I(1)", "M(2,3)",
-         lambda: format_module(injective(a, 1))),
-        ("cyclic(3,3,4) I(1) projective", "true",
-         lambda: json.dumps(is_projective(a, injective(a, 1)))),
-        ("cyclic(3,3,4) I(2)", "M(3,3)",
-         lambda: format_module(injective(a, 2))),
-        ("cyclic(3,3,4) I(2) projective", "false",
-         lambda: json.dumps(is_projective(a, injective(a, 2)))),
-        ("cyclic(3,3,4) I(3)", "M(3,4)",
-         lambda: format_module(injective(a, 3))),
-        ("cyclic(3,3,4) prinj", "[2,3]",
-         lambda: json.dumps(list(prinj_vertices(a)), separators=(",", ":"))),
-        ("cyclic(3,3,4) gpd S(1)", "0", lambda: json.dumps(gpd(a, simple(a, 1)))),
-        ("cyclic(3,3,4) gpd S(2)", "2", lambda: json.dumps(gpd(a, simple(a, 2)))),
-        ("cyclic(3,3,4) gpd S(3)", "1", lambda: json.dumps(gpd(a, simple(a, 3)))),
-        ("cyclic(3,3,4) ext^1(S(1), algebra)", "0",
-         lambda: json.dumps(ext_dim(a, simple(a, 1), regular_module(a), 1))),
-        ("cyclic(3,3,4) ext^2(S(2), algebra)", "1",
-         lambda: json.dumps(ext_dim(a, simple(a, 2), regular_module(a), 2))),
-        ("cyclic(3,3,4) is_minimal_ag n=1", "true",
-         lambda: json.dumps(is_minimal_ag(a, 1))),
-        ("cyclic(3,3,4) is_n_auslander n=1", "false",
-         lambda: json.dumps(is_n_auslander(a, 1))),
-        ("cyclic(3,3,4) verify prinj n=1", "pass",
-         lambda: verify_thm_prinj(a, 1).to_json()["status"]),
-        ("cyclic(3,3,4) verify thm31-count n=1", "pass",
-         lambda: verify_thm31_count(a, 1).to_json()["status"]),
-        ("cyclic(3,3,4) verify lemma22", "pass",
-         lambda: verify_ses_gpd_bounds(a).to_json()["status"]),
-        ("linear(3,3,3,3,2,1) minimal_ag_n", "2",
-         lambda: json.dumps(minimal_ag_parameter(b))),
-        ("linear(3,3,3,3,2,1) n_auslander_n", "2",
-         lambda: json.dumps(n_auslander_parameter(b))),
-        ("linear(3,3,3,3,2,1) gldim", "3",
-         lambda: json.dumps(gldim(b).to_json())),
-        ("linear(3,3,3,3,2,1) regular_id", "3",
-         lambda: json.dumps(regular_id(b).to_json())),
-        ("linear(3,3,3,3,2,1) domdim", "3",
-         lambda: json.dumps(domdim(b).to_json())),
-        ("linear(3,3,3,3,2,1) gorenstein_degree", "3",
-         lambda: json.dumps(gorenstein_degree(b).to_json())),
-        ("linear(3,3,3,3,2,1) pd of simples", "[3,3,2,1,1,0]",
-         lambda: json.dumps(
-             [pd(b, simple(b, i)).to_json() for i in b.vertices()],
-             separators=(",", ":"))),
-        ("linear(3,3,3,3,2,1) gpd of simples", "[3,3,2,1,1,0]",
-         lambda: json.dumps(
-             [gpd(b, simple(b, i)) for i in b.vertices()],
-             separators=(",", ":"))),
-        ("linear(3,3,3,3,2,1) prinj", "[1,2,3,4]",
-         lambda: json.dumps(list(prinj_vertices(b)), separators=(",", ":"))),
-        ("linear(3,3,3,3,2,1) I(1)", "S(1)",
-         lambda: format_module(injective(b, 1))),
-        ("linear(3,3,3,3,2,1) I(6)", "M(4,3)",
-         lambda: format_module(injective(b, 6))),
-        ("linear(3,3,3,3,2,1) I(6) projective", "true",
-         lambda: json.dumps(is_projective(b, injective(b, 6)))),
-        ("linear(3,3,3,3,2,1) pd M(3,2)", "2",
-         lambda: json.dumps(pd(b, parse_module(b, "M(3,2)")).to_json())),
-        ("linear(3,3,3,3,2,1) socle M(3,2)", "S(4)",
-         lambda: format_module(socle(b, parse_module(b, "M(3,2)")))),
-        ("linear(3,3,3,3,2,1) pd S(4)", "1",
-         lambda: json.dumps(pd(b, simple(b, 4)).to_json())),
-        ("linear(3,3,3,3,2,1) tau_2 S(2)", "M(4,2)",
-         lambda: format_module(tau_n(b, simple(b, 2), 2))),
-        ("linear(3,3,3,3,2,1) is_n_auslander n=2", "true",
-         lambda: json.dumps(is_n_auslander(b, 2))),
-        ("linear(3,3,3,3,2,1) verify prinj n=2", "pass",
-         lambda: verify_thm_prinj(b, 2).to_json()["status"]),
-        ("linear(3,3,3,3,2,1) verify gp-socle-sub n=2", "pass",
-         lambda: verify_thm_gp_socle_sub(b, 2).to_json()["status"]),
-        ("linear(3,3,3,3,2,1) verify thm31-count n=2", "pass",
-         lambda: verify_thm31_count(b, 2).to_json()["status"]),
-        ("linear(3,3,3,3,2,1) verify lemma22", "pass",
-         lambda: verify_ses_gpd_bounds(b).to_json()["status"]),
-    ]
-    return rows
+
+# Frozen expectations for two worked algebras, compared on demand.  Every
+# expected value was derived by hand before the engine ran; the rows are
+# the regression anchor for the whole package.  A row is
+# (label, expected JSON value, function, *arguments): the function is
+# called with the algebra first, and string arguments are module
+# expressions over that algebra.
+_GOLDEN = (
+    (([3, 3, 4], True), (
+        ("opposite", [3, 3, 4], KupischSeries.opposite),
+        ("minimal_ag_n", 1, minimal_ag_parameter),
+        ("n_auslander_n", None, n_auslander_parameter),
+        ("gldim", "infinity", gldim),
+        ("regular_id", 2, regular_id),
+        ("regular_id_left", 2, regular_id_left),
+        ("domdim", 2, domdim),
+        ("gorenstein_degree", 2, gorenstein_degree),
+        ("pd M(1,2)", 2, pd, "M(1,2)"),
+        ("socle M(1,2)", "S(2)", socle, "M(1,2)"),
+        ("pd S(2)", "infinity", pd, "S(2)"),
+        ("I(1)", "M(2,3)", injective, 1),
+        ("I(1) projective", True, is_projective, "I(1)"),
+        ("I(2)", "M(3,3)", injective, 2),
+        ("I(2) projective", False, is_projective, "I(2)"),
+        ("I(3)", "M(3,4)", injective, 3),
+        ("prinj", [2, 3], prinj_vertices),
+        ("gpd S(1)", 0, gpd, "S(1)"),
+        ("gpd S(2)", 2, gpd, "S(2)"),
+        ("gpd S(3)", 1, gpd, "S(3)"),
+        ("ext^1(S(1), algebra)", 0, ext_dim, "S(1)", "P(1)+P(2)+P(3)", 1),
+        ("ext^2(S(2), algebra)", 1, ext_dim, "S(2)", "P(1)+P(2)+P(3)", 2),
+        ("is_minimal_ag n=1", True, is_minimal_ag, 1),
+        ("is_n_auslander n=1", False, is_n_auslander, 1),
+        ("verify prinj n=1", "pass", verify_thm_prinj, 1),
+        ("verify thm31-count n=1", "pass", verify_thm31_count, 1),
+        ("verify lemma22", "pass", verify_ses_gpd_bounds),
+    )),
+    (([3, 3, 3, 3, 2, 1], False), (
+        ("minimal_ag_n", 2, minimal_ag_parameter),
+        ("n_auslander_n", 2, n_auslander_parameter),
+        ("gldim", 3, gldim),
+        ("regular_id", 3, regular_id),
+        ("domdim", 3, domdim),
+        ("gorenstein_degree", 3, gorenstein_degree),
+        ("pd of simples", [3, 3, 2, 1, 1, 0], _over_simples, pd),
+        ("gpd of simples", [3, 3, 2, 1, 1, 0], _over_simples, gpd),
+        ("prinj", [1, 2, 3, 4], prinj_vertices),
+        ("I(1)", "S(1)", injective, 1),
+        ("I(6)", "M(4,3)", injective, 6),
+        ("I(6) projective", True, is_projective, "I(6)"),
+        ("pd M(3,2)", 2, pd, "M(3,2)"),
+        ("socle M(3,2)", "S(4)", socle, "M(3,2)"),
+        ("pd S(4)", 1, pd, "S(4)"),
+        ("tau_2 S(2)", "M(4,2)", tau_n, "S(2)", 2),
+        ("is_n_auslander n=2", True, is_n_auslander, 2),
+        ("verify prinj n=2", "pass", verify_thm_prinj, 2),
+        ("verify gp-socle-sub n=2", "pass", verify_thm_gp_socle_sub, 2),
+        ("verify thm31-count n=2", "pass", verify_thm31_count, 2),
+        ("verify lemma22", "pass", verify_ses_gpd_bounds),
+    )),
+)
 
 
 def cmd_reproduce(args) -> int:
-    mismatches = 0
-    for label, expected, thunk in _golden_rows():
-        try:
-            got = thunk()
-        except Exception as exc:
-            got = f"error:{type(exc).__name__}: {exc}"
-        if got == expected:
-            print(f"ok        {label} = {expected}")
-        else:
-            mismatches += 1
-            print(f"MISMATCH  {label}: expected {expected}, got {got}")
-    total = len(_golden_rows())
+    total = mismatches = 0
+    for (lengths, cyclic), rows in _GOLDEN:
+        alg = KupischSeries.validate(lengths, cyclic)
+        name = f"{'cyclic' if cyclic else 'linear'}({','.join(map(str, lengths))})"
+        for label, expected, fn, *raw in rows:
+            total += 1
+            want = json.dumps(expected, separators=(",", ":"))
+            try:
+                fn_args = [parse_module(alg, x) if isinstance(x, str) else x for x in raw]
+                got = json.dumps(_jsonable(fn(alg, *fn_args)), separators=(",", ":"))
+            except Exception as exc:
+                got = f"error:{type(exc).__name__}: {exc}"
+            if got == want:
+                print(f"ok        {name} {label} = {want}")
+            else:
+                mismatches += 1
+                print(f"MISMATCH  {name} {label}: expected {want}, got {got}")
     print(f"{total - mismatches}/{total} rows match")
     return 1 if mismatches else 0
 

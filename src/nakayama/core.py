@@ -29,13 +29,14 @@ class ExtendedNat:
 
     Infinity is a real value of this type, never a sentinel integer, so
     arithmetic slips show up as type errors instead of silently huge
-    dimensions.  Comparisons and equality also accept plain ints.
+    dimensions.  Comparisons and equality also accept plain ints.  The
+    finite value must be a plain int: True is refused, not taken as 1.
     """
 
     __slots__ = ("_value",)
 
     def __init__(self, value: int | None = None):
-        if value is not None and (not isinstance(value, int) or value < 0):
+        if value is not None and (type(value) is not int or value < 0):
             raise ValueError(f"ExtendedNat needs a nonnegative int, got {value!r}")
         self._value = value
 
@@ -140,13 +141,14 @@ class KupischSeries:
         """Check admissibility and return the canonical form.
 
         Raises EmptySeries or NotAdmissible (with the failed constraint
-        and 0-based index) on bad input.
+        and 0-based index) on bad input.  Entries must be plain ints, so
+        True is refused rather than read as 1.
         """
         lengths = tuple(raw)
         if not lengths:
             raise EmptySeries("a Kupisch series needs at least one entry")
         for idx, c in enumerate(lengths):
-            if not isinstance(c, int) or c < 1:
+            if type(c) is not int or c < 1:
                 raise NotAdmissible(f"entry {c!r} is not a positive integer", idx)
         v = len(lengths)
         if cyclic:

@@ -69,6 +69,12 @@ class TestValidation:
         with pytest.raises(NotAdmissible):
             KupischSeries.validate([-2, -1], False)
 
+    def test_boolean_entries(self):
+        with pytest.raises(NotAdmissible):
+            KupischSeries.validate([2, True], False)
+        with pytest.raises(NotAdmissible):
+            KupischSeries.validate([True], False)
+
 
 class TestExtendedNat:
     def test_ordering(self):
@@ -94,6 +100,12 @@ class TestExtendedNat:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ExtendedNat(-1)
+
+    def test_rejects_bool(self):
+        with pytest.raises(ValueError):
+            ExtendedNat(True)
+        with pytest.raises(ValueError):
+            ExtendedNat.from_json(False)
 
 
 class TestInjectiveLengths:

@@ -177,6 +177,44 @@ class TestModuleCommand:
         code, payload = self.run(capsys, "M(9,9)", "pd")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "query, result",
+        [
+            ("pd", 2),
+            ("id", 2),
+            ("gpd", 2),
+            ("socle", "S(2)+S(3)"),
+            ("top", "S(1)+S(3)"),
+            ("envelope", "M(3,3)+M(3,4)"),
+            ("cover", "M(1,3)+M(3,4)"),
+            ("in-sub-lambda", False),
+            ("ext:1:M(1,3)", 1),
+            ("oracle-hom:M(3,4)", 1),
+            ("oracle-ext1:M(1,3)", 1),
+            ("oracle-injective", False),
+            ("oracle-tau", "S(1)+M(2,2)"),
+            ("pd:", ParseError),
+            ("ext:x:M(1,3)", ParseError),
+            ("ext:1:", ParseError),
+            ("oracle-hom:", ParseError),
+            ("oracle-injective:x", ParseError),
+        ],
+    )
+    def test_every_query_form_on_a_sum(self, capsys, query, result):
+        code, payload = self.run(capsys, "M(1,2)+S(3)", query)
+        if result is ParseError:
+            assert code == 2
+            assert payload["error"] == "ParseError"
+        else:
+            assert code == 0
+            assert payload == {
+                "kupisch": [3, 3, 4],
+                "cyclic": True,
+                "module": "M(1,2)+S(3)",
+                "query": query,
+                "result": result,
+            }
+
 
 class TestVerifyCommand:
     def test_prinj_pass(self, capsys):
@@ -438,6 +476,82 @@ class TestSweepCommand:
         assert code == 2
         assert payload["error"] == "IoError"
         assert out.read_text() == before
+
+    SWEEP_3_4 = ["sweep", "--max-vertices", "3", "--max-length", "4"]
+
+    def test_killed_sweep_keeps_finished_records(self, capsys, tmp_path, monkeypatch):
+        import nakayama.cli as cli
+
+        whole = tmp_path / "whole.jsonl"
+        assert run_cli(capsys, *self.SWEEP_3_4, "--out", str(whole))[0] == 0
+        expected = whole.read_bytes()
+        original, calls = cli._sweep_record, []
+
+        def dies_after_three(payload):
+            if len(calls) == 3:
+                raise RuntimeError("killed")
+            calls.append(payload)
+            return original(payload)
+
+        out = tmp_path / "cut.jsonl"
+        monkeypatch.setattr(cli, "_sweep_record", dies_after_three)
+        with pytest.raises(RuntimeError):
+            main([*self.SWEEP_3_4, "--out", str(out)])
+        assert out.read_bytes() == b"".join(expected.splitlines(True)[:3])
+        monkeypatch.undo()
+        code, summary = run_cli(capsys, *self.SWEEP_3_4, "--out", str(out))
+        assert code == 0
+        assert summary["resumed"] == 3
+        assert out.read_bytes() == expected
+
+    def test_torn_final_record_is_recomputed(self, capsys, tmp_path):
+        out = tmp_path / "sweep.jsonl"
+        args = [*self.SWEEP_3_4, "--out", str(out)]
+        assert run_cli(capsys, *args)[0] == 0
+        expected = out.read_bytes()
+        lines = expected.splitlines(True)
+        out.write_bytes(b"".join(lines[:-1]) + lines[-1][:40])
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "torn" in captured.err
+        assert json.loads(captured.out)["computed"] == 1
+        assert out.read_bytes() == expected
+
+    def test_invalid_json_before_torn_tail_rejected(self, capsys, tmp_path):
+        out = tmp_path / "sweep.jsonl"
+        args = [*self.SWEEP_3_4, "--out", str(out)]
+        assert run_cli(capsys, *args)[0] == 0
+        lines = out.read_bytes().splitlines(True)
+        before = b"{not json\n" + b"".join(lines[1:-1]) + lines[-1][:40]
+        out.write_bytes(before)
+        code, payload = run_cli(capsys, *args)
+        assert code == 2
+        assert payload["error"] == "IoError"
+        assert out.read_bytes() == before
+
+    def test_duplicate_resume_record_rejected(self, capsys, tmp_path):
+        out = tmp_path / "sweep.jsonl"
+        args = ["sweep", "--max-vertices", "2", "--max-length", "2", "--out", str(out)]
+        assert run_cli(capsys, *args)[0] == 0
+        before = "".join(line + "\n" + line + "\n" for line in out.read_text().splitlines())
+        out.write_text(before)
+        code, payload = run_cli(capsys, *args)
+        assert code == 2
+        assert payload["error"] == "IoError"
+        assert out.read_text() == before
+
+    def test_boolean_series_entry_rejected(self, capsys, tmp_path):
+        out = tmp_path / "sweep.jsonl"
+        args = ["sweep", "--max-vertices", "2", "--max-length", "2", "--out", str(out)]
+        assert run_cli(capsys, *args)[0] == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        target = next(r for r in records if r["kupisch"] == [2, 1])
+        target["kupisch"] = [2, True]
+        out.write_text("".join(json.dumps(r) + "\n" for r in records))
+        code, payload = run_cli(capsys, *args)
+        assert code == 2
+        assert payload["error"] == "IoError"
 
 
 class TestReproduceCommand:
