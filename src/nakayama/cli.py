@@ -206,10 +206,11 @@ def cmd_verify(args) -> int:
 # -- sweep -----------------------------------------------------------------------
 
 
-def _sweep_record(payload) -> str:
+def _sweep_record(payload) -> tuple[str, tuple[bool, ...]]:
+    """One algebra's JSONL line and its summary tally."""
     lengths, cyclic, seed = payload
-    alg = KupischSeries(tuple(lengths), cyclic)
-    return json.dumps(classify(alg, seed).to_json(), separators=(",", ":"))
+    rec = classify(KupischSeries(tuple(lengths), cyclic), seed).to_json()
+    return json.dumps(rec, separators=(",", ":")), _tally(rec)
 
 
 def _sweep_violations(rec: dict) -> list[str]:
@@ -238,14 +239,37 @@ def _sweep_violations(rec: dict) -> list[str]:
     return out
 
 
-def _range_check(records: list[dict], spec: str, seed: int) -> tuple[int, int]:
+# What the summary counts per record, in this order.
+_TALLIED = (
+    "self_injective",
+    "gorenstein",
+    "minimal_ag",
+    "n_auslander",
+    "failed_verdicts",
+    "violations",
+)
+
+
+def _tally(rec: dict) -> tuple[bool, ...]:
+    """Which of the _TALLIED counts one record adds to."""
+    return (
+        bool(rec["self_injective"]),
+        rec["gorenstein_degree"] != "infinity",
+        rec["minimal_ag_n"] is not None,
+        rec["n_auslander_n"] is not None,
+        any(v.get("status") == "fail" for v in rec["theorem_verdicts"].values()),
+        bool(_sweep_violations(rec)),
+    )
+
+
+def _range_check(keys, spec: str, seed: int) -> tuple[int, int]:
     """Re-verify the socle characterization across a whole range of
     levels: at each n the verdict must agree with the classifier, pass
     and fail alike.  'auto' means every level up to the Gorenstein
     degree; 'A:B' an inclusive window clipped to that."""
     checked = violations = 0
-    for rec in records:
-        alg = KupischSeries(tuple(rec["kupisch"]), bool(rec["cyclic"]))
+    for lengths, cyclic in keys:
+        alg = KupischSeries(lengths, cyclic)
         g = gorenstein_degree(alg)
         if not g.is_finite:
             continue
@@ -282,20 +306,26 @@ def _read_jsonl(path: str) -> tuple[list[dict], int]:
     return records, torn
 
 
-def _resumed(path: str) -> set:
-    """The algebras already in a sweep file.  Every record must be a whole
-    report of an admissible series in canonical form, and no algebra may
-    appear twice; anything else is a damaged file, refused before any
+def _resumed(path: str) -> dict:
+    """The algebras already in a sweep file, in file order, each with its
+    summary tally.  Every record must be a whole report of an admissible
+    series in canonical form with a boolean cyclic flag, and no algebra
+    may appear twice; anything else is a damaged file, refused before any
     work.  A torn final record, left by a killed run, is cut off so that
     its algebra is computed again."""
     records, torn = _read_jsonl(path)
-    existing = set()
+    existing = {}
     for rec in records:
         missing = [k for k in REPORT_KEYS if not isinstance(rec, dict) or k not in rec]
         if missing:
             raise IoError(f"{path}: malformed record: lacks {', '.join(missing)}")
+        if type(rec["cyclic"]) is not bool:
+            raise IoError(
+                f"{path}: malformed record: cyclic flag {rec['cyclic']!r} "
+                "is not a boolean"
+            )
         try:
-            alg = KupischSeries.validate(rec["kupisch"], bool(rec["cyclic"]))
+            alg = KupischSeries.validate(rec["kupisch"], rec["cyclic"])
         except (TypeError, NakayamaError) as exc:
             raise IoError(f"{path}: malformed record: {exc}") from exc
         if list(alg.lengths) != rec["kupisch"]:
@@ -303,7 +333,7 @@ def _resumed(path: str) -> set:
         key = (alg.lengths, alg.cyclic)
         if key in existing:
             raise IoError(f"{path}: {rec['kupisch']} appears twice")
-        existing.add(key)
+        existing[key] = _tally(rec)
     if torn:
         print(f"warning: {path}: dropping a torn final record", file=sys.stderr)
         try:
@@ -315,16 +345,20 @@ def _resumed(path: str) -> set:
     return existing
 
 
-def _append_lines(path: str, lines) -> None:
-    """Append each line as soon as it is produced, so a killed run keeps
-    every record finished before it."""
+def _append_lines(path: str, results) -> list[tuple[bool, ...]]:
+    """Append each (line, tally) result's line as soon as it is produced,
+    so a killed run keeps every record finished before it; return the
+    tallies in order."""
+    tallies = []
     try:
         with open(path, "a", encoding="utf-8") as fh:
-            for line in lines:
+            for line, tally in results:
                 fh.write(line + "\n")
                 fh.flush()
+                tallies.append(tally)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+    return tallies
 
 
 def cmd_sweep(args) -> int:
@@ -332,39 +366,32 @@ def cmd_sweep(args) -> int:
         r"\d+:\d+", args.n_range
     ):
         raise ParseError(f"--n-range wants 'auto' or 'A:B', got {args.n_range!r}")
-    existing = _resumed(args.out) if os.path.exists(args.out) else set()
+    existing = _resumed(args.out) if os.path.exists(args.out) else {}
     shapes = ("linear", "cyclic") if args.shapes == "both" else (args.shapes,)
     algs = enumerate_admissible(args.max_vertices, args.max_length, shapes)
     todo = [a for a in algs if (a.lengths, a.cyclic) not in existing]
     payloads = [(a.lengths, a.cyclic, args.seed) for a in todo]
+    computed = []
     if args.jobs > 1 and payloads:
         chunk = max(1, len(payloads) // (args.jobs * 4))
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            _append_lines(args.out, pool.map(_sweep_record, payloads, chunksize=chunk))
+            computed = _append_lines(
+                args.out, pool.map(_sweep_record, payloads, chunksize=chunk)
+            )
     elif payloads:
-        _append_lines(args.out, map(_sweep_record, payloads))
-    records, _ = _read_jsonl(args.out)
-    failed = sum(
-        1
-        for rec in records
-        if any(v.get("status") == "fail" for v in rec["theorem_verdicts"].values())
-    )
-    violations = sum(1 for rec in records if _sweep_violations(rec))
+        computed = _append_lines(args.out, map(_sweep_record, payloads))
+    tallies = [*existing.values(), *computed]
     summary = {
-        "algebras": len(records),
+        "algebras": len(tallies),
         "computed": len(payloads),
         "resumed": len(existing),
-        "self_injective": sum(1 for r in records if r["self_injective"]),
-        "gorenstein": sum(
-            1 for r in records if r["gorenstein_degree"] != "infinity"
-        ),
-        "minimal_ag": sum(1 for r in records if r["minimal_ag_n"] is not None),
-        "n_auslander": sum(1 for r in records if r["n_auslander_n"] is not None),
-        "failed_verdicts": failed,
-        "violations": violations,
     }
+    for i, name in enumerate(_TALLIED):
+        summary[name] = sum(t[i] for t in tallies)
+    violations = summary["violations"]
     if args.n_range is not None:
-        checked, range_violations = _range_check(records, args.n_range, args.seed)
+        keys = [*existing, *((a.lengths, a.cyclic) for a in todo)]
+        checked, range_violations = _range_check(keys, args.n_range, args.seed)
         summary["range_checked"] = checked
         summary["range_violations"] = range_violations
         violations += range_violations

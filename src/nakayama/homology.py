@@ -20,6 +20,7 @@ from .modules import (
     IntervalModule,
     ModuleSum,
     _as_sum,
+    _indecomposable_entry,
     hom_dim,
     indecomposables,
     injective,
@@ -83,14 +84,13 @@ def cosyzygy(alg: KupischSeries, m) -> ModuleSum:
 # -- projective / injective dimension ----------------------------------------
 
 
-def _walk_dim(alg: KupischSeries, m: IntervalModule, step, tag: str) -> ExtendedNat:
+def _walk_dim(alg: KupischSeries, m: IntervalModule, step, memo: dict) -> ExtendedNat:
     """Length of the minimal (co)resolution of one interval.
 
     Walks the deterministic orbit until it dies (finite), meets an
-    interval already known, or repeats (infinite), then memoizes every
-    interval walked in the algebra's `tag` table.
+    interval already in `memo`, or repeats (infinite), then records every
+    interval walked in `memo`.
     """
-    memo = alg._cached(tag, dict)
     if m in memo:
         return memo[m]
     walk: dict[IntervalModule, None] = {}  # insertion-ordered set
@@ -108,12 +108,14 @@ def _walk_dim(alg: KupischSeries, m: IntervalModule, step, tag: str) -> Extended
 
 def pd(alg: KupischSeries, m) -> ExtendedNat:
     """Projective dimension (0 for the zero module)."""
-    return _max_nat(_walk_dim(alg, piece, _syzygy1, "pd") for piece in _as_sum(m))
+    memo = alg._cached("pd", dict)
+    return _max_nat(_walk_dim(alg, piece, _syzygy1, memo) for piece in _as_sum(m))
 
 
 def idim(alg: KupischSeries, m) -> ExtendedNat:
     """Injective dimension (0 for the zero module)."""
-    return _max_nat(_walk_dim(alg, piece, _cosyzygy1, "id") for piece in _as_sum(m))
+    memo = alg._cached("id", dict)
+    return _max_nat(_walk_dim(alg, piece, _cosyzygy1, memo) for piece in _as_sum(m))
 
 
 def gldim(alg: KupischSeries) -> ExtendedNat:
@@ -247,17 +249,35 @@ def _gp_indecomposables(alg: KupischSeries) -> frozenset[IntervalModule]:
     return alg._cached("gp", build)
 
 
+def _gpd_table(alg: KupischSeries) -> dict[IntervalModule, int]:
+    """Gpd of every indecomposable, built once per algebra by one syzygy
+    walk over all intervals, each stopped at the first Gorenstein
+    projective.  NotGorenstein when the degree is infinite."""
+
+    def build():
+        gp = _gp_indecomposables(alg)
+
+        def step(a, z):
+            return None if z in gp else _syzygy1(a, z)
+
+        walked: dict[IntervalModule, ExtendedNat] = {}
+        for m in indecomposables(alg):
+            _walk_dim(alg, m, step, walked)
+        return {m: k.value for m, k in walked.items()}
+
+    return alg._cached("gpd", build)
+
+
 def _gpd1(alg: KupischSeries, m: IntervalModule) -> int:
-    gp = _gp_indecomposables(alg)
-    return _walk_dim(
-        alg, m, lambda a, z: None if z in gp else _syzygy1(a, z), "gpd"
-    ).value
+    return _indecomposable_entry(alg, _gpd_table(alg), m)
 
 
 def gpd(alg: KupischSeries, m) -> int:
     """Gorenstein projective dimension: the most syzygy steps any summand
-    of m takes to reach a Gorenstein projective.  Over a Gorenstein
-    algebra it lies in 0..gorenstein_degree; NotGorenstein otherwise."""
+    of m takes to reach a Gorenstein projective, read from the algebra's
+    Gpd table.  Over a Gorenstein algebra it lies in
+    0..gorenstein_degree; NotGorenstein otherwise (0 for the zero
+    module, which needs no table)."""
     return max((_gpd1(alg, piece) for piece in _as_sum(m)), default=0)
 
 

@@ -252,28 +252,50 @@ def embeds_in(alg: KupischSeries, sub: IntervalModule, big: IntervalModule) -> b
     )
 
 
-def in_sub_lambda(alg: KupischSeries, m) -> bool:
-    """Does every summand embed into some indecomposable projective?
+def _indecomposable_entry(alg: KupischSeries, table: dict, m: IntervalModule):
+    """table[m] from a per-algebra table keyed by the indecomposables;
+    an interval that is not one of them is refused by name."""
+    try:
+        return table[m]
+    except KeyError:
+        raise NotAdmissible(
+            f"{m} is not an indecomposable module over {alg.lengths}"
+        ) from None
 
-    Computed two independent ways per summand (direct embedding search and
-    projectivity of the injective envelope); a mismatch raises
-    InternalInconsistency since both characterize torsionless modules.
+
+def _torsionless(alg: KupischSeries) -> dict[IntervalModule, bool]:
+    """Whether each indecomposable embeds into an indecomposable
+    projective, built once per algebra.
+
+    Cross-check: every interval is decided two independent ways (direct
+    embedding search and projectivity of the injective envelope); a
+    mismatch raises InternalInconsistency since both characterize
+    torsionless modules.
     """
-    verdict = True
-    for piece in _as_sum(m):
-        direct = any(
-            embeds_in(alg, piece, projective(alg, i)) for i in alg.vertices()
-        )
-        via_envelope = is_projective(
-            alg, injective(alg, socle_vertex(alg, piece))
-        )
-        if direct != via_envelope:
-            raise InternalInconsistency(
-                f"submodule-of-projective disagreement for {piece} over "
-                f"{alg.lengths}: direct={direct}, envelope={via_envelope}"
+
+    def build():
+        projectives = [projective(alg, i) for i in alg.vertices()]
+        table = {}
+        for piece in indecomposables(alg):
+            direct = any(embeds_in(alg, piece, p) for p in projectives)
+            via_envelope = is_projective(
+                alg, injective(alg, socle_vertex(alg, piece))
             )
-        verdict = verdict and direct
-    return verdict
+            if direct != via_envelope:
+                raise InternalInconsistency(
+                    f"submodule-of-projective disagreement for {piece} over "
+                    f"{alg.lengths}: direct={direct}, envelope={via_envelope}"
+                )
+            table[piece] = direct
+        return table
+
+    return alg._cached("torsionless", build)
+
+
+def in_sub_lambda(alg: KupischSeries, m) -> bool:
+    """Does every summand embed into some indecomposable projective?"""
+    table = _torsionless(alg)
+    return all(_indecomposable_entry(alg, table, piece) for piece in _as_sum(m))
 
 
 # -- hom counting ------------------------------------------------------------

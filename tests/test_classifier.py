@@ -3,27 +3,37 @@
 from __future__ import annotations
 
 import pytest
+from test_homology import ext_gpd
 
 from nakayama import (
     INFINITY,
     IntervalModule,
     KupischSeries,
+    ModuleSum,
     NotGorenstein,
     PreconditionFailed,
     classify,
+    embeds_in,
+    enumerate_admissible,
+    format_module,
     gorenstein_degree,
+    indecomposables,
     is_minimal_ag,
     is_n_auslander,
     is_self_injective,
     minimal_ag_parameter,
     n_auslander_parameter,
     prinj_vertices,
+    projective,
+    radical_power,
+    radical_quotient,
+    socle,
     verify_ses_gpd_bounds,
     verify_thm31_count,
     verify_thm_gp_socle_sub,
     verify_thm_prinj,
 )
-from nakayama.classify import REPORT_KEYS
+from nakayama.classify import REPORT_KEYS, _sample_sums
 
 CYCLIC = KupischSeries.validate([3, 3, 4], True)
 LINEAR = KupischSeries.validate([3, 3, 3, 3, 2, 1], False)
@@ -249,3 +259,95 @@ class TestClassify:
 
         for alg in (CYCLIC, LINEAR, WILD, BAD, POINT):
             json.dumps(classify(alg).to_json())
+
+
+# -- the verifiers against a test-side recomputation ------------------------------
+
+
+def reference_gp_socle_sub(alg, n, seed, gpd_of):
+    """verify_thm_gp_socle_sub(...).to_json() recomputed from a Gpd table
+    and a direct embedding search over the projectives."""
+    projectives = [projective(alg, i) for i in alg.vertices()]
+    mods = [ModuleSum.of(m) for m in indecomposables(alg)]
+    mods += _sample_sums(alg, seed, "gp-socle-sub")
+    witnesses = []
+    for nmod in mods:
+        g = max(gpd_of[p] for p in nmod)
+        sg = max(gpd_of[p] for p in socle(alg, nmod))
+        sub = all(any(embeds_in(alg, p, q) for q in projectives) for p in nmod)
+        if not ((g <= n) == (sg <= n) == sub):
+            witnesses.append(
+                {
+                    "module": format_module(nmod),
+                    "gpd": g,
+                    "socle_gpd": sg,
+                    "in_sub_lambda": sub,
+                }
+            )
+    status = "fail" if witnesses else "pass"
+    return {
+        "status": status,
+        "n": n,
+        "checked": len(mods),
+        "witnesses": witnesses,
+        "note": "",
+    }
+
+
+def reference_ses_gpd_bounds(alg, gpd_of):
+    """verify_ses_gpd_bounds(...).to_json() recomputed from a Gpd table."""
+    witnesses, checked = [], 0
+    for y in indecomposables(alg):
+        for s in range(1, y.length):
+            (x,) = radical_power(alg, y, s)
+            (z,) = radical_quotient(alg, y, s)
+            gx, gy, gz = gpd_of[x], gpd_of[y], gpd_of[z]
+            checked += 1
+            bad = [
+                name
+                for name, breached in (
+                    ("middle", gy > max(gx, gz)),
+                    ("sub", gx > max(gy, gz - 1)),
+                    ("quotient", gz > max(gy, gx + 1)),
+                )
+                if breached
+            ]
+            if bad:
+                witnesses.append(
+                    {
+                        "sub": format_module(x),
+                        "middle": format_module(y),
+                        "quotient": format_module(z),
+                        "gpd": [gx, gy, gz],
+                        "violates": bad,
+                    }
+                )
+    status = "fail" if witnesses else "pass"
+    return {
+        "status": status,
+        "n": None,
+        "checked": checked,
+        "witnesses": witnesses,
+        "note": "",
+    }
+
+
+def test_verifiers_match_ext_and_embedding_reference():
+    """Every Gorenstein algebra of the 5/7 pool at every level: the
+    table-driven verifiers give the same verdicts and witnesses as a
+    recomputation with Gpd from Ext and embeddings searched directly."""
+    levels = failing = 0
+    for alg in enumerate_admissible(5, 7):
+        g = gorenstein_degree(alg)
+        if not g.is_finite:
+            continue
+        gpd_of = {m: ext_gpd(alg, m) for m in indecomposables(alg)}
+        for n in range(max(g.value, 1)):
+            got = verify_thm_gp_socle_sub(alg, n, 0).to_json()
+            assert got == reference_gp_socle_sub(alg, n, 0, gpd_of), (alg, n)
+            levels += 1
+            failing += got["status"] == "fail"
+        assert verify_ses_gpd_bounds(alg).to_json() == reference_ses_gpd_bounds(
+            alg, gpd_of
+        ), alg
+    assert levels > 0 and 0 < failing < levels

@@ -10,6 +10,7 @@ from nakayama import (
     IntervalModule,
     KupischSeries,
     ModuleSum,
+    NotAdmissible,
     NotGorenstein,
     cosyzygy,
     domdim,
@@ -21,6 +22,7 @@ from nakayama import (
     gpd,
     hom_dim,
     idim,
+    in_sub_lambda,
     indecomposables,
     injective_coresolution,
     is_gorenstein_projective,
@@ -32,6 +34,7 @@ from nakayama import (
     regular_module,
     syzygy,
 )
+from nakayama.homology import _gpd1
 
 CYCLIC = KupischSeries.validate([3, 3, 4], True)
 LINEAR = KupischSeries.validate([3, 3, 3, 3, 2, 1], False)
@@ -212,6 +215,21 @@ class TestGorensteinProjectives:
     def test_not_gorenstein_raises(self):
         with pytest.raises(NotGorenstein):
             gpd(WILD, M(1, 1))
+
+    def test_zero_module_needs_no_table(self):
+        # the per-algebra tables are built only when a summand is looked up
+        assert gpd(WILD, ModuleSum.zero()) == 0
+        assert in_sub_lambda(WILD, ModuleSum.zero())
+
+    @pytest.mark.parametrize(
+        "query",
+        [gpd, _gpd1, in_sub_lambda],
+        ids=["gpd", "_gpd1", "in_sub_lambda"],
+    )
+    def test_foreign_interval_refused_by_name(self, query):
+        alg = KupischSeries.validate([2, 3], True)
+        with pytest.raises(NotAdmissible, match=r"M\(1,9\)"):
+            query(alg, M(1, 9))
 
 
 class TestResolutions:

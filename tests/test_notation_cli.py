@@ -553,6 +553,36 @@ class TestSweepCommand:
         assert code == 2
         assert payload["error"] == "IoError"
 
+    def test_non_boolean_cyclic_flag_rejected(self, capsys, tmp_path):
+        out = tmp_path / "sweep.jsonl"
+        args = ["sweep", "--max-vertices", "1", "--max-length", "2", "--out", str(out)]
+        assert run_cli(capsys, *args)[0] == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        next(r for r in records if r["cyclic"])["cyclic"] = 7
+        before = "".join(json.dumps(r) + "\n" for r in records)
+        out.write_text(before)
+        code, payload = run_cli(capsys, *args)
+        assert code == 2
+        assert payload["error"] == "IoError"
+        assert out.read_text() == before
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_resumed_summary_matches_uninterrupted(self, capsys, tmp_path, jobs):
+        sweep = [*self.SWEEP_3_4, "--jobs", jobs, "--n-range", "auto"]
+        whole = tmp_path / "whole.jsonl"
+        code, expected = run_cli(capsys, *sweep, "--out", str(whole))
+        assert code == 0
+        k = 7
+        out = tmp_path / "cut.jsonl"
+        out.write_bytes(b"".join(whole.read_bytes().splitlines(True)[:k]))
+        code, summary = run_cli(capsys, *sweep, "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == whole.read_bytes()
+        assert (summary["resumed"], summary["computed"]) == (k, expected["algebras"] - k)
+        for key in ("resumed", "computed"):
+            del summary[key], expected[key]
+        assert summary == expected
+
 
 class TestReproduceCommand:
     def test_all_rows_match(self, capsys):
