@@ -166,7 +166,14 @@ def cmd_verify(args) -> int:
     alg = _algebra(args)
     token = args.theorem
     if token == "precluster" or token.startswith("precluster:"):
-        n = int(token.split(":", 1)[1]) if ":" in token else args.n
+        n = args.n
+        if ":" in token:
+            try:
+                n = int(token.split(":", 1)[1])
+            except ValueError:
+                raise ParseError(
+                    f"precluster wants an integer level, got {token!r}"
+                ) from None
         if n is None:
             raise ParseError("precluster needs --n or precluster:<n>")
         found = search_precluster(alg, n, args.max_extra)

@@ -107,7 +107,10 @@ def check_module(alg: KupischSeries, m) -> ModuleSum:
     v = alg.num_vertices
     for piece in msum:
         if not 1 <= piece.start <= v:
-            raise NotAdmissible(f"vertex {piece.start} outside 1..{v}")
+            raise NotAdmissible(
+                f"M({piece.start},{piece.length}) is not well-formed: "
+                f"vertex {piece.start} outside 1..{v}"
+            )
         if not 1 <= piece.length <= alg.loewy_length(piece.start):
             raise NotAdmissible(
                 f"M({piece.start},{piece.length}) is not well-formed: "

@@ -7,12 +7,13 @@ from dataclasses import dataclass
 from math import comb
 
 from .core import KupischSeries
-from .errors import SearchSpaceTooLarge
+from .errors import InternalInconsistency, SearchSpaceTooLarge
 from .homology import _cosyzygy1, _syzygy1, ext_dim
 from .modules import (
     IntervalModule,
     ModuleSum,
     _as_sum,
+    check_module,
     indecomposables,
     injective,
     is_injective,
@@ -100,10 +101,11 @@ def is_precluster(alg: KupischSeries, members, n: int) -> PreclusterVerdict:
     tau_n and its inverse, and has no self-extensions in degrees
     1..n-1.  Functorial finiteness holds for free here (finitely many
     indecomposables), recorded in the note rather than re-checked.
+    Members that are not modules over `alg` raise NotAdmissible.
     """
     if n < 1:
         raise ValueError("is_precluster wants n >= 1")
-    mset = frozenset(_as_sum(ModuleSum.of(*members)))
+    mset = frozenset(check_module(alg, ModuleSum.of(*members)))
     ordered = tuple(sorted(mset))
     failures: list[dict] = []
     for i in alg.vertices():
@@ -150,16 +152,49 @@ def is_precluster(alg: KupischSeries, members, n: int) -> PreclusterVerdict:
     )
 
 
+def _member_masks(alg: KupischSeries, n: int) -> tuple[list[int], list[int]]:
+    """Per-indecomposable bitmasks over indecomposables(alg) for the
+    level-n conditions of is_precluster: need[i] holds the pieces of
+    tau_n and tau_n^- of the i-th indecomposable (a piece outside the
+    index gets the bit one past the end, which no member set holds), and
+    clash[i] every y with Ext^k between it and y, either way round, for
+    some k in 1..n-1 (y itself included).  Masks are built with `|`:
+    tau_n and tau_n^- of one interval can coincide."""
+    indecs = indecomposables(alg)
+    index = {m: i for i, m in enumerate(indecs)}
+    need = []
+    for m in indecs:
+        mask = 0
+        for piece in (*tau_n(alg, m, n), *tau_n_inverse(alg, m, n)):
+            mask |= 1 << index.get(piece, len(indecs))
+        need.append(mask)
+    clash = [0] * len(indecs)
+    for i, x in enumerate(indecs):
+        for j in range(i, len(indecs)):
+            y = indecs[j]
+            if any(ext_dim(alg, x, y, k) or ext_dim(alg, y, x, k) for k in range(1, n)):
+                clash[i] |= 1 << j
+                clash[j] |= 1 << i
+    return need, clash
+
+
 def search_precluster(
     alg: KupischSeries,
     n: int,
     max_extra: int | None = None,
     subset_cap: int = 200_000,
 ) -> tuple[tuple[IntervalModule, ...], ...]:
-    """All member sets that pass is_precluster, grown from the forced seed
+    """All n-precluster tilting member sets grown from the forced seed
     (projectives and injectives) by subsets of the remaining
     indecomposables, smallest first.  Raises SearchSpaceTooLarge before
     examining more than subset_cap subsets.
+
+    Each subset is decided from the per-indecomposable tau_n and
+    Ext-conflict masks (_member_masks): it passes when the union of its
+    members' needs lies inside it and the union of their clashes misses
+    it.  The seed makes it a generator and cogenerator.  Cross-check:
+    is_precluster re-decides every set that passes, and a disagreement
+    raises InternalInconsistency.
     """
     if n < 1:
         raise ValueError("search_precluster wants n >= 1")
@@ -167,18 +202,38 @@ def search_precluster(
         raise ValueError("search_precluster wants max_extra >= 0")
     seed = {projective(alg, i) for i in alg.vertices()}
     seed.update(injective(alg, i) for i in alg.vertices())
-    extras = [m for m in indecomposables(alg) if m not in seed]
+    indecs = indecomposables(alg)
+    extras = [i for i, m in enumerate(indecs) if m not in seed]
     kmax = len(extras) if max_extra is None else min(max_extra, len(extras))
     total = sum(comb(len(extras), k) for k in range(kmax + 1))
     if total > subset_cap:
         raise SearchSpaceTooLarge(
             f"{total} candidate member sets exceeds the cap {subset_cap}"
         )
-    found = []
+    need, clash = _member_masks(alg, n)
     base = tuple(sorted(seed))
+    base_mask = base_need = base_clash = 0
+    for i, m in enumerate(indecs):
+        if m in seed:
+            base_mask |= 1 << i
+            base_need |= need[i]
+            base_clash |= clash[i]
+    found = []
     for k in range(kmax + 1):
         for combo in itertools.combinations(extras, k):
-            verdict = is_precluster(alg, base + combo, n)
-            if verdict.ok:
-                found.append(verdict.members)
+            mask, needs, clashes = base_mask, base_need, base_clash
+            for i in combo:
+                mask |= 1 << i
+                needs |= need[i]
+                clashes |= clash[i]
+            if needs & ~mask or clashes & mask:
+                continue
+            verdict = is_precluster(alg, base + tuple(indecs[i] for i in combo), n)
+            if not verdict.ok:
+                raise InternalInconsistency(
+                    f"precluster masks accept {verdict.members} over "
+                    f"{alg.lengths} at n={n}, is_precluster refuses: "
+                    f"{verdict.failures}"
+                )
+            found.append(verdict.members)
     return tuple(found)

@@ -328,6 +328,15 @@ class TestVerifyCommand:
         assert code == 1
         assert payload["candidates"] == []
 
+    @pytest.mark.parametrize("token", ["precluster:abc", "precluster:"])
+    def test_precluster_non_integer_level_rejected(self, capsys, token):
+        code, payload = run_cli(
+            capsys, "verify", "--kupisch", "3,3,4", "--cyclic", "--theorem", token
+        )
+        assert code == 2
+        assert payload["error"] == "ParseError"
+        assert repr(token) in payload["detail"]
+
     def test_precluster_negative_max_extra_rejected(self, capsys):
         code, payload = run_cli(
             capsys,

@@ -7,16 +7,22 @@ Getting the direction wrong here silently flips every downstream verdict.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import re
+
 import pytest
 
 from nakayama import (
     IntervalModule,
     KupischSeries,
     ModuleSum,
+    NotAdmissible,
     SearchSpaceTooLarge,
     ar_translate,
     ar_translate_inverse,
     enumerate_admissible,
+    format_module,
     indecomposables,
     injective,
     is_injective,
@@ -28,6 +34,7 @@ from nakayama import (
     tau_n,
     tau_n_inverse,
 )
+import nakayama.precluster as precluster_module
 
 CYCLIC = KupischSeries.validate([3, 3, 4], True)
 LINEAR = KupischSeries.validate([3, 3, 3, 3, 2, 1], False)
@@ -143,6 +150,12 @@ class TestIsPrecluster:
         v = is_precluster(CYCLIC, indecomposables(CYCLIC), 1)
         assert "finite" in v.note
 
+    @pytest.mark.parametrize("foreign", [M(7, 1), M(1, 9)])
+    def test_foreign_member_refused_by_name(self, foreign):
+        members = indecomposables(CYCLIC) + (foreign,)
+        with pytest.raises(NotAdmissible, match=re.escape(repr(foreign))):
+            is_precluster(CYCLIC, members, 1)
+
 
 class TestSearch:
     def test_frozen_candidates_degree_one(self):
@@ -169,3 +182,64 @@ class TestSearch:
     def test_subset_cap(self):
         with pytest.raises(SearchSpaceTooLarge):
             search_precluster(CYCLIC, 1, subset_cap=2)
+
+    def test_anchor_cyclic_4444(self):
+        """The benchmark's anchor: 12 extras, 4096 subsets per level."""
+        alg = KupischSeries.validate([4, 4, 4, 4], True)
+        names = {
+            n: [[format_module(m) for m in cand] for cand in search_precluster(alg, n)]
+            for n in (1, 2)
+        }
+        assert len(names[1]) == 8 and len(names[2]) == 3
+        assert names[1][0] == names[2][0] == ["M(1,4)", "M(2,4)", "M(3,4)", "M(4,4)"]
+        assert names[1][-1] == [
+            "S(1)", "M(1,2)", "M(1,3)", "M(1,4)", "S(2)", "M(2,2)", "M(2,3)", "M(2,4)",
+            "S(3)", "M(3,2)", "M(3,3)", "M(3,4)", "S(4)", "M(4,2)", "M(4,3)", "M(4,4)",
+        ]
+        assert names[2][-1] == [
+            "M(1,4)", "S(2)", "M(2,3)", "M(2,4)", "M(3,4)", "S(4)", "M(4,3)", "M(4,4)",
+        ]
+
+
+def _extras(alg):
+    seed = {projective(alg, i) for i in alg.vertices()}
+    seed.update(injective(alg, j) for j in alg.vertices())
+    return [m for m in indecomposables(alg) if m not in seed]
+
+
+def reference_search(alg, n, max_extra=None):
+    """The search as a plain loop: is_precluster on every subset of the
+    extras, in combinations order."""
+    extras = _extras(alg)
+    kmax = len(extras) if max_extra is None else min(max_extra, len(extras))
+    base = tuple(sorted(set(indecomposables(alg)) - set(extras)))
+    return tuple(
+        v.members
+        for k in range(kmax + 1)
+        for combo in itertools.combinations(extras, k)
+        if (v := is_precluster(alg, base + combo, n)).ok
+    )
+
+
+class TestSearchDifferential:
+    POOL = enumerate_admissible(4, 5)
+
+    def test_matches_subset_loop(self, monkeypatch):
+        # On the one-vertex cyclic algebras tau_n and tau_n^- of an
+        # interval can coincide, which a mask built by `sum` gets wrong.
+        assert {a.lengths for a in self.POOL if a.cyclic and a.num_vertices == 1} == {
+            (2,), (3,), (4,), (5,)
+        }
+        # The reference loop asks is_precluster about 8k subsets.  The Ext
+        # and tau_n kernels it looks up through nakayama.precluster are
+        # pure, so they are memoised here to keep the test near 2 s.
+        for name in ("ext_dim", "tau_n", "tau_n_inverse"):
+            kernel = getattr(precluster_module, name)
+            monkeypatch.setattr(precluster_module, name, functools.cache(kernel))
+        for alg in self.POOL:
+            for n in (1, 2, 3):
+                if len(_extras(alg)) <= 8:
+                    assert search_precluster(alg, n) == reference_search(alg, n), (alg, n)
+                assert search_precluster(alg, n, max_extra=1) == reference_search(
+                    alg, n, 1
+                ), (alg, n)
