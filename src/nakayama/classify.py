@@ -69,38 +69,39 @@ def is_self_injective(alg: KupischSeries) -> bool:
     )
 
 
+def _least_level(alg: KupischSeries, dim: ExtendedNat, floor: int) -> int | None:
+    """Least level n >= floor with dim <= n + 1 and dominant dimension at
+    least n + 1, or None.  The levels that qualify run from
+    max(dim - 1, 0) up to domdim - 1, so the only candidate is
+    max(dim - 1, floor)."""
+    if floor < 0:
+        raise ValueError("the tilting level n must be >= 0")
+    if not dim.is_finite:
+        return None
+    n = max(dim.value - 1, floor)
+    return n if domdim(alg) >= ExtendedNat(n + 1) else None
+
+
 def is_minimal_ag(alg: KupischSeries, n: int) -> bool:
     """Minimal n-Auslander-Gorenstein: self-injective dimension at most
     n + 1 and dominant dimension at least n + 1."""
-    if n < 0:
-        raise ValueError("the tilting level n must be >= 0")
-    return regular_id(alg) <= n + 1 and domdim(alg) >= ExtendedNat(n + 1)
+    return _least_level(alg, regular_id(alg), n) == n
 
 
 def is_n_auslander(alg: KupischSeries, n: int) -> bool:
     """n-Auslander: global dimension at most n + 1 and dominant dimension
     at least n + 1."""
-    if n < 0:
-        raise ValueError("the tilting level n must be >= 0")
-    return gldim(alg) <= n + 1 and domdim(alg) >= ExtendedNat(n + 1)
+    return _least_level(alg, gldim(alg), n) == n
 
 
 def minimal_ag_parameter(alg: KupischSeries) -> int | None:
     """Least n making the algebra minimal n-Auslander-Gorenstein, or None."""
-    rid = regular_id(alg)
-    if not rid.is_finite:
-        return None
-    n0 = max(rid.value - 1, 0)
-    return n0 if domdim(alg) >= ExtendedNat(n0 + 1) else None
+    return _least_level(alg, regular_id(alg), 0)
 
 
 def n_auslander_parameter(alg: KupischSeries) -> int | None:
     """Least n making the algebra n-Auslander, or None."""
-    gd = gldim(alg)
-    if not gd.is_finite:
-        return None
-    n0 = max(gd.value - 1, 0)
-    return n0 if domdim(alg) >= ExtendedNat(n0 + 1) else None
+    return _least_level(alg, gldim(alg), 0)
 
 
 def prinj_vertices(alg: KupischSeries) -> tuple[int, ...]:

@@ -369,10 +369,20 @@ def _append_lines(path: str, results) -> list[tuple[bool, ...]]:
 
 
 def cmd_sweep(args) -> int:
-    if args.n_range not in (None, "auto") and not re.fullmatch(
-        r"\d+:\d+", args.n_range
-    ):
-        raise ParseError(f"--n-range wants 'auto' or 'A:B', got {args.n_range!r}")
+    counts = {
+        "--max-vertices": args.max_vertices,
+        "--max-length": args.max_length,
+        "--jobs": args.jobs,
+    }
+    for name, value in counts.items():
+        if value < 1:
+            raise ParseError(f"{name} wants at least 1, got {value}")
+    if args.n_range not in (None, "auto"):
+        window = re.fullmatch(r"(\d+):(\d+)", args.n_range)
+        if not window or int(window[1]) > int(window[2]):
+            raise ParseError(
+                f"--n-range wants 'auto' or 'A:B' with A <= B, got {args.n_range!r}"
+            )
     existing = _resumed(args.out) if os.path.exists(args.out) else {}
     shapes = ("linear", "cyclic") if args.shapes == "both" else (args.shapes,)
     algs = enumerate_admissible(args.max_vertices, args.max_length, shapes)

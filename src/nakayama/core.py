@@ -264,7 +264,8 @@ class KupischSeries:
 
 def _linear_series(v: int, max_length: int) -> Iterator[tuple[int, ...]]:
     if v == 1:
-        yield (1,)
+        if max_length >= 1:
+            yield (1,)
         return
 
     def rec(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

@@ -1,31 +1,32 @@
 """Exact homological invariants: syzygies, dimensions, Ext, Gpd.
 
-Syzygies of interval modules are interval modules, so minimal resolutions
-are deterministic walks on a finite set and every dimension is decided
-exactly: a walk either reaches zero (finite dimension) or revisits a
-state (infinite).  The Gorenstein projective dimension is the same
-syzygy walk stopped at the first Gorenstein projective: over an
-Iwanaga-Gorenstein algebra of degree g those are exactly the g-th
-syzygies.  Ext dimensions come from the long exact sequence of the
-minimal presentation, one dimension shift at a time.
+Syzygies and cosyzygies of interval modules are interval modules, so
+Omega and Omega^- are functional graphs on the indecomposables.  pd, id,
+Gpd and domdim are depths in them, steps to a sink, and one breadth-first
+solver (`_depths`) decides all four exactly; a walk into a cycle never
+ends.  The sinks are zero for pd and id; for Gpd the Gorenstein
+projectives, over an Iwanaga-Gorenstein algebra of degree g the
+projectives and the nonzero g-th syzygies; for domdim the intervals whose
+injective envelope is not projective.  Ext dimensions come from the long
+exact sequence of the minimal presentation, one dimension shift at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .core import INFINITY, ExtendedNat, KupischSeries, _max_nat, _min_nat
+from .core import ExtendedNat, KupischSeries, _max_nat, _min_nat
 from .errors import GorensteinAsymmetry, InternalInconsistency, NotGorenstein
 from .modules import (
     IntervalModule,
     ModuleSum,
     _as_sum,
     _indecomposable_entry,
+    _torsionless,
     hom_dim,
     indecomposables,
-    injective,
     injective_envelope,
-    is_projective,
     projective,
     projective_cover,
     simple,
@@ -81,41 +82,58 @@ def cosyzygy(alg: KupischSeries, m) -> ModuleSum:
     return ModuleSum.of(*(z for z in out if z is not None))
 
 
-# -- projective / injective dimension ----------------------------------------
+# -- depths in the Omega and Omega^- graphs ---------------------------------
 
 
-def _walk_dim(alg: KupischSeries, m: IntervalModule, step, memo: dict) -> ExtendedNat:
-    """Length of the minimal (co)resolution of one interval.
+def _depths(succ: list[int]) -> list[int | None]:
+    """Steps from each node of a functional graph to a sink (successor
+    -1), or None when the node's walk never reaches one: it ends in a
+    cycle, possibly a self-loop.  Breadth-first from the sinks."""
+    depth = [0 if s < 0 else None for s in succ]
+    queue = [p for p, s in enumerate(succ) if s < 0]
+    preds: list[list[int]] = [[] for _ in succ]
+    for p, s in enumerate(succ):
+        if s >= 0:
+            preds[s].append(p)
+    for p in queue:  # grows while it is read: each node enters once
+        for q in preds[p]:
+            depth[q] = depth[p] + 1
+            queue.append(q)
+    return depth
 
-    Walks the deterministic orbit until it dies (finite), meets an
-    interval already in `memo`, or repeats (infinite), then records every
-    interval walked in `memo`.
-    """
-    if m in memo:
-        return memo[m]
-    walk: dict[IntervalModule, None] = {}  # insertion-ordered set
-    cur = m
-    while cur is not None and cur not in memo and cur not in walk:
-        walk[cur] = None
-        cur = step(alg, cur)
-    # the last interval walked is one step before cur; a cur that is in the
-    # walk but not yet in memo closes a cycle, so the walk never dies
-    last = ExtendedNat(0) if cur is None else memo.get(cur, INFINITY) + 1
-    for t, node in enumerate(reversed(walk)):
-        memo[node] = last + t
-    return memo[m]
+
+def _successors(alg: KupischSeries, step) -> list[int]:
+    """step (_syzygy1 or _cosyzygy1) of each indecomposable as a position
+    in indecomposables(alg), -1 for zero; built once per algebra."""
+
+    def build():
+        offset = [0, *accumulate(alg.lengths)]
+        out = [step(alg, m) for m in indecomposables(alg)]
+        return [-1 if z is None else offset[z.start - 1] + z.length - 1 for z in out]
+
+    return alg._cached(step.__name__, build)
+
+
+def _depth_table(alg: KupischSeries, key: str, step) -> dict:
+    """ExtendedNat depth of every indecomposable in the graph of `step`."""
+
+    def build():
+        depths = _depths(_successors(alg, step))
+        return dict(zip(indecomposables(alg), map(ExtendedNat, depths)))
+
+    return alg._cached(key, build)
 
 
 def pd(alg: KupischSeries, m) -> ExtendedNat:
     """Projective dimension (0 for the zero module)."""
-    memo = alg._cached("pd", dict)
-    return _max_nat(_walk_dim(alg, piece, _syzygy1, memo) for piece in _as_sum(m))
+    table = _depth_table(alg, "pd", _syzygy1)
+    return _max_nat(_indecomposable_entry(alg, table, p) for p in _as_sum(m))
 
 
 def idim(alg: KupischSeries, m) -> ExtendedNat:
     """Injective dimension (0 for the zero module)."""
-    memo = alg._cached("id", dict)
-    return _max_nat(_walk_dim(alg, piece, _cosyzygy1, memo) for piece in _as_sum(m))
+    table = _depth_table(alg, "id", _cosyzygy1)
+    return _max_nat(_indecomposable_entry(alg, table, p) for p in _as_sum(m))
 
 
 def gldim(alg: KupischSeries) -> ExtendedNat:
@@ -138,30 +156,25 @@ def regular_id_left(alg: KupischSeries) -> ExtendedNat:
     return alg._cached("regular_id_left", lambda: regular_id(alg.opposite()))
 
 
-def _domdim_one(alg: KupischSeries, i: int) -> ExtendedNat:
-    """Number of leading projective terms in the minimal injective
-    coresolution of P_i; infinite when the whole coresolution (possibly
-    periodic) consists of projectives."""
-    cur: IntervalModule | None = projective(alg, i)
-    count = 0
-    seen = set()
-    while cur is not None:
-        if cur in seen:
-            return INFINITY
-        seen.add(cur)
-        term = injective(alg, socle_vertex(alg, cur))
-        if not is_projective(alg, term):
-            return ExtendedNat(count)
-        count += 1
-        cur = _cosyzygy1(alg, cur)
-    return INFINITY
-
-
 def domdim(alg: KupischSeries) -> ExtendedNat:
-    return alg._cached(
-        "domdim",
-        lambda: _min_nat(_domdim_one(alg, i) for i in alg.vertices()),
-    )
+    """Least number of leading projective terms in the minimal injective
+    coresolution of a P_i; infinite when all of one (possibly periodic)
+    consists of projectives.  On the Omega^- graph an interval whose
+    injective envelope is not projective (one that is not torsionless)
+    is a sink, and a projective-injective one loops on itself."""
+
+    def compute():
+        # the torsionless table is in indecomposables(alg) order
+        sub = list(_torsionless(alg).values())
+        succ = [
+            (z if z >= 0 else p) if sub[p] else -1
+            for p, z in enumerate(_successors(alg, _cosyzygy1))
+        ]
+        depths = _depths(succ)
+        # P_i is the last interval with top i
+        return _min_nat(ExtendedNat(depths[q - 1]) for q in accumulate(alg.lengths))
+
+    return alg._cached("domdim", compute)
 
 
 # -- Ext dimensions -----------------------------------------------------------
@@ -236,34 +249,19 @@ def _finite_degree(alg: KupischSeries) -> int:
     return g.value
 
 
-def _gp_indecomposables(alg: KupischSeries) -> frozenset[IntervalModule]:
-    """The indecomposable Gorenstein projectives: the projectives and
-    every nonzero g-th syzygy of an interval, g the Gorenstein degree."""
-
-    def build():
-        layer = set(indecomposables(alg))
-        for _ in range(_finite_degree(alg)):
-            layer = {_syzygy1(alg, z) for z in layer} - {None}
-        return frozenset(layer).union(projective(alg, i) for i in alg.vertices())
-
-    return alg._cached("gp", build)
-
-
 def _gpd_table(alg: KupischSeries) -> dict[IntervalModule, int]:
-    """Gpd of every indecomposable, built once per algebra by one syzygy
-    walk over all intervals, each stopped at the first Gorenstein
-    projective.  NotGorenstein when the degree is infinite."""
+    """Gpd of every indecomposable, built once per algebra: its depth in
+    the Omega graph whose sinks are the indecomposable Gorenstein
+    projectives, the projectives and every nonzero Omega^g of an
+    interval, g the Gorenstein degree.  NotGorenstein when g is infinite."""
 
     def build():
-        gp = _gp_indecomposables(alg)
-
-        def step(a, z):
-            return None if z in gp else _syzygy1(a, z)
-
-        walked: dict[IntervalModule, ExtendedNat] = {}
-        for m in indecomposables(alg):
-            _walk_dim(alg, m, step, walked)
-        return {m: k.value for m, k in walked.items()}
+        omega = _successors(alg, _syzygy1)
+        layer = set(range(len(omega)))
+        for _ in range(_finite_degree(alg)):
+            layer = {omega[p] for p in layer} - {-1}
+        succ = [-1 if p in layer else z for p, z in enumerate(omega)]
+        return dict(zip(indecomposables(alg), _depths(succ)))
 
     return alg._cached("gpd", build)
 
@@ -287,8 +285,8 @@ def is_gorenstein_projective(alg: KupischSeries, m) -> bool:
 
 def gp_census(alg: KupischSeries) -> tuple[IntervalModule, ...]:
     """All Gorenstein projective indecomposables, sorted."""
-    gp = _gp_indecomposables(alg)
-    return tuple(m for m in indecomposables(alg) if m in gp)
+    table = _gpd_table(alg)
+    return tuple(m for m in indecomposables(alg) if table[m] == 0)
 
 
 # -- explicit resolutions -----------------------------------------------------

@@ -268,29 +268,29 @@ def _indecomposable_entry(alg: KupischSeries, table: dict, m: IntervalModule):
 
 def _torsionless(alg: KupischSeries) -> dict[IntervalModule, bool]:
     """Whether each indecomposable embeds into an indecomposable
-    projective, built once per algebra.
+    projective, built once per algebra.  A submodule of a uniserial is
+    a bottom part, so this depends on the socle vertex j only.
 
-    Cross-check: every interval is decided two independent ways (direct
-    embedding search and projectivity of the injective envelope); a
-    mismatch raises InternalInconsistency since both characterize
-    torsionless modules.
+    Cross-check: each j is decided two independent ways.  If I(j) is
+    projective the longest projective with socle j has length d_j,
+    otherwise none has socle j; a mismatch raises InternalInconsistency.
     """
 
     def build():
-        projectives = [projective(alg, i) for i in alg.vertices()]
-        table = {}
-        for piece in indecomposables(alg):
-            direct = any(embeds_in(alg, piece, p) for p in projectives)
-            via_envelope = is_projective(
-                alg, injective(alg, socle_vertex(alg, piece))
-            )
-            if direct != via_envelope:
+        longest = [0] * (alg.num_vertices + 1)
+        for i in alg.vertices():
+            j = socle_vertex(alg, projective(alg, i))
+            longest[j] = max(longest[j], alg.loewy_length(i))
+        verdict = [False]
+        for j in alg.vertices():
+            via_envelope = is_projective(alg, injective(alg, j))
+            if longest[j] != (alg.injective_length(j) if via_envelope else 0):
                 raise InternalInconsistency(
-                    f"submodule-of-projective disagreement for {piece} over "
-                    f"{alg.lengths}: direct={direct}, envelope={via_envelope}"
+                    f"submodule-of-projective disagreement at S({j}) over "
+                    f"{alg.lengths}: longest={longest[j]}, envelope={via_envelope}"
                 )
-            table[piece] = direct
-        return table
+            verdict.append(via_envelope)
+        return {m: verdict[socle_vertex(alg, m)] for m in indecomposables(alg)}
 
     return alg._cached("torsionless", build)
 

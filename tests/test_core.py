@@ -188,6 +188,9 @@ class TestEnumeration:
         algs = enumerate_admissible(6, 1)
         assert [(a.lengths, a.cyclic) for a in algs] == [((1,), False)]
 
+    def test_max_length_zero_leaves_nothing(self):
+        assert enumerate_admissible(6, 0) == []
+
     def test_cyclic_results_are_canonical(self):
         for alg in enumerate_admissible(5, 6, shapes=("cyclic",)):
             assert KupischSeries.validate(list(alg.lengths), True) == alg

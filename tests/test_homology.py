@@ -26,6 +26,7 @@ from nakayama import (
     indecomposables,
     injective_coresolution,
     is_gorenstein_projective,
+    is_projective,
     pd,
     projective,
     projective_resolution,
@@ -34,7 +35,7 @@ from nakayama import (
     regular_module,
     syzygy,
 )
-from nakayama.homology import _gpd1
+from nakayama.homology import _depths, _gpd1
 
 CYCLIC = KupischSeries.validate([3, 3, 4], True)
 LINEAR = KupischSeries.validate([3, 3, 3, 3, 2, 1], False)
@@ -223,13 +224,50 @@ class TestGorensteinProjectives:
 
     @pytest.mark.parametrize(
         "query",
-        [gpd, _gpd1, in_sub_lambda],
-        ids=["gpd", "_gpd1", "in_sub_lambda"],
+        [gpd, _gpd1, in_sub_lambda, pd, idim],
+        ids=["gpd", "_gpd1", "in_sub_lambda", "pd", "idim"],
     )
     def test_foreign_interval_refused_by_name(self, query):
         alg = KupischSeries.validate([2, 3], True)
         with pytest.raises(NotAdmissible, match=r"M\(1,9\)"):
             query(alg, M(1, 9))
+
+
+def resolution_length(res):
+    return ExtendedNat(len(res.terms) - 1) if res.terminated else INFINITY
+
+
+def coresolution_domdim(alg, i):
+    """Leading projective terms of the minimal injective coresolution of
+    P_i, read off the explicit ModuleSum walk."""
+    terms = injective_coresolution(alg, projective(alg, i)).terms
+    lead = [is_projective(alg, t) for t in terms]
+    return INFINITY if all(lead) else ExtendedNat(lead.index(False))
+
+
+class TestDepthSolver:
+    def test_sink_self_loop_and_cycle(self):
+        # 0 -> 1 -> 2 (sink); 3 -> 3; 4 -> 5 -> 6 -> 5
+        assert _depths([1, 2, -1, 3, 5, 6, 5]) == [2, 1, 0, None, None, None, None]
+
+    def test_matches_explicit_resolutions(self):
+        checked = 0
+        for alg in enumerate_admissible(5, 7):
+            pds, ids = {}, {}
+            for m in indecomposables(alg):
+                pds[m] = resolution_length(projective_resolution(alg, m))
+                ids[m] = resolution_length(injective_coresolution(alg, m))
+            assert {m: pd(alg, m) for m in pds} == pds
+            assert {m: idim(alg, m) for m in ids} == ids
+            simples = [M(i, 1) for i in alg.vertices()]
+            assert gldim(alg) == max(pds[s] for s in simples)
+            projs = [projective(alg, i) for i in alg.vertices()]
+            assert regular_id(alg) == max(ids[p] for p in projs)
+            assert domdim(alg) == min(
+                coresolution_domdim(alg, i) for i in alg.vertices()
+            )
+            checked += len(pds)
+        assert checked == 3766
 
 
 class TestResolutions:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -464,6 +465,36 @@ class TestSweepCommand:
         assert code == 2
         assert payload["error"] == "ParseError"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["--jobs", "0"],
+            ["--jobs", "-2"],
+            ["--n-range", "3:1"],
+            ["--max-vertices", "0"],
+            ["--max-length", "0"],
+        ],
+        ids=["jobs-0", "jobs-negative", "n-range-reversed", "vertices-0", "length-0"],
+    )
+    def test_bad_bound_fails_before_any_work(self, capsys, tmp_path, bad):
+        out = tmp_path / "bad.jsonl"
+        # a repeated option overrides the earlier value
+        argv = ["sweep", "--max-vertices", "3", "--max-length", "3", *bad]
+        code, payload = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert payload["error"] == "ParseError"
+        assert bad[0] in payload["detail"]
+        assert not out.exists()
+
+    def test_sweep_bytes_pinned(self, capsys, tmp_path):
+        # the 6/8 seed-0 sweep: 664 records
+        out = tmp_path / "sweep.jsonl"
+        argv = ["sweep", "--max-vertices", "6", "--max-length", "8"]
+        assert run_cli(capsys, *argv, "--out", str(out))[0] == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "38f76aa4b4ccdda3d975467561ca2c1bb14e3e2c64b791a6a46e5e66ee7c8788"
+        )
 
     @pytest.mark.parametrize(
         "damage",
