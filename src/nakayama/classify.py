@@ -16,30 +16,27 @@ from .errors import PreconditionFailed
 from .homology import (
     _finite_degree,
     _gpd_table,
+    _pd_table,
     domdim,
     gldim,
     gorenstein_degree,
-    pd,
     regular_id,
     regular_id_left,
 )
 from .modules import (
-    IntervalModule,
     ModuleSum,
+    _index,
     _torsionless,
     indecomposables,
     injective,
-    is_injective,
-    is_projective,
-    projective,
-    simple,
-    socle_vertex,
 )
 
-# The verifiers read the per-algebra tables directly.  These names stay
-# bound here because perfbench/workloads.py traces them in this module.
-from .homology import _gpd1, gpd  # noqa: F401
-from .modules import in_sub_lambda, socle  # noqa: F401
+# The verifiers read the per-algebra position tables directly.  These
+# names stay bound here because perfbench/workloads.py traces them in
+# this module.
+from .homology import _gpd1, gpd, pd  # noqa: F401
+from .modules import in_sub_lambda, is_injective, is_projective  # noqa: F401
+from .modules import projective, simple, socle  # noqa: F401
 from .notation import format_module
 
 __all__ = [
@@ -63,10 +60,7 @@ __all__ = [
 
 
 def is_self_injective(alg: KupischSeries) -> bool:
-    return alg._cached(
-        "self_injective",
-        lambda: all(is_injective(alg, projective(alg, i)) for i in alg.vertices()),
-    )
+    return len(prinj_vertices(alg)) == alg.num_vertices
 
 
 def _least_level(alg: KupischSeries, dim: ExtendedNat, floor: int) -> int | None:
@@ -105,10 +99,10 @@ def n_auslander_parameter(alg: KupischSeries) -> int | None:
 
 
 def prinj_vertices(alg: KupischSeries) -> tuple[int, ...]:
-    """Vertices whose indecomposable projective is also injective."""
-    return tuple(
-        i for i in alg.vertices() if is_injective(alg, projective(alg, i))
-    )
+    """Vertices whose indecomposable projective is also injective, that
+    is, has zero cosyzygy."""
+    idx = _index(alg)
+    return tuple(i for i in alg.vertices() if idx.coomega[idx.projective_at(i)] < 0)
 
 
 # -- verifier verdicts ----------------------------------------------------------
@@ -161,17 +155,19 @@ def verify_thm_prinj(alg: KupischSeries, n: int) -> VerifierResult:
             f"self-injective algebra; {alg.lengths} has degree {g}"
         )
     gpd_of = _gpd_table(alg)
+    idx = _index(alg)
+    # I(j) is projective exactly when socle-j intervals are torsionless
+    inj_is_proj = _torsionless(alg)
     witnesses = []
     for j in alg.vertices():
-        inj = injective(alg, j)
-        lhs = is_projective(alg, inj)
-        socle_gpd = gpd_of[simple(alg, j)]
+        lhs = inj_is_proj[j]
+        socle_gpd = gpd_of[idx.simple_at(j)]
         rhs = socle_gpd <= n
         if lhs != rhs:
             witnesses.append(
                 {
                     "vertex": j,
-                    "injective": format_module(inj),
+                    "injective": format_module(injective(alg, j)),
                     "injective_is_projective": lhs,
                     "socle_gpd": socle_gpd,
                 }
@@ -184,16 +180,22 @@ def verify_thm_prinj(alg: KupischSeries, n: int) -> VerifierResult:
 # -- verifier: Gpd <= n versus socle and embedding -------------------------------
 
 
-def _sample_sums(alg: KupischSeries, seed: int, tag: str) -> list[ModuleSum]:
-    """Deterministic small batch of 2- and 3-term direct sums."""
-    indec = indecomposables(alg)
+def _sample_positions(alg: KupischSeries, seed: int, tag: str) -> list[list[int]]:
+    """Deterministic small batch of 2- and 3-term direct sums, each as
+    the positions of its summands in indecomposables(alg)."""
     key = repr((alg.lengths, alg.cyclic, seed, tag)).encode()
     rng = random.Random(zlib.crc32(key))
-    out = []
-    for width in (2, 3):
-        for _ in range(12):
-            out.append(ModuleSum.of(*rng.choices(indec, k=width)))
-    return out
+    size = range(alg.total_dim)
+    return [rng.choices(size, k=width) for width in (2, 3) for _ in range(12)]
+
+
+def _sample_sums(alg: KupischSeries, seed: int, tag: str) -> list[ModuleSum]:
+    """The batch of _sample_positions as module sums."""
+    indec = indecomposables(alg)
+    return [
+        ModuleSum(tuple(indec[p] for p in pieces))
+        for pieces in _sample_positions(alg, seed, tag)
+    ]
 
 
 def verify_thm_gp_socle_sub(
@@ -205,21 +207,24 @@ def verify_thm_gp_socle_sub(
     an all over the summands, read from the algebra's tables."""
     _require_precluster_level(n)
     gpd_of = _gpd_table(alg)
-    simple_gpd = {j: gpd_of[simple(alg, j)] for j in alg.vertices()}
+    idx = _index(alg)
+    simple_gpd = {j: gpd_of[idx.simple_at(j)] for j in alg.vertices()}
     sub = _torsionless(alg)
-    mods = [(m,) for m in indecomposables(alg)]
-    mods.extend(s.summands for s in _sample_sums(alg, seed, "gp-socle-sub"))
+    mods = [(p,) for p in range(len(gpd_of))]
+    mods.extend(_sample_positions(alg, seed, "gp-socle-sub"))
     witnesses = []
     for pieces in mods:
         gpd_n = max(gpd_of[p] for p in pieces)
-        socle_gpd = max(simple_gpd[socle_vertex(alg, p)] for p in pieces)
+        socle_gpd = max(simple_gpd[idx.socle[p]] for p in pieces)
         a = gpd_n <= n
         b = socle_gpd <= n
-        c = all(sub[p] for p in pieces)
+        c = all(sub[idx.socle[p]] for p in pieces)
         if not (a == b == c):
+            indecs = indecomposables(alg)
+            module = ModuleSum(tuple(indecs[p] for p in pieces))
             witnesses.append(
                 {
-                    "module": format_module(ModuleSum(pieces)),
+                    "module": format_module(module),
                     "gpd": gpd_n,
                     "socle_gpd": socle_gpd,
                     "in_sub_lambda": c,
@@ -246,10 +251,11 @@ def verify_thm31_count(alg: KupischSeries, n: int) -> VerifierResult:
             f"{alg.lengths} is not minimal {n}-Auslander-Gorenstein"
         )
     gpd_of = _gpd_table(alg)
+    idx = _index(alg)
     low = []
     witnesses = []
     for i in alg.vertices():
-        val = gpd_of[simple(alg, i)]
+        val = gpd_of[idx.simple_at(i)]
         if val <= n:
             low.append(i)
         elif val != n + 1:
@@ -280,13 +286,17 @@ def verify_ses_gpd_bounds(alg: KupischSeries) -> VerifierResult:
     Gpd Y <= max(Gpd X, Gpd Z), Gpd X <= max(Gpd Y, Gpd Z - 1),
     Gpd Z <= max(Gpd Y, Gpd X + 1)."""
     gpd_of = _gpd_table(alg)
+    idx = _index(alg)
+    indecs = indecomposables(alg)
     checked = 0
     witnesses = []
-    for y in indecomposables(alg):
+    for py, y in enumerate(indecs):
+        base = idx.simple_at(y.start)
         for s in range(1, y.length):
-            x = IntervalModule(alg.shift(y.start, s), y.length - s)
-            z = IntervalModule(y.start, s)
-            gx, gy, gz = gpd_of[x], gpd_of[y], gpd_of[z]
+            # X = rad^s Y starts at the socle vertex of M(start, s + 1)
+            px = idx.simple_at(idx.socle[base + s]) + y.length - s - 1
+            pz = base + s - 1
+            gx, gy, gz = gpd_of[px], gpd_of[py], gpd_of[pz]
             checked += 1
             bad = []
             if gy > max(gx, gz):
@@ -298,9 +308,9 @@ def verify_ses_gpd_bounds(alg: KupischSeries) -> VerifierResult:
             if bad:
                 witnesses.append(
                     {
-                        "sub": format_module(x),
+                        "sub": format_module(indecs[px]),
                         "middle": format_module(y),
-                        "quotient": format_module(z),
+                        "quotient": format_module(indecs[pz]),
                         "gpd": [gx, gy, gz],
                         "violates": bad,
                     }
@@ -370,9 +380,10 @@ class ClassificationReport:
 def classify(alg: KupischSeries, seed: int = 0) -> ClassificationReport:
     """Compute every headline invariant plus theorem verdicts for one algebra."""
     g = gorenstein_degree(alg)
+    simples = list(map(_index(alg).simple_at, alg.vertices()))
     if g.is_finite:
         gpd_of = _gpd_table(alg)
-        simple_gpd = tuple(gpd_of[simple(alg, i)] for i in alg.vertices())
+        simple_gpd = tuple(gpd_of[p] for p in simples)
         n_check = max(g.value - 1, 0)
         verdicts = [
             ("prinj", verify_thm_prinj(alg, n_check).to_json()),
@@ -380,7 +391,8 @@ def classify(alg: KupischSeries, seed: int = 0) -> ClassificationReport:
             ("lemma22", verify_ses_gpd_bounds(alg).to_json()),
         ]
     else:
-        simple_gpd = tuple(pd(alg, simple(alg, i)) for i in alg.vertices())
+        pd_of = _pd_table(alg)
+        simple_gpd = tuple(ExtendedNat(pd_of[p]) for p in simples)
         verdicts = [
             (name, _skipped_verdict("infinite Gorenstein degree", "error"))
             for name in ("prinj", "gp-socle-sub", "lemma22")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import EmptySeries, InternalInconsistency, NotAdmissible
 
@@ -105,22 +105,6 @@ class ExtendedNat:
 
 
 INFINITY = ExtendedNat(None)
-
-
-def _max_nat(values: Iterable[ExtendedNat]) -> ExtendedNat:
-    best = ExtendedNat(0)
-    for x in values:
-        if best < x:
-            best = x
-    return best
-
-
-def _min_nat(values: Iterable[ExtendedNat]) -> ExtendedNat:
-    best = INFINITY
-    for x in values:
-        if x < best:
-            best = x
-    return best
 
 
 @dataclass(frozen=True)
@@ -214,7 +198,9 @@ class KupischSeries:
     # -- derived tables (memoized per instance) ---------------------------
 
     def _cached(self, key, thunk):
-        memo = self.__dict__.setdefault("_memo", {})
+        memo = self.__dict__.get("_memo")
+        if memo is None:
+            memo = self.__dict__["_memo"] = {}
         if key not in memo:
             memo[key] = thunk()
         return memo[key]

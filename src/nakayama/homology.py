@@ -1,37 +1,45 @@
 """Exact homological invariants: syzygies, dimensions, Ext, Gpd.
 
 Syzygies and cosyzygies of interval modules are interval modules, so
-Omega and Omega^- are functional graphs on the indecomposables.  pd, id,
-Gpd and domdim are depths in them, steps to a sink, and one breadth-first
-solver (`_depths`) decides all four exactly; a walk into a cycle never
-ends.  The sinks are zero for pd and id; for Gpd the Gorenstein
-projectives, over an Iwanaga-Gorenstein algebra of degree g the
-projectives and the nonzero g-th syzygies; for domdim the intervals whose
-injective envelope is not projective.  Ext dimensions come from the long
-exact sequence of the minimal presentation, one dimension shift at a time.
+Omega and Omega^- are functional graphs on the indecomposables.  The
+algebra's integer index (`modules._index`) holds both as successor lists
+over positions and is their one definition: `syzygy`, `cosyzygy`, Ext and
+the AR translates walk its positions.  pd, id, Gpd and domdim are depths
+in these graphs, steps to a sink, and one breadth-first solver
+(`_depths`) decides all four exactly as plain lists over positions, None
+for a walk into a cycle, which never ends.  The sinks are zero for pd and
+id; for Gpd the Gorenstein projectives, over an Iwanaga-Gorenstein
+algebra of degree g the projectives and the nonzero g-th syzygies; for
+domdim the intervals whose injective envelope is not projective.  Ext
+dimensions come from the long exact sequence of the minimal presentation,
+one dimension shift at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
-from .core import ExtendedNat, KupischSeries, _max_nat, _min_nat
+from .core import INFINITY, ExtendedNat, KupischSeries
 from .errors import GorensteinAsymmetry, InternalInconsistency, NotGorenstein
 from .modules import (
     IntervalModule,
     ModuleSum,
     _as_sum,
-    _indecomposable_entry,
+    _hom,
+    _index,
+    _position,
+    _positions,
     _torsionless,
-    hom_dim,
+    check_module,
     indecomposables,
     injective_envelope,
     projective,
     projective_cover,
-    simple,
-    socle_vertex,
 )
+
+# Ext counts homs with the unchecked kernel _hom.  hom_dim stays bound
+# here because perfbench/workloads.py traces it in this module.
+from .modules import hom_dim  # noqa: F401
 
 __all__ = [
     "Resolution",
@@ -56,30 +64,22 @@ __all__ = [
 # -- syzygy steps ------------------------------------------------------------
 
 
-def _syzygy1(alg: KupischSeries, m: IntervalModule) -> IntervalModule | None:
-    """Kernel of the projective cover P_start ->> m, or None when projective."""
-    c = alg.loewy_length(m.start)
-    if m.length == c:
-        return None
-    return IntervalModule(alg.shift(m.start, m.length), c - m.length)
-
-
-def _cosyzygy1(alg: KupischSeries, m: IntervalModule) -> IntervalModule | None:
-    """Cokernel of m into its injective envelope, or None when injective."""
-    d = alg.injective_length(socle_vertex(alg, m))
-    if m.length == d:
-        return None
-    return IntervalModule(alg.shift(m.start, m.length - d), d - m.length)
+def _step(alg: KupischSeries, succ: list[int], m) -> ModuleSum:
+    """The nonzero successors of m's summands in succ, the index's omega
+    or coomega."""
+    indecs = indecomposables(alg)
+    steps = [succ[p] for p in _positions(alg, m)]
+    return ModuleSum.of(*(indecs[q] for q in steps if q >= 0))
 
 
 def syzygy(alg: KupischSeries, m) -> ModuleSum:
-    out = [_syzygy1(alg, piece) for piece in _as_sum(m)]
-    return ModuleSum.of(*(z for z in out if z is not None))
+    """Kernel of the projective cover, summand by summand."""
+    return _step(alg, _index(alg).omega, m)
 
 
 def cosyzygy(alg: KupischSeries, m) -> ModuleSum:
-    out = [_cosyzygy1(alg, piece) for piece in _as_sum(m)]
-    return ModuleSum.of(*(z for z in out if z is not None))
+    """Cokernel of the injective envelope, summand by summand."""
+    return _step(alg, _index(alg).coomega, m)
 
 
 # -- depths in the Omega and Omega^- graphs ---------------------------------
@@ -102,53 +102,41 @@ def _depths(succ: list[int]) -> list[int | None]:
     return depth
 
 
-def _successors(alg: KupischSeries, step) -> list[int]:
-    """step (_syzygy1 or _cosyzygy1) of each indecomposable as a position
-    in indecomposables(alg), -1 for zero; built once per algebra."""
-
-    def build():
-        offset = [0, *accumulate(alg.lengths)]
-        out = [step(alg, m) for m in indecomposables(alg)]
-        return [-1 if z is None else offset[z.start - 1] + z.length - 1 for z in out]
-
-    return alg._cached(step.__name__, build)
+def _pd_table(alg: KupischSeries) -> list[int | None]:
+    """pd of every indecomposable by position, None for infinite."""
+    return alg._cached("pd", lambda: _depths(_index(alg).omega))
 
 
-def _depth_table(alg: KupischSeries, key: str, step) -> dict:
-    """ExtendedNat depth of every indecomposable in the graph of `step`."""
+def _id_table(alg: KupischSeries) -> list[int | None]:
+    """id of every indecomposable by position, None for infinite."""
+    return alg._cached("id", lambda: _depths(_index(alg).coomega))
 
-    def build():
-        depths = _depths(_successors(alg, step))
-        return dict(zip(indecomposables(alg), map(ExtendedNat, depths)))
 
-    return alg._cached(key, build)
+def _max_depth(depths: list[int | None], positions) -> ExtendedNat:
+    """The largest depth at the positions, 0 when there are none."""
+    vals = [depths[p] for p in positions]
+    return INFINITY if None in vals else ExtendedNat(max(vals, default=0))
 
 
 def pd(alg: KupischSeries, m) -> ExtendedNat:
     """Projective dimension (0 for the zero module)."""
-    table = _depth_table(alg, "pd", _syzygy1)
-    return _max_nat(_indecomposable_entry(alg, table, p) for p in _as_sum(m))
+    return _max_depth(_pd_table(alg), _positions(alg, m))
 
 
 def idim(alg: KupischSeries, m) -> ExtendedNat:
     """Injective dimension (0 for the zero module)."""
-    table = _depth_table(alg, "id", _cosyzygy1)
-    return _max_nat(_indecomposable_entry(alg, table, p) for p in _as_sum(m))
+    return _max_depth(_id_table(alg), _positions(alg, m))
 
 
 def gldim(alg: KupischSeries) -> ExtendedNat:
-    return alg._cached(
-        "gldim",
-        lambda: _max_nat(pd(alg, simple(alg, i)) for i in alg.vertices()),
-    )
+    idx = _index(alg)
+    return _max_depth(_pd_table(alg), map(idx.simple_at, alg.vertices()))
 
 
 def regular_id(alg: KupischSeries) -> ExtendedNat:
     """Injective dimension of the algebra as a right module over itself."""
-    return alg._cached(
-        "regular_id",
-        lambda: _max_nat(idim(alg, projective(alg, i)) for i in alg.vertices()),
-    )
+    idx = _index(alg)
+    return _max_depth(_id_table(alg), map(idx.projective_at, alg.vertices()))
 
 
 def regular_id_left(alg: KupischSeries) -> ExtendedNat:
@@ -164,15 +152,15 @@ def domdim(alg: KupischSeries) -> ExtendedNat:
     is a sink, and a projective-injective one loops on itself."""
 
     def compute():
-        # the torsionless table is in indecomposables(alg) order
-        sub = list(_torsionless(alg).values())
+        idx = _index(alg)
+        sub = _torsionless(alg)
         succ = [
-            (z if z >= 0 else p) if sub[p] else -1
-            for p, z in enumerate(_successors(alg, _cosyzygy1))
+            (z if z >= 0 else p) if sub[j] else -1
+            for p, (z, j) in enumerate(zip(idx.coomega, idx.socle))
         ]
         depths = _depths(succ)
-        # P_i is the last interval with top i
-        return _min_nat(ExtendedNat(depths[q - 1]) for q in accumulate(alg.lengths))
+        lead = [depths[idx.projective_at(i)] for i in alg.vertices()]
+        return min((ExtendedNat(k) for k in lead if k is not None), default=INFINITY)
 
     return alg._cached("domdim", compute)
 
@@ -180,17 +168,11 @@ def domdim(alg: KupischSeries) -> ExtendedNat:
 # -- Ext dimensions -----------------------------------------------------------
 
 
-def _ext1_interval(alg, z: IntervalModule, y: IntervalModule) -> int:
-    """dim Ext^1(z, y) for indecomposable z via the minimal presentation:
+def _ext1(alg: KupischSeries, z: IntervalModule, w: IntervalModule, y) -> int:
+    """dim Ext^1(z, y) for an indecomposable z with syzygy w via the
+    minimal presentation:
     0 -> Hom(z,y) -> Hom(P(z),y) -> Hom(Omega z,y) -> Ext^1(z,y) -> 0."""
-    w = _syzygy1(alg, z)
-    if w is None:
-        return 0
-    val = (
-        hom_dim(alg, w, y)
-        - hom_dim(alg, projective(alg, z.start), y)
-        + hom_dim(alg, z, y)
-    )
+    val = _hom(alg, w, y) - _hom(alg, projective(alg, z.start), y) + _hom(alg, z, y)
     if val < 0:
         raise InternalInconsistency(
             f"negative Ext^1({z}, {y}) = {val} over {alg.lengths}"
@@ -202,19 +184,20 @@ def ext_dim(alg: KupischSeries, x, y, k: int) -> int:
     """dim Ext^k(x, y), additive over summands; k = 0 counts homs."""
     if k < 0:
         raise ValueError("ext_dim wants k >= 0")
-    xs, ys = _as_sum(x), _as_sum(y)
+    ys = check_module(alg, y)
     if k == 0:
-        return sum(hom_dim(alg, a, b) for a in xs for b in ys)
+        return sum(_hom(alg, a, b) for a in check_module(alg, x) for b in ys)
+    omega = _index(alg).omega
+    indecs = indecomposables(alg)
     total = 0
-    for piece in xs:
-        z: IntervalModule | None = piece
+    for p in _positions(alg, x):
         for _ in range(k - 1):
-            z = _syzygy1(alg, z)
-            if z is None:
+            p = omega[p]
+            if p < 0:
                 break
-        if z is None:
-            continue
-        total += sum(_ext1_interval(alg, z, b) for b in ys)
+        if p >= 0 and omega[p] >= 0:
+            z, w = indecs[p], indecs[omega[p]]
+            total += sum(_ext1(alg, z, w, b) for b in ys)
     return total
 
 
@@ -249,25 +232,26 @@ def _finite_degree(alg: KupischSeries) -> int:
     return g.value
 
 
-def _gpd_table(alg: KupischSeries) -> dict[IntervalModule, int]:
-    """Gpd of every indecomposable, built once per algebra: its depth in
-    the Omega graph whose sinks are the indecomposable Gorenstein
-    projectives, the projectives and every nonzero Omega^g of an
-    interval, g the Gorenstein degree.  NotGorenstein when g is infinite."""
+def _gpd_table(alg: KupischSeries) -> list[int]:
+    """Gpd of every indecomposable by position, built once per algebra:
+    its depth in the Omega graph whose sinks are the indecomposable
+    Gorenstein projectives, the projectives and every nonzero Omega^g of
+    an interval, g the Gorenstein degree.  NotGorenstein when g is
+    infinite."""
 
     def build():
-        omega = _successors(alg, _syzygy1)
+        omega = _index(alg).omega
         layer = set(range(len(omega)))
         for _ in range(_finite_degree(alg)):
             layer = {omega[p] for p in layer} - {-1}
-        succ = [-1 if p in layer else z for p, z in enumerate(omega)]
-        return dict(zip(indecomposables(alg), _depths(succ)))
+        return _depths([-1 if p in layer else z for p, z in enumerate(omega)])
 
     return alg._cached("gpd", build)
 
 
 def _gpd1(alg: KupischSeries, m: IntervalModule) -> int:
-    return _indecomposable_entry(alg, _gpd_table(alg), m)
+    table = _gpd_table(alg)
+    return table[_position(alg, m)]
 
 
 def gpd(alg: KupischSeries, m) -> int:
@@ -285,8 +269,9 @@ def is_gorenstein_projective(alg: KupischSeries, m) -> bool:
 
 def gp_census(alg: KupischSeries) -> tuple[IntervalModule, ...]:
     """All Gorenstein projective indecomposables, sorted."""
-    table = _gpd_table(alg)
-    return tuple(m for m in indecomposables(alg) if table[m] == 0)
+    return tuple(
+        m for m, k in zip(indecomposables(alg), _gpd_table(alg)) if k == 0
+    )
 
 
 # -- explicit resolutions -----------------------------------------------------
@@ -311,7 +296,7 @@ class Resolution:
 
 
 def _resolve(alg, m, term_of, step, kind, max_steps) -> Resolution:
-    msum = _as_sum(m)
+    msum = check_module(alg, m)
     terms: list[ModuleSum] = []
     kernels: list[ModuleSum] = []
     seen: dict[ModuleSum, int] = {}

@@ -5,14 +5,18 @@ vertex and its length, written M(i, l) with 1 <= l <= c_i.  Composition
 factors top to socle are S_i, S_{i+1}, ..., S_{i+l-1} (successor
 convention).  Finite direct sums are multisets of intervals.
 
-All functions take the algebra as first argument and assume well-formed
-inputs; `check_module` is the boundary validator for user-supplied data.
+Per-algebra tables are plain lists over one integer index (`_index`),
+in which M(i, l) sits at position offset[i - 1] + l - 1 of
+indecomposables(alg).  `_position` is the one validator of intervals from
+outside: an interval that is not a module over the algebra is refused by
+name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import accumulate
+from typing import Iterator
 
 from .core import KupischSeries
 from .errors import InternalInconsistency, NotAdmissible
@@ -104,19 +108,79 @@ def _as_sum(m) -> ModuleSum:
 def check_module(alg: KupischSeries, m) -> ModuleSum:
     """Validate user-supplied summands: vertex in range, 1 <= l <= c_start."""
     msum = _as_sum(m)
-    v = alg.num_vertices
     for piece in msum:
-        if not 1 <= piece.start <= v:
-            raise NotAdmissible(
-                f"M({piece.start},{piece.length}) is not well-formed: "
-                f"vertex {piece.start} outside 1..{v}"
-            )
-        if not 1 <= piece.length <= alg.loewy_length(piece.start):
-            raise NotAdmissible(
-                f"M({piece.start},{piece.length}) is not well-formed: "
-                f"length must lie in 1..{alg.loewy_length(piece.start)}"
-            )
+        _position(alg, piece)
     return msum
+
+
+# -- the integer index -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Index:
+    """Flat integer index of the indecomposables of one algebra.
+
+    Position offset[i - 1] + l - 1 is M(i, l), in indecomposables(alg)
+    order.  socle[p] is the socle vertex of the interval at p; omega[p]
+    and coomega[p] are the positions of its syzygy and cosyzygy, -1 for
+    zero.  These two lists are the package's only definition of the
+    Omega and Omega^- steps.
+    """
+
+    offset: list[int]
+    socle: list[int]
+    omega: list[int]
+    coomega: list[int]
+
+    def simple_at(self, i: int) -> int:
+        return self.offset[i - 1]
+
+    def projective_at(self, i: int) -> int:
+        return self.offset[i] - 1
+
+
+def _index(alg: KupischSeries) -> _Index:
+    """The algebra's integer index, built once per algebra.  Vertex
+    arithmetic goes through alg.shift, so a walk that leaves a linear
+    quiver raises InternalInconsistency."""
+
+    def build():
+        offset = [0, *accumulate(alg.lengths)]
+        d = alg.injective_lengths()
+        # position of the simple top of I(j), the injective envelope of S_j
+        inj_top = [offset[alg.shift(j, 1 - d[j - 1]) - 1] for j in alg.vertices()]
+        socle, omega, coomega = [], [], []
+        for i, c in enumerate(alg.lengths, 1):
+            block = [alg.shift(i, s) for s in range(c)]  # socles of M(i, 1..c)
+            for l, j in enumerate(block, 1):
+                # Omega M(i, l) = rad^l P_i = M(i + l, c - l), whose top
+                # vertex is the socle of M(i, l + 1)
+                omega.append(offset[block[l] - 1] + c - l - 1 if l < c else -1)
+                # Omega^- M(i, l) = I(j) / M(i, l), the top d_j - l of I(j)
+                dj = d[j - 1]
+                coomega.append(inj_top[j - 1] + dj - l - 1 if l < dj else -1)
+            socle += block
+        return _Index(offset, socle, omega, coomega)
+
+    return alg._cached("index", build)
+
+
+def _position(alg: KupischSeries, m: IntervalModule) -> int:
+    """Position of m in indecomposables(alg).  The one validator of
+    intervals from outside: one that is not a module over alg raises
+    NotAdmissible naming it."""
+    v = len(alg.lengths)
+    if not 1 <= m.start <= v:
+        raise NotAdmissible(f"{m} is not well-formed: vertex {m.start} outside 1..{v}")
+    c = alg.lengths[m.start - 1]
+    if not 1 <= m.length <= c:
+        raise NotAdmissible(f"{m} is not well-formed: length must lie in 1..{c}")
+    return _index(alg).offset[m.start - 1] + m.length - 1
+
+
+def _positions(alg: KupischSeries, m) -> list[int]:
+    """Positions of the summands of an interval module or sum."""
+    return [_position(alg, piece) for piece in _as_sum(m)]
 
 
 # -- distinguished modules -------------------------------------------------
@@ -255,21 +319,12 @@ def embeds_in(alg: KupischSeries, sub: IntervalModule, big: IntervalModule) -> b
     )
 
 
-def _indecomposable_entry(alg: KupischSeries, table: dict, m: IntervalModule):
-    """table[m] from a per-algebra table keyed by the indecomposables;
-    an interval that is not one of them is refused by name."""
-    try:
-        return table[m]
-    except KeyError:
-        raise NotAdmissible(
-            f"{m} is not an indecomposable module over {alg.lengths}"
-        ) from None
-
-
-def _torsionless(alg: KupischSeries) -> dict[IntervalModule, bool]:
-    """Whether each indecomposable embeds into an indecomposable
-    projective, built once per algebra.  A submodule of a uniserial is
-    a bottom part, so this depends on the socle vertex j only.
+def _torsionless(alg: KupischSeries) -> list[bool]:
+    """For each socle vertex j (entry 0 unused), whether an indecomposable
+    with socle S_j embeds into an indecomposable projective, which holds
+    exactly when the injective envelope I(j) is projective; built once
+    per algebra.  A submodule of a uniserial is a bottom part, so this
+    depends on j only.
 
     Cross-check: each j is decided two independent ways.  If I(j) is
     projective the longest projective with socle j has length d_j,
@@ -277,9 +332,10 @@ def _torsionless(alg: KupischSeries) -> dict[IntervalModule, bool]:
     """
 
     def build():
+        idx = _index(alg)
         longest = [0] * (alg.num_vertices + 1)
         for i in alg.vertices():
-            j = socle_vertex(alg, projective(alg, i))
+            j = idx.socle[idx.projective_at(i)]
             longest[j] = max(longest[j], alg.loewy_length(i))
         verdict = [False]
         for j in alg.vertices():
@@ -290,31 +346,42 @@ def _torsionless(alg: KupischSeries) -> dict[IntervalModule, bool]:
                     f"{alg.lengths}: longest={longest[j]}, envelope={via_envelope}"
                 )
             verdict.append(via_envelope)
-        return {m: verdict[socle_vertex(alg, m)] for m in indecomposables(alg)}
+        return verdict
 
     return alg._cached("torsionless", build)
 
 
 def in_sub_lambda(alg: KupischSeries, m) -> bool:
     """Does every summand embed into some indecomposable projective?"""
-    table = _torsionless(alg)
-    return all(_indecomposable_entry(alg, table, piece) for piece in _as_sum(m))
+    verdict = _torsionless(alg)
+    idx = _index(alg)
+    return all(verdict[idx.socle[p]] for p in _positions(alg, m))
 
 
 # -- hom counting ------------------------------------------------------------
 
 
 def hom_dim(alg: KupischSeries, x: IntervalModule, y: IntervalModule) -> int:
-    """dim Hom(M(i,l), M(j,m)).
+    """dim Hom(M(i,l), M(j,m)); NotAdmissible for an interval that is not
+    a module over alg."""
+    _position(alg, x)
+    _position(alg, y)
+    return _hom(alg, x, y)
 
-    Any nonzero hom between uniserials factors as quotient-then-submodule:
-    a length-t top part of x matching the length-t bottom part of y.  So
-    count t in 1..min(l,m) with i = (start of the bottom part of y of
-    length t); each t contributes one dimension, and in the cyclic case a
-    long y can meet the same vertex several times.
+
+def _hom(alg: KupischSeries, x: IntervalModule, y: IntervalModule) -> int:
+    """hom_dim of two intervals known to be modules over alg.
+
+    A nonzero hom between uniserials factors as quotient-then-submodule:
+    a length-t top part of x matching the length-t bottom part of y, one
+    dimension for each t in 1..min(l, m) where that bottom part starts at
+    x.start.  That is t = t0 = y.start + y.length - x.start, or on a cycle
+    of v vertices any t = t0 (mod v): a long y can meet x.start again.
     """
-    n = 0
-    for t in range(1, min(x.length, y.length) + 1):
-        if alg.shift(y.start, y.length - t) == x.start:
-            n += 1
-    return n
+    top = min(x.length, y.length)
+    t0 = y.start + y.length - x.start
+    if not alg.cyclic:
+        return 1 if 1 <= t0 <= top else 0
+    v = len(alg.lengths)
+    r = t0 % v or v
+    return 0 if r > top else (top - r) // v + 1

@@ -8,16 +8,16 @@ from math import comb
 
 from .core import KupischSeries
 from .errors import InternalInconsistency, SearchSpaceTooLarge
-from .homology import _cosyzygy1, _syzygy1, ext_dim
+from .homology import ext_dim
 from .modules import (
     IntervalModule,
     ModuleSum,
     _as_sum,
+    _index,
+    _position,
     check_module,
     indecomposables,
     injective,
-    is_injective,
-    is_projective,
     projective,
 )
 from .notation import format_module
@@ -33,38 +33,30 @@ __all__ = [
 ]
 
 
-def _tau1(alg: KupischSeries, m: IntervalModule) -> IntervalModule | None:
-    """AR translate of one interval; None on projectives."""
-    if is_projective(alg, m):
-        return None
-    return IntervalModule(alg.shift(m.start, 1), m.length)
-
-
-def _tau1_inv(alg: KupischSeries, m: IntervalModule) -> IntervalModule | None:
-    """Inverse AR translate; None on injectives."""
-    if is_injective(alg, m):
-        return None
-    return IntervalModule(alg.shift(m.start, -1), m.length)
-
-
 def ar_translate(alg: KupischSeries, m) -> ModuleSum:
-    out = [_tau1(alg, piece) for piece in _as_sum(m)]
-    return ModuleSum.of(*(z for z in out if z is not None))
+    return tau_n(alg, m, 1)
 
 
 def ar_translate_inverse(alg: KupischSeries, m) -> ModuleSum:
-    out = [_tau1_inv(alg, piece) for piece in _as_sum(m)]
-    return ModuleSum.of(*(z for z in out if z is not None))
+    return tau_n_inverse(alg, m, 1)
 
 
 def _tau_n_piece(alg, piece: IntervalModule, n: int, forward: bool) -> IntervalModule | None:
-    z: IntervalModule | None = piece
-    step = _syzygy1 if forward else _cosyzygy1
+    """tau of Omega^(n-1) of one interval (forward), or tau^- of
+    Omega^-(n-1); the walk reads the algebra's index.  tau M(i, l) is
+    M(i + 1, l), zero on projectives, and tau^- M(i, l) is M(i - 1, l),
+    zero on injectives: exactly the intervals whose next step is zero."""
+    idx = _index(alg)
+    step = idx.omega if forward else idx.coomega
+    p = _position(alg, piece)
     for _ in range(n - 1):
-        z = step(alg, z)
-        if z is None:
+        p = step[p]
+        if p < 0:
             return None
-    return _tau1(alg, z) if forward else _tau1_inv(alg, z)
+    if step[p] < 0:
+        return None
+    z = indecomposables(alg)[p]
+    return IntervalModule(alg.shift(z.start, 1 if forward else -1), z.length)
 
 
 def tau_n(alg: KupischSeries, m, n: int) -> ModuleSum:
@@ -155,18 +147,16 @@ def is_precluster(alg: KupischSeries, members, n: int) -> PreclusterVerdict:
 def _member_masks(alg: KupischSeries, n: int) -> tuple[list[int], list[int]]:
     """Per-indecomposable bitmasks over indecomposables(alg) for the
     level-n conditions of is_precluster: need[i] holds the pieces of
-    tau_n and tau_n^- of the i-th indecomposable (a piece outside the
-    index gets the bit one past the end, which no member set holds), and
-    clash[i] every y with Ext^k between it and y, either way round, for
-    some k in 1..n-1 (y itself included).  Masks are built with `|`:
-    tau_n and tau_n^- of one interval can coincide."""
+    tau_n and tau_n^- of the i-th indecomposable, and clash[i] every y
+    with Ext^k between it and y, either way round, for some k in 1..n-1
+    (y itself included).  Masks are built with `|`: tau_n and tau_n^- of
+    one interval can coincide."""
     indecs = indecomposables(alg)
-    index = {m: i for i, m in enumerate(indecs)}
     need = []
     for m in indecs:
         mask = 0
         for piece in (*tau_n(alg, m, n), *tau_n_inverse(alg, m, n)):
-            mask |= 1 << index.get(piece, len(indecs))
+            mask |= 1 << _position(alg, piece)
         need.append(mask)
     clash = [0] * len(indecs)
     for i, x in enumerate(indecs):

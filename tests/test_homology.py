@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nakayama import (
     INFINITY,
@@ -12,6 +14,8 @@ from nakayama import (
     ModuleSum,
     NotAdmissible,
     NotGorenstein,
+    ar_translate,
+    ar_translate_inverse,
     cosyzygy,
     domdim,
     enumerate_admissible,
@@ -33,9 +37,12 @@ from nakayama import (
     regular_id,
     regular_id_left,
     regular_module,
+    socle_vertex,
     syzygy,
+    tau_n,
 )
 from nakayama.homology import _depths, _gpd1
+from nakayama.modules import _index, _position
 
 CYCLIC = KupischSeries.validate([3, 3, 4], True)
 LINEAR = KupischSeries.validate([3, 3, 3, 3, 2, 1], False)
@@ -224,8 +231,42 @@ class TestGorensteinProjectives:
 
     @pytest.mark.parametrize(
         "query",
-        [gpd, _gpd1, in_sub_lambda, pd, idim],
-        ids=["gpd", "_gpd1", "in_sub_lambda", "pd", "idim"],
+        [
+            gpd,
+            _gpd1,
+            in_sub_lambda,
+            pd,
+            idim,
+            syzygy,
+            cosyzygy,
+            projective_resolution,
+            injective_coresolution,
+            lambda alg, m: hom_dim(alg, m, M(1, 1)),
+            lambda alg, m: hom_dim(alg, M(1, 1), m),
+            lambda alg, m: ext_dim(alg, m, M(1, 1), 1),
+            lambda alg, m: ext_dim(alg, M(1, 1), m, 1),
+            ar_translate,
+            ar_translate_inverse,
+            lambda alg, m: tau_n(alg, m, 2),
+        ],
+        ids=[
+            "gpd",
+            "_gpd1",
+            "in_sub_lambda",
+            "pd",
+            "idim",
+            "syzygy",
+            "cosyzygy",
+            "projective_resolution",
+            "injective_coresolution",
+            "hom_dim-source",
+            "hom_dim-target",
+            "ext_dim-source",
+            "ext_dim-target",
+            "ar_translate",
+            "ar_translate_inverse",
+            "tau_n",
+        ],
     )
     def test_foreign_interval_refused_by_name(self, query):
         alg = KupischSeries.validate([2, 3], True)
@@ -268,6 +309,87 @@ class TestDepthSolver:
             )
             checked += len(pds)
         assert checked == 3766
+
+
+def reference_syzygy(alg, m):
+    """Kernel of the projective cover P_start ->> m, or None when projective."""
+    c = alg.loewy_length(m.start)
+    if m.length == c:
+        return None
+    return IntervalModule(alg.shift(m.start, m.length), c - m.length)
+
+
+def reference_cosyzygy(alg, m):
+    """Cokernel of m into its injective envelope, or None when injective."""
+    d = alg.injective_length(socle_vertex(alg, m))
+    if m.length == d:
+        return None
+    return IntervalModule(alg.shift(m.start, m.length - d), d - m.length)
+
+
+def assert_index_matches_reference(alg):
+    """The index's socle, Omega and Omega^- entries against the step
+    formulas on interval modules; returns the number of intervals."""
+    idx = _index(alg)
+    indecs = indecomposables(alg)
+    where = {m: p for p, m in enumerate(indecs)}
+    for p, m in enumerate(indecs):
+        assert _position(alg, m) == p
+        assert idx.socle[p] == socle_vertex(alg, m)
+        steps = ((idx.omega, reference_syzygy), (idx.coomega, reference_cosyzygy))
+        for succ, ref in steps:
+            z = ref(alg, m)
+            assert succ[p] == (-1 if z is None else where[z])
+    return len(indecs)
+
+
+class TestIndex:
+    def test_matches_reference_steps(self):
+        checked = sum(map(assert_index_matches_reference, enumerate_admissible(6, 8)))
+        assert checked == 16833
+
+
+@st.composite
+def admissible_series(draw, max_vertices=10, max_length=10):
+    """Any admissible Kupisch series within the bounds.  Entries drop by
+    at most 1 from one vertex to the next; a linear series is drawn from
+    its last entry 1 backwards, and a cyclic one stays low enough that it
+    can drop back to at most c_1 + 1 at the last vertex."""
+    v = draw(st.integers(1, max_vertices))
+    if not draw(st.booleans()):
+        lengths = [1]
+        for _ in range(v - 1):
+            lengths.insert(0, draw(st.integers(2, min(max_length, lengths[0] + 1))))
+        return KupischSeries.validate(lengths, False)
+    lengths = [draw(st.integers(2, max_length))]
+    for k in range(1, v):
+        hi = min(max_length, lengths[0] + v - k)
+        lengths.append(draw(st.integers(max(2, lengths[-1] - 1), hi)))
+    return KupischSeries.validate(lengths, True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(admissible_series())
+def test_engine_matches_references_on_random_series(alg):
+    assert_index_matches_reference(alg)
+    pds, ids = {}, {}
+    for m in indecomposables(alg):
+        pds[m] = resolution_length(projective_resolution(alg, m))
+        ids[m] = resolution_length(injective_coresolution(alg, m))
+        assert pd(alg, m) == pds[m]
+        assert idim(alg, m) == ids[m]
+    assert gldim(alg) == max(pds[M(i, 1)] for i in alg.vertices())
+    projs = [projective(alg, i) for i in alg.vertices()]
+    assert regular_id(alg) == max(ids[p] for p in projs)
+    assert domdim(alg) == min(coresolution_domdim(alg, i) for i in alg.vertices())
+    opp = alg.opposite()
+    assert regular_id_left(alg) == max(
+        resolution_length(injective_coresolution(opp, projective(opp, i)))
+        for i in opp.vertices()
+    )
+    if gorenstein_degree(alg).is_finite:
+        for m in indecomposables(alg):
+            assert gpd(alg, m) == ext_gpd(alg, m)
 
 
 class TestResolutions:

@@ -193,6 +193,26 @@ class TestHom:
                     )
                     assert hom_dim(alg, p, y) == mult
 
+    def test_closed_form_matches_loop(self):
+        checked = 0
+        for alg in enumerate_admissible(5, 7):
+            indecs = indecomposables(alg)
+            for x in indecs:
+                for y in indecs:
+                    assert hom_dim(alg, x, y) == reference_hom_dim(alg, x, y)
+                    checked += 1
+        assert checked == 79904
+
+
+def reference_hom_dim(alg, x, y):
+    """dim Hom(x, y) by the loop over t: a length-t top part of x that
+    matches the length-t bottom part of y gives one dimension."""
+    n = 0
+    for t in range(1, min(x.length, y.length) + 1):
+        if alg.shift(y.start, y.length - t) == x.start:
+            n += 1
+    return n
+
 
 class TestDimVector:
     def test_golden(self):
