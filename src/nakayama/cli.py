@@ -136,9 +136,7 @@ def cmd_module(args) -> int:
         result = oracle_hom_dim(alg, msum, target, args.field_p)
     elif query.startswith("oracle-ext1:"):
         target = parse_module(alg, query.split(":", 1)[1])
-        result = sum(
-            oracle_ext1_dim(alg, x, target, args.field_p) for x in msum
-        )
+        result = oracle_ext1_dim(alg, msum, target, args.field_p)
     elif query == "oracle-injective":
         result = all(
             oracle_is_injective(alg, piece, args.field_p) for piece in msum

@@ -8,17 +8,30 @@ convention, never the counting formulas being tested.
 
 Everything here is exact integer arithmetic; p = 2 by default and the
 answers must not depend on p (monomial relations), which the tests check.
+
+Cross-check state.  Hom, Ext^1 and injectivity read one private state per
+(alg, p), filled on first use: the realization of each indecomposable, the
+hom basis of each ordered pair, each pair's monomorphisms deduplicated by
+image, and each interval's presentation kernel.  None of it depends on a
+call's caps, which every call checks before reading the state.  Hom and
+Ext^1 are additive in each argument, so a sum is answered from its summand
+pairs.  `_state` holds one algebra at a time (a one-slot lru_cache): a
+batch that cycles through many algebras keeps only the current one.  The
+state lives outside `KupischSeries._cached` so the oracle shares no
+per-algebra state with the engine it checks, and so algebras held by a
+caller do not keep their matrices alive.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable
 
 import numpy as np
 
 from .core import KupischSeries
-from .errors import DimensionCapExceeded, InternalInconsistency
+from .errors import DimensionCapExceeded, InternalInconsistency, NotAdmissible
 from .modules import IntervalModule, ModuleSum, _as_sum, indecomposables
 
 __all__ = [
@@ -38,6 +51,27 @@ DEFAULT_COMBO_CAP = 4096
 def _check_prime(p: int):
     if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
         raise ValueError(f"field order must be prime, got {p}")
+
+
+def _summands(alg: KupischSeries, m) -> tuple[IntervalModule, ...]:
+    """The summands of m, each checked against the Kupisch lengths
+    directly (not through the engine's index, which is under test): an
+    interval that is not a module over alg raises NotAdmissible."""
+    pieces = (m,) if isinstance(m, IntervalModule) else _as_sum(m).summands
+    for piece in pieces:
+        inside = 1 <= piece.start <= alg.num_vertices
+        if not (inside and 1 <= piece.length <= alg.loewy_length(piece.start)):
+            raise NotAdmissible(f"{piece} is not a module over {alg.lengths}")
+    return pieces
+
+
+def _dim(pieces) -> int:
+    return sum(piece.length for piece in pieces)
+
+
+def _check_dim(dim: int, dim_cap: int):
+    if dim > dim_cap:
+        raise DimensionCapExceeded(f"module dimension {dim} exceeds cap {dim_cap}")
 
 
 # -- linear algebra mod p ----------------------------------------------------
@@ -127,15 +161,17 @@ def realize(
 ) -> MatrixRep:
     """Matrix realization of a module: one basis vector per composition
     factor, arrows shifting basis vectors one step toward the socle, so
-    every length-c_i path from i acts as zero."""
+    every length-c_i path from i acts as zero.  Each call builds a fresh
+    representation."""
     _check_prime(p)
-    msum = _as_sum(m)
-    if msum.dim > dim_cap:
-        raise DimensionCapExceeded(
-            f"module dimension {msum.dim} exceeds cap {dim_cap}"
-        )
+    pieces = _summands(alg, m)
+    _check_dim(_dim(pieces), dim_cap)
+    return _realize(alg, pieces, p)
+
+
+def _realize(alg: KupischSeries, pieces, p: int) -> MatrixRep:
     rep = MatrixRep(alg, p)
-    for s_idx, piece in enumerate(msum):
+    for s_idx, piece in enumerate(pieces):
         for r in range(piece.length):
             w = alg.shift(piece.start, r)
             rep.basis[w - 1].append((s_idx, r))
@@ -144,7 +180,7 @@ def realize(
     for w0, items in enumerate(rep.basis):
         for loc, item in enumerate(items):
             index[item] = (w0, loc)
-    lengths = [piece.length for piece in msum]
+    lengths = [piece.length for piece in pieces]
     for u in rep.arrow_sources():
         t = alg.shift(u, 1)
         mat = np.zeros((rep.dims[t - 1], rep.dims[u - 1]), dtype=np.int64)
@@ -212,33 +248,22 @@ def _hom_basis(x: MatrixRep, y: MatrixRep) -> list[list[np.ndarray]]:
     return [_unvec(vec, x, y, offs) for vec in _nullspace(system, x.p)]
 
 
-def oracle_hom_dim(
-    alg: KupischSeries, x, y, p: int = 2, dim_cap: int = DEFAULT_DIM_CAP
-) -> int:
-    """dim Hom(x, y) as the nullity of the intertwiner system."""
-    xr = realize(alg, x, p, dim_cap)
-    yr = realize(alg, y, p, dim_cap)
-    system, _, nvars = _hom_system(xr, yr)
-    return nvars - _rank(system, p)
+def _presentation_kernel(cover: MatrixRep, length: int):
+    """The kernel of the cover P ->> M(start, length), as a subrepresentation
+    of the cover's realization P = M(start, c).
 
-
-def _presentation_kernel(alg, x: IntervalModule, p, dim_cap):
-    """The kernel of the cover P(x) ->> x, as a subrepresentation.
-
-    In the realization of P_{start}, the cover kills basis positions
-    0..l-1, so the kernel is spanned by the tail positions l..c-1; the
-    arrow action restricts to the tail.  Returns (kernel rep, inclusion
-    blocks into P(x), P(x) rep)."""
-    c = alg.loewy_length(x.start)
-    cover = realize(alg, IntervalModule(x.start, c), p, dim_cap)
+    The cover kills basis positions 0..length-1, so the kernel is spanned
+    by the tail positions length..c-1; the arrow action restricts to the
+    tail.  Returns (kernel rep, inclusion blocks into P)."""
+    alg = cover.alg
     v = alg.num_vertices
-    kernel = MatrixRep(alg, p)
+    kernel = MatrixRep(alg, cover.p)
     keep: list[list[int]] = [[] for _ in range(v)]
     for w0 in range(v):
         for loc, (_, r) in enumerate(cover.basis[w0]):
-            if r >= x.length:
+            if r >= length:
                 keep[w0].append(loc)
-                kernel.basis[w0].append((0, r - x.length))
+                kernel.basis[w0].append((0, r - length))
                 kernel.dims[w0] += 1
     inclusion = []
     for w0 in range(v):
@@ -254,32 +279,7 @@ def _presentation_kernel(alg, x: IntervalModule, p, dim_cap):
         kernel.maps[u] = full[np.ix_(rows, cols)] if rows and cols else np.zeros(
             (len(rows), len(cols)), dtype=np.int64
         )
-    return kernel, inclusion, cover
-
-
-def oracle_ext1_dim(
-    alg: KupischSeries,
-    x: IntervalModule,
-    y,
-    p: int = 2,
-    dim_cap: int = DEFAULT_DIM_CAP,
-) -> int:
-    """dim Ext^1(x, y) = dim coker(Hom(P(x), y) -> Hom(K, y)) where
-    0 -> K -> P(x) -> x -> 0 is the explicit minimal presentation."""
-    _check_prime(p)
-    kernel, inclusion, cover = _presentation_kernel(alg, x, p, dim_cap)
-    yr = realize(alg, y, p, dim_cap)
-    ksys, koffs, knvars = _hom_system(kernel, yr)
-    dim_hom_k = knvars - _rank(ksys, p)
-    if dim_hom_k == 0:
-        return 0
-    rows = []
-    for g in _hom_basis(cover, yr):
-        comp = [g[w] @ inclusion[w] % p for w in range(alg.num_vertices)]
-        rows.append(_vec(comp))
-    if not rows:
-        return dim_hom_k
-    return dim_hom_k - _rank(np.array(rows, dtype=np.int64), p)
+    return kernel, inclusion
 
 
 def _col_space_sig(block: np.ndarray, p: int) -> bytes:
@@ -294,9 +294,121 @@ def _is_mono(blocks, x: MatrixRep, p: int) -> bool:
     return True
 
 
+# -- the cross-check state ---------------------------------------------------
+
+
+class _OracleState:
+    """Cross-check state of one algebra over F_p, keyed by intervals that
+    are modules over it.  Each table entry is built on first use from the
+    entries before it, and stored only once it is complete."""
+
+    def __init__(self, alg: KupischSeries, p: int):
+        self.alg = alg
+        self.p = p
+        self.reps: dict = {}  # interval -> MatrixRep
+        self.homs: dict = {}  # (x, y) -> hom basis, as per-vertex blocks
+        self.monos: dict = {}  # (x, y) -> mono blocks, one per image
+        self.kernels: dict = {}  # x -> (kernel of P(x) ->> x, inclusion)
+
+    def rep(self, m: IntervalModule) -> MatrixRep:
+        if m not in self.reps:
+            self.reps[m] = _realize(self.alg, (m,), self.p)
+        return self.reps[m]
+
+    def hom(self, x: IntervalModule, y: IntervalModule) -> list[list[np.ndarray]]:
+        if (x, y) not in self.homs:
+            self.homs[x, y] = _hom_basis(self.rep(x), self.rep(y))
+        return self.homs[x, y]
+
+    def mono_images(self, x: IntervalModule, y: IntervalModule):
+        """The monomorphisms x -> y, one per image subspace: inclusions
+        with the same image pose the same lifting problem."""
+        if (x, y) not in self.monos:
+            p, v, xr = self.p, self.alg.num_vertices, self.rep(x)
+            hb = self.hom(x, y)
+            seen, out = set(), []
+            for coeffs in itertools.product(range(p), repeat=len(hb)):
+                if not any(coeffs):
+                    continue
+                blocks = [
+                    sum(c * g[w] for c, g in zip(coeffs, hb)) % p for w in range(v)
+                ]
+                if not _is_mono(blocks, xr, p):
+                    continue
+                sig = tuple(_col_space_sig(b, p) for b in blocks)
+                if sig not in seen:
+                    seen.add(sig)
+                    out.append(blocks)
+            self.monos[x, y] = out
+        return self.monos[x, y]
+
+    def kernel(self, x: IntervalModule):
+        if x not in self.kernels:
+            cover = self.rep(self.cover(x))
+            self.kernels[x] = _presentation_kernel(cover, x.length)
+        return self.kernels[x]
+
+    def cover(self, x: IntervalModule) -> IntervalModule:
+        return IntervalModule(x.start, self.alg.loewy_length(x.start))
+
+
+@functools.lru_cache(maxsize=1)
+def _state(alg: KupischSeries, p: int) -> _OracleState:
+    """The cross-check state of (alg, p); one slot, so switching algebra
+    or field drops the previous state."""
+    return _OracleState(alg, p)
+
+
+# -- queries -----------------------------------------------------------------
+
+
+def oracle_hom_dim(
+    alg: KupischSeries, x, y, p: int = 2, dim_cap: int = DEFAULT_DIM_CAP
+) -> int:
+    """dim Hom(x, y) as the nullity of the intertwiner system, summed
+    over summand pairs."""
+    _check_prime(p)
+    xs, ys = _summands(alg, x), _summands(alg, y)
+    _check_dim(_dim(xs), dim_cap)
+    _check_dim(_dim(ys), dim_cap)
+    st = _state(alg, p)
+    return sum(len(st.hom(a, b)) for a in xs for b in ys)
+
+
+def oracle_ext1_dim(
+    alg: KupischSeries, x, y, p: int = 2, dim_cap: int = DEFAULT_DIM_CAP
+) -> int:
+    """dim Ext^1(x, y) = dim coker(Hom(P(x), y) -> Hom(K, y)) where
+    0 -> K -> P(x) -> x -> 0 is the explicit minimal presentation,
+    summed over summand pairs."""
+    _check_prime(p)
+    xs, ys = _summands(alg, x), _summands(alg, y)
+    for piece in xs:
+        _check_dim(alg.loewy_length(piece.start), dim_cap)  # the cover
+    _check_dim(_dim(ys), dim_cap)
+    st = _state(alg, p)
+    return sum(_ext1(st, a, b) for a in xs for b in ys)
+
+
+def _ext1(st: _OracleState, x: IntervalModule, y: IntervalModule) -> int:
+    p = st.p
+    kernel, inclusion = st.kernel(x)
+    ksys, _, knvars = _hom_system(kernel, st.rep(y))
+    dim_hom_k = knvars - _rank(ksys, p)
+    if dim_hom_k == 0:
+        return 0
+    rows = [
+        _vec([g[w] @ inclusion[w] % p for w in range(st.alg.num_vertices)])
+        for g in st.hom(st.cover(x), y)
+    ]
+    if not rows:
+        return dim_hom_k
+    return dim_hom_k - _rank(np.array(rows, dtype=np.int64), p)
+
+
 def oracle_is_injective(
     alg: KupischSeries,
-    m: IntervalModule,
+    m,
     p: int = 2,
     dim_cap: int = DEFAULT_DIM_CAP,
     combo_cap: int = DEFAULT_COMBO_CAP,
@@ -304,51 +416,41 @@ def oracle_is_injective(
     """Test injectivity by the lifting property: for every inclusion
     between indecomposables, every map into m must extend.  Inclusions
     with the same image give the same lifting problem, so they are
-    deduplicated by image subspace."""
+    deduplicated by image subspace.  A map into a sum extends when each
+    component does."""
     _check_prime(p)
-    mr = realize(alg, m, p, dim_cap)
-    reps = {w: realize(alg, w, p, dim_cap) for w in indecomposables(alg)}
-    hom_into_m = {w: _hom_basis(reps[w], mr) for w in reps}
-    for xmod, xr in reps.items():
-        target = hom_into_m[xmod]
-        if not target:
+    pieces = _summands(alg, m)
+    _check_dim(_dim(pieces), dim_cap)
+    _check_dim(max(alg.lengths), dim_cap)  # every indecomposable is realized
+    st = _state(alg, p)
+    ind = indecomposables(alg)
+    v = alg.num_vertices
+    for xmod in ind:
+        targets = [(piece, len(st.hom(xmod, piece))) for piece in pieces]
+        targets = [(piece, need) for piece, need in targets if need]
+        if not targets:
             continue  # nothing to lift
-        target_dim = len(target)
-        for ymod, yr in reps.items():
-            if any(xr.dims[w] > yr.dims[w] for w in range(alg.num_vertices)):
+        xr = st.rep(xmod)
+        for ymod in ind:
+            yr = st.rep(ymod)
+            if any(xr.dims[w] > yr.dims[w] for w in range(v)):
                 continue  # no chance of a mono
-            hb = _hom_basis(xr, yr)
-            h = len(hb)
+            h = len(st.hom(xmod, ymod))
             if h == 0:
                 continue
             if p**h - 1 > combo_cap:
                 raise DimensionCapExceeded(
                     f"{p}^{h} hom-space elements exceed cap {combo_cap}"
                 )
-            seen = set()
-            lifts = hom_into_m[ymod]
-            for coeffs in itertools.product(range(p), repeat=h):
-                if not any(coeffs):
-                    continue
-                blocks = [
-                    sum(c * g[w] for c, g in zip(coeffs, hb)) % p
-                    for w in range(alg.num_vertices)
-                ]
-                if not _is_mono(blocks, xr, p):
-                    continue
-                sig = tuple(_col_space_sig(b, p) for b in blocks)
-                if sig in seen:
-                    continue
-                seen.add(sig)
-                rows = [
-                    _vec([g[w] @ blocks[w] % p for w in range(alg.num_vertices)])
-                    for g in lifts
-                ]
-                got = (
-                    _rank(np.array(rows, dtype=np.int64), p) if rows else 0
-                )
-                if got < target_dim:
-                    return False
+            for blocks in st.mono_images(xmod, ymod):
+                for piece, need in targets:
+                    rows = [
+                        _vec([g[w] @ blocks[w] % p for w in range(v)])
+                        for g in st.hom(ymod, piece)
+                    ]
+                    got = _rank(np.array(rows, dtype=np.int64), p) if rows else 0
+                    if got < need:
+                        return False
     return True
 
 
@@ -384,6 +486,7 @@ def oracle_tau(
     left module componentwise gives tau m.  All steps are explicit basis
     bookkeeping plus one rank computation for the top."""
     _check_prime(p)
+    _summands(alg, m)
     i, l = m.start, m.length
     c = alg.loewy_length(i)
     if l == c:

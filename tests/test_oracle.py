@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_homology import admissible_series
 
 from nakayama import (
     DimensionCapExceeded,
     IntervalModule,
     KupischSeries,
     ModuleSum,
+    NotAdmissible,
     ar_translate,
     ext_dim,
     hom_dim,
@@ -25,6 +31,7 @@ from nakayama import (
     realize,
     socle,
 )
+from nakayama import oracle
 
 CYCLIC = KupischSeries.validate([3, 3, 4], True)
 LINEAR = KupischSeries.validate([3, 3, 3, 3, 2, 1], False)
@@ -153,3 +160,131 @@ class TestTau:
         for alg in (CYCLIC, LINEAR):
             for i in alg.vertices():
                 assert oracle_tau(alg, projective(alg, i)).is_zero
+
+
+FOREIGN_ALG = KupischSeries.validate([2, 3], True)
+# ORACLE_CALLS[name](alg, m) puts m in the named argument of one public call
+ORACLE_CALLS = {
+    "realize": lambda alg, m: realize(alg, m),
+    "hom_dim source": lambda alg, m: oracle_hom_dim(alg, m, M(1, 1)),
+    "hom_dim target": lambda alg, m: oracle_hom_dim(alg, M(1, 1), m),
+    "ext1_dim source": lambda alg, m: oracle_ext1_dim(alg, m, M(1, 1)),
+    "ext1_dim target": lambda alg, m: oracle_ext1_dim(alg, M(1, 1), m),
+    "is_injective": lambda alg, m: oracle_is_injective(alg, m),
+    "tau": lambda alg, m: oracle_tau(alg, m),
+    "socle_vector": lambda alg, m: oracle_socle_vector(alg, m),
+}
+
+
+@pytest.mark.parametrize("call", sorted(ORACLE_CALLS))
+@pytest.mark.parametrize("bad", [M(1, 9), M(7, 1), M(2, 0)], ids=repr)
+def test_refuses_intervals_that_are_not_modules(call, bad):
+    with pytest.raises(NotAdmissible, match=rf"M\({bad.start},{bad.length}\)"):
+        ORACLE_CALLS[call](FOREIGN_ALG, bad)
+
+
+def nullity(xr, yr, p):
+    system, _, nvars = oracle._hom_system(xr, yr)
+    return nvars - oracle._rank(system, p)
+
+
+def whole_sum_hom_dim(alg, x, y, p):
+    """Reference: the nullity of one intertwiner system between the
+    realizations of the whole sums."""
+    return nullity(realize(alg, x, p), realize(alg, y, p), p)
+
+
+def whole_sum_ext1_dim(alg, x: IntervalModule, y, p):
+    """Reference: coker(Hom(P(x), y) -> Hom(K, y)) with y realized whole."""
+    cover = realize(alg, projective(alg, x.start), p)
+    kernel, inclusion = oracle._presentation_kernel(cover, x.length)
+    yr = realize(alg, y, p)
+    rows = [
+        oracle._vec([g[w] @ inclusion[w] % p for w in range(alg.num_vertices)])
+        for g in oracle._hom_basis(cover, yr)
+    ]
+    return nullity(kernel, yr, p) - (oracle._rank(np.array(rows), p) if rows else 0)
+
+
+class TestState:
+    def test_alternating_fields_on_one_algebra(self):
+        ind = indecomposables(CYCLIC)
+        for k, (x, y) in enumerate((x, y) for x in ind for y in ind):
+            p = 2 + k % 2
+            assert oracle_hom_dim(CYCLIC, x, y, p=p) == hom_dim(CYCLIC, x, y)
+            assert oracle_ext1_dim(CYCLIC, x, y, p=5 - p) == ext_dim(CYCLIC, x, y, 1)
+        for k, m in enumerate(ind):
+            assert oracle_is_injective(CYCLIC, m, p=2 + k % 2) == is_injective(CYCLIC, m)
+
+    def test_caps_hold_with_warm_state(self):
+        for m in indecomposables(CYCLIC):
+            oracle_is_injective(CYCLIC, m)
+            oracle_ext1_dim(CYCLIC, m, M(3, 4))
+            oracle_hom_dim(CYCLIC, m, M(3, 4))
+        with pytest.raises(DimensionCapExceeded):
+            oracle_hom_dim(CYCLIC, M(1, 1), M(3, 4), dim_cap=3)
+        with pytest.raises(DimensionCapExceeded):
+            oracle_hom_dim(CYCLIC, ModuleSum.of(M(1, 2), M(2, 2)), M(1, 1), dim_cap=3)
+        with pytest.raises(DimensionCapExceeded):
+            oracle_ext1_dim(CYCLIC, M(3, 1), M(1, 1), dim_cap=3)  # the cover P_3
+        with pytest.raises(DimensionCapExceeded):
+            oracle_is_injective(CYCLIC, M(1, 1), dim_cap=3)  # realizes M(3, 4)
+        with pytest.raises(DimensionCapExceeded):
+            oracle_is_injective(CYCLIC, M(3, 4), combo_cap=0)
+
+    def test_refused_lifting_stores_no_mono_list(self):
+        oracle._state.cache_clear()
+        with pytest.raises(DimensionCapExceeded):
+            oracle_is_injective(CYCLIC, M(3, 4), combo_cap=0)
+        assert oracle._state(CYCLIC, 2).monos == {}
+        assert oracle_is_injective(CYCLIC, M(3, 4))
+
+    def test_realize_returns_a_private_copy(self):
+        before = oracle_hom_dim(CYCLIC, M(3, 4), M(3, 4))
+        assert oracle_ext1_dim(CYCLIC, M(3, 2), M(1, 3)) == 1
+        for m in indecomposables(CYCLIC):
+            rep = realize(CYCLIC, m)
+            for mat in rep.maps.values():
+                mat[...] = 1
+            rep.dims[0] += 1
+        assert oracle_hom_dim(CYCLIC, M(3, 4), M(3, 4)) == before == 2
+        assert oracle_ext1_dim(CYCLIC, M(3, 2), M(1, 3)) == 1
+        assert oracle_is_injective(CYCLIC, M(3, 4))
+
+    def test_one_algebra_held(self):
+        oracle_hom_dim(CYCLIC, M(1, 1), M(1, 1))
+        oracle_is_injective(LINEAR, M(1, 3))
+        states = [o for o in gc.get_objects() if isinstance(o, oracle._OracleState)]
+        assert [(s.alg, s.p) for s in states] == [(LINEAR, 2)]
+        assert oracle._state.cache_info().currsize == 1
+
+    def test_sums_match_whole_sum_realization(self):
+        for alg in (CYCLIC, LINEAR):
+            ind = indecomposables(alg)
+            sums = [ModuleSum.zero(), ModuleSum.of(ind[0], ind[0])] + [
+                ModuleSum.of(a, b) for a, b in zip(ind[::3], ind[1::2])
+            ]
+            for s in sums:
+                for t in [*sums, *ind[::2]]:
+                    for p in (2, 3):
+                        assert oracle_hom_dim(alg, s, t, p) == whole_sum_hom_dim(alg, s, t, p)
+                        assert oracle_hom_dim(alg, t, s, p) == whole_sum_hom_dim(alg, t, s, p)
+                        assert oracle_ext1_dim(alg, s, t, p) == sum(
+                            whole_sum_ext1_dim(alg, x, t, p) for x in s
+                        )
+            for x in ind:
+                for s in sums:
+                    assert oracle_ext1_dim(alg, x, s) == whole_sum_ext1_dim(alg, x, s, 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(admissible_series(max_vertices=5, max_length=4), st.sampled_from([2, 3]))
+def test_oracle_matches_engine_on_random_series(alg, p):
+    assert alg.total_dim <= 20
+    ind = indecomposables(alg)
+    for x in ind:
+        assert oracle_tau(alg, x, p) == ar_translate(alg, x)
+        assert oracle_is_injective(alg, x, p) == is_injective(alg, x)
+        for y in ind:
+            assert oracle_hom_dim(alg, x, y, p) == hom_dim(alg, x, y)
+            assert oracle_ext1_dim(alg, x, y, p) == ext_dim(alg, x, y, 1)
