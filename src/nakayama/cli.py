@@ -138,9 +138,7 @@ def cmd_module(args) -> int:
         target = parse_module(alg, query.split(":", 1)[1])
         result = oracle_ext1_dim(alg, msum, target, args.field_p)
     elif query == "oracle-injective":
-        result = all(
-            oracle_is_injective(alg, piece, args.field_p) for piece in msum
-        )
+        result = oracle_is_injective(alg, msum, args.field_p)
     elif query == "oracle-tau":
         images = [oracle_tau(alg, piece, args.field_p) for piece in msum]
         result = ModuleSum.of(*(q for img in images for q in img))

@@ -221,7 +221,9 @@ def indecomposables(alg: KupischSeries) -> tuple[IntervalModule, ...]:
 
 
 def is_projective(alg: KupischSeries, m) -> bool:
-    return all(piece.length == alg.loewy_length(piece.start) for piece in _as_sum(m))
+    return all(
+        piece.length == alg.loewy_length(piece.start) for piece in check_module(alg, m)
+    )
 
 
 def is_injective(alg: KupischSeries, m) -> bool:
@@ -235,13 +237,14 @@ def is_injective(alg: KupischSeries, m) -> bool:
 
 
 def socle_vertex(alg: KupischSeries, m: IntervalModule) -> int:
+    _position(alg, m)
     return alg.shift(m.start, m.length - 1)
 
 
 def dim_vector(alg: KupischSeries, m) -> tuple[int, ...]:
     """Multiplicity of each simple S_1..S_v among the composition factors."""
     counts = [0] * alg.num_vertices
-    for piece in _as_sum(m):
+    for piece in check_module(alg, m):
         for r in range(piece.length):
             counts[alg.shift(piece.start, r) - 1] += 1
     return tuple(counts)
@@ -254,7 +257,9 @@ def socle(alg: KupischSeries, m) -> ModuleSum:
 
 
 def top(alg: KupischSeries, m) -> ModuleSum:
-    return ModuleSum.of(*(IntervalModule(piece.start, 1) for piece in _as_sum(m)))
+    return ModuleSum.of(
+        *(IntervalModule(piece.start, 1) for piece in check_module(alg, m))
+    )
 
 
 def radical_power(alg: KupischSeries, m, s: int) -> ModuleSum:
@@ -262,7 +267,7 @@ def radical_power(alg: KupischSeries, m, s: int) -> ModuleSum:
     if s < 0:
         raise ValueError("radical power wants s >= 0")
     out = []
-    for piece in _as_sum(m):
+    for piece in check_module(alg, m):
         if piece.length > s:
             out.append(IntervalModule(alg.shift(piece.start, s), piece.length - s))
     return ModuleSum.of(*out)
@@ -277,7 +282,7 @@ def radical_quotient(alg: KupischSeries, m, s: int) -> ModuleSum:
     if s < 0:
         raise ValueError("radical quotient wants s >= 0")
     out = []
-    for piece in _as_sum(m):
+    for piece in check_module(alg, m):
         if s > 0:
             out.append(IntervalModule(piece.start, min(s, piece.length)))
     return ModuleSum.of(*out)
@@ -288,7 +293,7 @@ def socle_part(alg: KupischSeries, m, s: int) -> ModuleSum:
     if s < 0:
         raise ValueError("socle part wants s >= 0")
     out = []
-    for piece in _as_sum(m):
+    for piece in check_module(alg, m):
         if s > 0:
             t = min(s, piece.length)
             out.append(IntervalModule(alg.shift(piece.start, piece.length - t), t))
@@ -300,7 +305,7 @@ def socle_part(alg: KupischSeries, m, s: int) -> ModuleSum:
 
 def projective_cover(alg: KupischSeries, m) -> ModuleSum:
     return ModuleSum.of(
-        *(projective(alg, piece.start) for piece in _as_sum(m))
+        *(projective(alg, piece.start) for piece in check_module(alg, m))
     )
 
 

@@ -17,7 +17,9 @@ from nakayama import (
     ar_translate,
     ar_translate_inverse,
     cosyzygy,
+    dim_vector,
     domdim,
+    embeds_in,
     enumerate_admissible,
     ext_dim,
     gldim,
@@ -29,17 +31,26 @@ from nakayama import (
     in_sub_lambda,
     indecomposables,
     injective_coresolution,
+    injective_envelope,
     is_gorenstein_projective,
+    is_injective,
     is_projective,
     pd,
     projective,
+    projective_cover,
     projective_resolution,
+    radical,
+    radical_power,
+    radical_quotient,
     regular_id,
     regular_id_left,
     regular_module,
+    socle,
+    socle_part,
     socle_vertex,
     syzygy,
     tau_n,
+    top,
 )
 from nakayama.homology import _depths, _gpd1
 from nakayama.modules import _index, _position
@@ -248,6 +259,19 @@ class TestGorensteinProjectives:
             ar_translate,
             ar_translate_inverse,
             lambda alg, m: tau_n(alg, m, 2),
+            dim_vector,
+            socle,
+            top,
+            lambda alg, m: radical_power(alg, m, 1),
+            radical,
+            lambda alg, m: radical_quotient(alg, m, 1),
+            lambda alg, m: socle_part(alg, m, 1),
+            projective_cover,
+            injective_envelope,
+            lambda alg, m: embeds_in(alg, M(1, 1), m),
+            socle_vertex,
+            is_projective,
+            is_injective,
         ],
         ids=[
             "gpd",
@@ -266,6 +290,19 @@ class TestGorensteinProjectives:
             "ar_translate",
             "ar_translate_inverse",
             "tau_n",
+            "dim_vector",
+            "socle",
+            "top",
+            "radical_power",
+            "radical",
+            "radical_quotient",
+            "socle_part",
+            "projective_cover",
+            "injective_envelope",
+            "embeds_in",
+            "socle_vertex",
+            "is_projective",
+            "is_injective",
         ],
     )
     def test_foreign_interval_refused_by_name(self, query):

@@ -133,6 +133,16 @@ class TestInjectivity:
         for m in indecomposables(LINEAR):
             assert oracle_is_injective(LINEAR, m) == is_injective(LINEAR, m)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("alg", [CYCLIC, LINEAR], ids=["cyclic", "linear"])
+    def test_sums_by_baer_criterion(self, alg, p):
+        dual = ModuleSum.of(*(injective(alg, j) for j in alg.vertices()))
+        assert oracle_is_injective(alg, dual, p)
+        for m in indecomposables(alg):
+            if not is_injective(alg, m):
+                assert not oracle_is_injective(alg, dual + ModuleSum.of(m), p)
+        assert oracle_is_injective(alg, ModuleSum.zero(), p)
+
 
 class TestSocleVector:
     def test_golden(self):
@@ -183,6 +193,15 @@ def test_refuses_intervals_that_are_not_modules(call, bad):
         ORACLE_CALLS[call](FOREIGN_ALG, bad)
 
 
+@pytest.mark.parametrize("call", sorted(ORACLE_CALLS))
+def test_shares_no_state_with_the_engine(call):
+    # a warm state for an equal algebra would leave the fresh one untouched
+    oracle._state.cache_clear()
+    alg = KupischSeries.validate([3, 3, 4], True)
+    ORACLE_CALLS[call](alg, M(1, 2))
+    assert "_memo" not in alg.__dict__
+
+
 def nullity(xr, yr, p):
     system, _, nvars = oracle._hom_system(xr, yr)
     return nvars - oracle._rank(system, p)
@@ -229,15 +248,6 @@ class TestState:
             oracle_ext1_dim(CYCLIC, M(3, 1), M(1, 1), dim_cap=3)  # the cover P_3
         with pytest.raises(DimensionCapExceeded):
             oracle_is_injective(CYCLIC, M(1, 1), dim_cap=3)  # realizes M(3, 4)
-        with pytest.raises(DimensionCapExceeded):
-            oracle_is_injective(CYCLIC, M(3, 4), combo_cap=0)
-
-    def test_refused_lifting_stores_no_mono_list(self):
-        oracle._state.cache_clear()
-        with pytest.raises(DimensionCapExceeded):
-            oracle_is_injective(CYCLIC, M(3, 4), combo_cap=0)
-        assert oracle._state(CYCLIC, 2).monos == {}
-        assert oracle_is_injective(CYCLIC, M(3, 4))
 
     def test_realize_returns_a_private_copy(self):
         before = oracle_hom_dim(CYCLIC, M(3, 4), M(3, 4))
