@@ -131,17 +131,13 @@ def cmd_module(args) -> int:
             raise ParseError(f"ext query wants ext:<k>:<target>, got {query!r}")
         target = parse_module(alg, chunks[2])
         result = ext_dim(alg, msum, target, int(chunks[1]))
-    elif query.startswith("oracle-hom:"):
-        target = parse_module(alg, query.split(":", 1)[1])
-        result = oracle_hom_dim(alg, msum, target, args.field_p)
-    elif query.startswith("oracle-ext1:"):
-        target = parse_module(alg, query.split(":", 1)[1])
-        result = oracle_ext1_dim(alg, msum, target, args.field_p)
-    elif query == "oracle-injective":
-        result = oracle_is_injective(alg, msum, args.field_p)
-    elif query == "oracle-tau":
-        images = [oracle_tau(alg, piece, args.field_p) for piece in msum]
-        result = ModuleSum.of(*(q for img in images for q in img))
+    elif query.startswith(("oracle-hom:", "oracle-ext1:")):
+        name, target = query.split(":", 1)
+        fn = oracle_hom_dim if name == "oracle-hom" else oracle_ext1_dim
+        result = fn(alg, msum, parse_module(alg, target), args.field_p)
+    elif query in ("oracle-injective", "oracle-tau"):
+        fn = oracle_is_injective if query == "oracle-injective" else oracle_tau
+        result = fn(alg, msum, args.field_p)
     else:
         raise ParseError(f"unknown query {query!r}")
     payload = {
@@ -265,11 +261,11 @@ def _tally(rec: dict) -> tuple[bool, ...]:
     )
 
 
-def _range_check(keys, spec: str, seed: int) -> tuple[int, int]:
+def _range_check(keys, window: tuple[int, int] | None, seed: int) -> tuple[int, int]:
     """Re-verify the socle characterization across a whole range of
     levels: at each n the verdict must agree with the classifier, pass
-    and fail alike.  'auto' means every level up to the Gorenstein
-    degree; 'A:B' an inclusive window clipped to that."""
+    and fail alike.  The levels are the inclusive window (lo, hi), or
+    from 0 when it is None, clipped to the Gorenstein degree minus one."""
     checked = violations = 0
     for lengths, cyclic in keys:
         alg = KupischSeries(lengths, cyclic)
@@ -277,12 +273,8 @@ def _range_check(keys, spec: str, seed: int) -> tuple[int, int]:
         if not g.is_finite:
             continue
         top_level = max(g.value - 1, 0)
-        if spec == "auto":
-            levels = range(0, top_level + 1)
-        else:
-            lo, hi = (int(t) for t in spec.split(":"))
-            levels = range(lo, min(hi, top_level) + 1)
-        for n in levels:
+        lo, hi = window or (0, top_level)
+        for n in range(lo, min(hi, top_level) + 1):
             res = verify_thm_gp_socle_sub(alg, n, seed)
             checked += 1
             if res.passed != is_minimal_ag(alg, n):
@@ -373,12 +365,14 @@ def cmd_sweep(args) -> int:
     for name, value in counts.items():
         if value < 1:
             raise ParseError(f"{name} wants at least 1, got {value}")
+    window = None  # --n-range auto: every level
     if args.n_range not in (None, "auto"):
-        window = re.fullmatch(r"(\d+):(\d+)", args.n_range)
-        if not window or int(window[1]) > int(window[2]):
+        match = re.fullmatch(r"(\d+):(\d+)", args.n_range)
+        if not match or int(match[1]) > int(match[2]):
             raise ParseError(
                 f"--n-range wants 'auto' or 'A:B' with A <= B, got {args.n_range!r}"
             )
+        window = (int(match[1]), int(match[2]))
     existing = _resumed(args.out) if os.path.exists(args.out) else {}
     shapes = ("linear", "cyclic") if args.shapes == "both" else (args.shapes,)
     algs = enumerate_admissible(args.max_vertices, args.max_length, shapes)
@@ -404,7 +398,7 @@ def cmd_sweep(args) -> int:
     violations = summary["violations"]
     if args.n_range is not None:
         keys = [*existing, *((a.lengths, a.cyclic) for a in todo)]
-        checked, range_violations = _range_check(keys, args.n_range, args.seed)
+        checked, range_violations = _range_check(keys, window, args.seed)
         summary["range_checked"] = checked
         summary["range_violations"] = range_violations
         violations += range_violations

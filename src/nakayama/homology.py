@@ -27,19 +27,17 @@ from .modules import (
     _as_sum,
     _hom,
     _index,
+    _pieces,
     _position,
     _positions,
     _torsionless,
     check_module,
+    hom_dim,
     indecomposables,
     injective_envelope,
     projective,
     projective_cover,
 )
-
-# Ext counts homs with the unchecked kernel _hom.  hom_dim stays bound
-# here because perfbench/workloads.py traces it in this module.
-from .modules import hom_dim  # noqa: F401
 
 __all__ = [
     "Resolution",
@@ -181,12 +179,12 @@ def _ext1(alg: KupischSeries, z: IntervalModule, w: IntervalModule, y) -> int:
 
 
 def ext_dim(alg: KupischSeries, x, y, k: int) -> int:
-    """dim Ext^k(x, y), additive over summands; k = 0 counts homs."""
+    """dim Ext^k(x, y), additive over summands; k = 0 is hom_dim."""
     if k < 0:
         raise ValueError("ext_dim wants k >= 0")
-    ys = check_module(alg, y)
     if k == 0:
-        return sum(_hom(alg, a, b) for a in check_module(alg, x) for b in ys)
+        return hom_dim(alg, x, y)
+    ys = _pieces(alg, y)
     omega = _index(alg).omega
     indecs = indecomposables(alg)
     total = 0

@@ -9,7 +9,8 @@ Per-algebra tables are plain lists over one integer index (`_index`),
 in which M(i, l) sits at position offset[i - 1] + l - 1 of
 indecomposables(alg).  `_position` is the one validator of intervals from
 outside: an interval that is not a module over the algebra is refused by
-name.
+name, and anything else by its type.  Every module query takes an
+interval or a sum; only `socle_vertex` and `embeds_in` want an interval.
 """
 
 from __future__ import annotations
@@ -105,12 +106,17 @@ def _as_sum(m) -> ModuleSum:
     raise TypeError(f"expected IntervalModule or ModuleSum, got {type(m).__name__}")
 
 
+def _pieces(alg: KupischSeries, m) -> tuple[IntervalModule, ...]:
+    """The validated summands of an interval or a sum, unwrapped."""
+    pieces = (m,) if isinstance(m, IntervalModule) else _as_sum(m).summands
+    for piece in pieces:
+        _position(alg, piece)
+    return pieces
+
+
 def check_module(alg: KupischSeries, m) -> ModuleSum:
     """Validate user-supplied summands: vertex in range, 1 <= l <= c_start."""
-    msum = _as_sum(m)
-    for piece in msum:
-        _position(alg, piece)
-    return msum
+    return ModuleSum(_pieces(alg, m))
 
 
 # -- the integer index -------------------------------------------------------
@@ -168,7 +174,10 @@ def _index(alg: KupischSeries) -> _Index:
 def _position(alg: KupischSeries, m: IntervalModule) -> int:
     """Position of m in indecomposables(alg).  The one validator of
     intervals from outside: one that is not a module over alg raises
-    NotAdmissible naming it."""
+    NotAdmissible naming it, and anything else TypeError naming its
+    type."""
+    if not isinstance(m, IntervalModule):
+        raise TypeError(f"expected IntervalModule, got {type(m).__name__}")
     v = len(alg.lengths)
     if not 1 <= m.start <= v:
         raise NotAdmissible(f"{m} is not well-formed: vertex {m.start} outside 1..{v}")
@@ -237,6 +246,7 @@ def is_injective(alg: KupischSeries, m) -> bool:
 
 
 def socle_vertex(alg: KupischSeries, m: IntervalModule) -> int:
+    """The vertex of the simple socle of an interval; TypeError for a sum."""
     _position(alg, m)
     return alg.shift(m.start, m.length - 1)
 
@@ -317,7 +327,8 @@ def injective_envelope(alg: KupischSeries, m) -> ModuleSum:
 
 def embeds_in(alg: KupischSeries, sub: IntervalModule, big: IntervalModule) -> bool:
     """Submodules of a uniserial module are its bottom parts, so an
-    interval embeds iff the socle vertices match and it is no longer."""
+    interval embeds iff the socle vertices match and it is no longer.
+    Both arguments are intervals; TypeError for a sum."""
     return (
         socle_vertex(alg, sub) == socle_vertex(alg, big)
         and sub.length <= big.length
@@ -366,12 +377,17 @@ def in_sub_lambda(alg: KupischSeries, m) -> bool:
 # -- hom counting ------------------------------------------------------------
 
 
-def hom_dim(alg: KupischSeries, x: IntervalModule, y: IntervalModule) -> int:
-    """dim Hom(M(i,l), M(j,m)); NotAdmissible for an interval that is not
-    a module over alg."""
-    _position(alg, x)
-    _position(alg, y)
-    return _hom(alg, x, y)
+def hom_dim(alg: KupischSeries, x, y) -> int:
+    """dim Hom(x, y) for intervals or sums: Hom is additive in each
+    argument, so it is the sum over the summand pairs.  NotAdmissible for
+    an interval that is not a module over alg.  No ModuleSum and no
+    generator: on two intervals either would cost more than _hom."""
+    xs, ys = _pieces(alg, x), _pieces(alg, y)
+    total = 0
+    for a in xs:
+        for b in ys:
+            total += _hom(alg, a, b)
+    return total
 
 
 def _hom(alg: KupischSeries, x: IntervalModule, y: IntervalModule) -> int:

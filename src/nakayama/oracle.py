@@ -20,7 +20,8 @@ Ext^1(S, m) = 0 for every simple S.  `_state` holds one algebra at a time
 (a one-slot lru_cache): a batch that cycles through many algebras keeps
 only the current one.  The state lives outside `KupischSeries._cached` so
 the oracle shares no per-algebra state with the engine it checks, and so
-algebras held by a caller do not keep their matrices alive.
+algebras held by a caller do not keep their matrices alive.  The AR
+translate reads no state and is answered summand by summand.
 """
 
 from __future__ import annotations
@@ -403,43 +404,39 @@ def oracle_socle_vector(
 
 
 def oracle_tau(
-    alg: KupischSeries,
-    m: IntervalModule,
-    p: int = 2,
-    dim_cap: int = DEFAULT_DIM_CAP,
+    alg: KupischSeries, m, p: int = 2, dim_cap: int = DEFAULT_DIM_CAP
 ) -> ModuleSum:
-    """AR translate via transpose-dual of the minimal presentation.
+    """AR translate, summand by summand: tau(A + B) = tau A + tau B, and
+    a projective summand adds zero.  The algebra's dimension is checked
+    against dim_cap before a non-projective summand is translated."""
+    _check_prime(p)
+    out = []
+    for piece in _summands(alg, m):
+        if piece.length == alg.loewy_length(piece.start):
+            continue
+        if alg.total_dim > dim_cap:
+            raise DimensionCapExceeded(
+                f"algebra dimension {alg.total_dim} exceeds cap {dim_cap}"
+            )
+        out.append(_tau1(alg, piece, p))
+    return ModuleSum(tuple(out))
+
+
+def _tau1(alg: KupischSeries, m: IntervalModule, p: int) -> IntervalModule:
+    """tau of a non-projective interval via the transpose-dual of its
+    minimal presentation.
 
     Hom(-, algebra) turns the presentation map between projectives into
     right multiplication between spaces of paths with fixed endpoint; the
     transpose is the cokernel presentation of Tr m, and dualizing that
     left module componentwise gives tau m.  All steps are explicit basis
     bookkeeping plus one rank computation for the top."""
-    _check_prime(p)
-    _summands(alg, m)
     i, l = m.start, m.length
-    c = alg.loewy_length(i)
-    if l == c:
-        return ModuleSum.zero()  # projective, translate is zero
-    if alg.total_dim > dim_cap:
-        raise DimensionCapExceeded(
-            f"algebra dimension {alg.total_dim} exceeds cap {dim_cap}"
-        )
-    v = alg.num_vertices
-    items = [
-        (j, t) for j in alg.vertices() for t in range(alg.loewy_length(j))
-    ]
-
-    def endpoint(j, t):
-        return alg.shift(j, t)
-
-    end_i = [b for b in items if endpoint(*b) == i]
-    end_il = [b for b in items if endpoint(*b) == alg.shift(i, l)]
-    image = {
-        (j, t + l)
-        for (j, t) in end_i
-        if t + l <= alg.loewy_length(j) - 1
-    }
+    # paths as (start vertex, length), grouped by their end vertex
+    items = [(j, t) for j in alg.vertices() for t in range(alg.loewy_length(j))]
+    end_i = [b for b in items if alg.shift(*b) == i]
+    end_il = [b for b in items if alg.shift(*b) == alg.shift(i, l)]
+    image = {(j, t + l) for (j, t) in end_i if t + l <= alg.loewy_length(j) - 1}
     coker = [b for b in end_il if b not in image]
     if len(coker) != l:
         raise InternalInconsistency(
@@ -448,31 +445,24 @@ def oracle_tau(
         )
     comp = {w: [b for b in coker if b[0] == w] for w in alg.vertices()}
     pos = {w: {b: k for k, b in enumerate(comp[w])} for w in alg.vertices()}
-    dims = {w: len(comp[w]) for w in alg.vertices()}
     tops = []
     for w in alg.vertices():
-        if alg.cyclic:
+        incoming_rank = 0
+        if alg.cyclic or w > 1:
             pred = alg.shift(w, -1)
-        else:
-            pred = w - 1 if w > 1 else None
-        if pred is None:
-            incoming_rank = 0
-        else:
             # left action of the arrow out of pred maps start-vertex
             # component at w to the one at pred; its transpose is the
             # incoming right action at w of the dual module
-            mat = np.zeros((dims[pred], dims[w]), dtype=np.int64)
+            mat = np.zeros((len(comp[pred]), len(comp[w])), dtype=np.int64)
             for b in comp[w]:
-                j, t = b
-                lifted = (pred, t + 1)
-                if t + 1 <= alg.loewy_length(pred) - 1 and lifted in pos[pred]:
+                lifted = (pred, b[1] + 1)
+                if lifted in pos[pred]:
                     mat[pos[pred][lifted], pos[w][b]] = 1
             incoming_rank = _rank(mat, p)
-        tops.append(dims[w] - incoming_rank)
+        tops.append(len(comp[w]) - incoming_rank)
     if sum(tops) != 1:
         raise InternalInconsistency(
             f"transpose-dual of {m} over {alg.lengths} is not uniserial: "
             f"top vector {tuple(tops)}"
         )
-    a = tops.index(1) + 1
-    return ModuleSum.of(IntervalModule(a, l))
+    return IntervalModule(tops.index(1) + 1, l)

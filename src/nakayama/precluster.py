@@ -12,9 +12,9 @@ from .homology import ext_dim
 from .modules import (
     IntervalModule,
     ModuleSum,
-    _as_sum,
     _index,
     _position,
+    _positions,
     check_module,
     indecomposables,
     injective,
@@ -41,22 +41,26 @@ def ar_translate_inverse(alg: KupischSeries, m) -> ModuleSum:
     return tau_n_inverse(alg, m, 1)
 
 
-def _tau_n_piece(alg, piece: IntervalModule, n: int, forward: bool) -> IntervalModule | None:
-    """tau of Omega^(n-1) of one interval (forward), or tau^- of
+def _tau_n(alg: KupischSeries, m, n: int, forward: bool) -> ModuleSum:
+    """tau of Omega^(n-1) of each summand (forward), or tau^- of
     Omega^-(n-1); the walk reads the algebra's index.  tau M(i, l) is
     M(i + 1, l), zero on projectives, and tau^- M(i, l) is M(i - 1, l),
     zero on injectives: exactly the intervals whose next step is zero."""
+    if n < 1:
+        raise ValueError(f"{'tau_n' if forward else 'tau_n_inverse'} wants n >= 1")
     idx = _index(alg)
     step = idx.omega if forward else idx.coomega
-    p = _position(alg, piece)
-    for _ in range(n - 1):
-        p = step[p]
-        if p < 0:
-            return None
-    if step[p] < 0:
-        return None
-    z = indecomposables(alg)[p]
-    return IntervalModule(alg.shift(z.start, 1 if forward else -1), z.length)
+    indecs = indecomposables(alg)
+    out = []
+    for p in _positions(alg, m):
+        for _ in range(n - 1):
+            p = step[p]
+            if p < 0:
+                break
+        if p >= 0 and step[p] >= 0:
+            z = indecs[p]
+            out.append(IntervalModule(alg.shift(z.start, 1 if forward else -1), z.length))
+    return ModuleSum(tuple(out))
 
 
 def tau_n(alg: KupischSeries, m, n: int) -> ModuleSum:
@@ -65,17 +69,11 @@ def tau_n(alg: KupischSeries, m, n: int) -> ModuleSum:
     Pieces that die along the way (a syzygy vanishes, or the surviving
     piece is projective) contribute zero, matching the stable picture.
     """
-    if n < 1:
-        raise ValueError("tau_n wants n >= 1")
-    out = [_tau_n_piece(alg, piece, n, True) for piece in _as_sum(m)]
-    return ModuleSum.of(*(z for z in out if z is not None))
+    return _tau_n(alg, m, n, True)
 
 
 def tau_n_inverse(alg: KupischSeries, m, n: int) -> ModuleSum:
-    if n < 1:
-        raise ValueError("tau_n_inverse wants n >= 1")
-    out = [_tau_n_piece(alg, piece, n, False) for piece in _as_sum(m)]
-    return ModuleSum.of(*(z for z in out if z is not None))
+    return _tau_n(alg, m, n, False)
 
 
 @dataclass(frozen=True)

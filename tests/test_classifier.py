@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from test_homology import ext_gpd
 
@@ -34,6 +36,7 @@ from nakayama import (
     verify_thm_prinj,
 )
 from nakayama.classify import REPORT_KEYS, _sample_sums
+from nakayama.cli import _sweep_violations
 
 CYCLIC = KupischSeries.validate([3, 3, 4], True)
 LINEAR = KupischSeries.validate([3, 3, 3, 3, 2, 1], False)
@@ -351,3 +354,39 @@ def test_verifiers_match_ext_and_embedding_reference():
             alg, gpd_of
         ), alg
     assert levels > 0 and 0 < failing < levels
+
+
+@pytest.mark.parametrize(
+    "verifier", [verify_thm_prinj, verify_thm_gp_socle_sub, verify_thm31_count]
+)
+def test_negative_level_is_an_unmet_precondition(verifier):
+    with pytest.raises(PreconditionFailed, match="n must be >= 0"):
+        verifier(CYCLIC, -1)
+
+
+def test_breached_theorems_report_witnesses_and_sweep_flags(monkeypatch):
+    """Raise Gpd S(3) by 2 over linear (3,3,3,3,2,1), where every theorem
+    holds: each verdict fails with its witnesses and the sweep names every
+    disagreement with the classifier.  A verdict passing off the
+    characterization is the one flag this cannot reach."""
+    alg = KupischSeries.validate([3, 3, 3, 3, 2, 1], False)
+    # the package attribute `classify` is the function, not the module
+    classify_module = sys.modules["nakayama.classify"]
+    indecs = indecomposables(alg)
+    s3 = indecs.index(IntervalModule(3, 1))
+    raised = [g + 2 * (p == s3) for p, g in enumerate(classify_module._gpd_table(alg))]
+    monkeypatch.setattr(classify_module, "_gpd_table", lambda _alg: raised)
+
+    got = verify_ses_gpd_bounds(alg).to_json()
+    assert got == reference_ses_gpd_bounds(alg, dict(zip(indecs, raised)))
+    assert len(got["witnesses"]) == 4
+    count = verify_thm31_count(alg, 2)
+    assert not count.passed
+    reasons = [w["reason"] for w in count.witnesses]
+    assert "dichotomy breached" in reasons and "counts differ" in reasons
+    assert _sweep_violations(classify(alg).to_json()) == [
+        "prinj failed on a qualifying algebra",
+        "gp-socle-sub failed on a qualifying algebra",
+        "lemma22 inequality breached",
+        "thm31-count mismatch",
+    ]

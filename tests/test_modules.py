@@ -163,6 +163,21 @@ class TestEmbedding:
             for i in alg.vertices():
                 assert in_sub_lambda(alg, radical(alg, projective(alg, i)))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda alg, s: socle_vertex(alg, s),
+            lambda alg, s: embeds_in(alg, s, M(1, 1)),
+            lambda alg, s: embeds_in(alg, M(1, 1), s),
+        ],
+        ids=["socle_vertex", "embeds_in sub", "embeds_in big"],
+    )
+    @pytest.mark.parametrize("alg", [CYCLIC, LINEAR], ids=["cyclic", "linear"])
+    def test_interval_only_calls_refuse_a_sum(self, alg, call):
+        for s in (ModuleSum.of(M(1, 1)), ModuleSum.zero()):
+            with pytest.raises(TypeError, match="got ModuleSum"):
+                call(alg, s)
+
     def test_embedding_implies_nonzero_hom(self):
         for alg in (CYCLIC, LINEAR):
             for x in indecomposables(alg):

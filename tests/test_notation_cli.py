@@ -12,6 +12,8 @@ from nakayama import (
     KupischSeries,
     ModuleSum,
     ParseError,
+    enumerate_admissible,
+    gorenstein_degree,
     indecomposables,
     injective,
     projective,
@@ -354,6 +356,23 @@ class TestVerifyCommand:
         assert payload["error"] == "ValueError"
 
 
+    @pytest.mark.parametrize(
+        "argv, detail",
+        [
+            (["--theorem", "precluster"], "precluster needs --n"),
+            (["--theorem", "nonsense", "--n", "1"], "unknown theorem 'nonsense'"),
+        ],
+        ids=["precluster-without-level", "unknown-theorem"],
+    )
+    def test_unusable_theorem_request(self, capsys, argv, detail):
+        code, payload = run_cli(
+            capsys, "verify", "--kupisch", "3,3,4", "--cyclic", *argv
+        )
+        assert code == 2
+        assert payload["error"] == "ParseError"
+        assert detail in payload["detail"]
+
+
 class TestSweepCommand:
     def test_small_sweep(self, capsys, tmp_path):
         out = tmp_path / "sweep.jsonl"
@@ -622,6 +641,36 @@ class TestSweepCommand:
         for key in ("resumed", "computed"):
             del summary[key], expected[key]
         assert summary == expected
+
+
+    def test_n_range_window(self, capsys, tmp_path):
+        # one check per level of 1..2 below each Gorenstein degree
+        expected = 0
+        for alg in enumerate_admissible(4, 5):
+            g = gorenstein_degree(alg)
+            if g.is_finite:
+                expected += len(range(1, min(2, max(g.value - 1, 0)) + 1))
+        out = tmp_path / "rng.jsonl"
+        argv = ["sweep", "--max-vertices", "4", "--max-length", "5", "--n-range", "1:2"]
+        code, summary = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 0
+        assert expected == 39
+        assert (summary["range_checked"], summary["range_violations"]) == (expected, 0)
+
+    def test_non_canonical_cyclic_series_rejected(self, capsys, tmp_path):
+        out = tmp_path / "sweep.jsonl"
+        args = [*self.SWEEP_3_4, "--out", str(out)]
+        assert run_cli(capsys, *args)[0] == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        target = next(r for r in records if r["cyclic"] and r["kupisch"] == [3, 3, 4])
+        target["kupisch"] = [4, 3, 3]  # a rotation of the canonical series
+        before = "".join(json.dumps(r) + "\n" for r in records)
+        out.write_text(before)
+        code, payload = run_cli(capsys, *args)
+        assert code == 2
+        assert payload["error"] == "IoError"
+        assert "[4, 3, 3] is not a canonical series" in payload["detail"]
+        assert out.read_text() == before
 
 
 class TestReproduceCommand:

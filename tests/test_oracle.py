@@ -298,3 +298,33 @@ def test_oracle_matches_engine_on_random_series(alg, p):
         for y in ind:
             assert oracle_hom_dim(alg, x, y, p) == hom_dim(alg, x, y)
             assert oracle_ext1_dim(alg, x, y, p) == ext_dim(alg, x, y, 1)
+
+
+# -- one rule for module arguments: sums answered summand by summand ---------
+
+
+def sample_sums(alg):
+    """The zero sum, every adjacent pair of indecomposables (each
+    projective P(i) sits next to S(i+1)) and a repeated summand."""
+    indecs = indecomposables(alg)
+    pairs = [ModuleSum.of(a, b) for a, b in zip(indecs, indecs[1:])]
+    return [ModuleSum.zero(), *pairs, ModuleSum.of(indecs[0], indecs[0])]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("alg", [CYCLIC, LINEAR], ids=["cyclic", "linear"])
+class TestSumArguments:
+    def test_hom_dim_is_additive_on_either_side(self, alg, p):
+        sums = sample_sums(alg)
+        for s in sums:
+            for y in (*indecomposables(alg), *sums):
+                for x, z in ((s, y), (y, s)):
+                    want = oracle_hom_dim(alg, x, z, p)
+                    assert hom_dim(alg, x, z) == ext_dim(alg, x, z, 0) == want, (x, z)
+
+    def test_tau_is_additive(self, alg, p):
+        for s in sample_sums(alg):
+            assert oracle_tau(alg, s, p) == ar_translate(alg, s), s
+        with_projective = ModuleSum.of(projective(alg, 1), M(2, 1))
+        assert oracle_tau(alg, with_projective, p) == ar_translate(alg, M(2, 1))
+        assert oracle_tau(alg, ModuleSum.zero(), p).is_zero

@@ -157,6 +157,20 @@ class TestIsPrecluster:
             is_precluster(CYCLIC, members, 1)
 
 
+    def test_injectives_alone_fail_generation(self):
+        injs = tuple(injective(CYCLIC, j) for j in CYCLIC.vertices())
+        v = is_precluster(CYCLIC, injs, 1)
+        assert not v.ok
+        missing = format_module(projective(CYCLIC, 1))
+        assert {"condition": "generator", "missing": missing} in v.failures
+
+    def test_level_below_one_refused(self):
+        with pytest.raises(ValueError, match="is_precluster wants n >= 1"):
+            is_precluster(CYCLIC, indecomposables(CYCLIC), 0)
+        with pytest.raises(ValueError, match="search_precluster wants n >= 1"):
+            search_precluster(CYCLIC, 0)
+
+
 class TestSearch:
     def test_frozen_candidates_degree_one(self):
         cands = search_precluster(CYCLIC, 1)
