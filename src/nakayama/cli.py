@@ -154,6 +154,10 @@ def cmd_module(args) -> int:
 # -- verify ----------------------------------------------------------------------
 
 
+# The theorem verdicts of a report, in report order.
+_VERDICTS = ("prinj", "gp-socle-sub", "lemma22", "thm31-count")
+
+
 def cmd_verify(args) -> int:
     alg = _algebra(args)
     token = args.theorem
@@ -181,17 +185,16 @@ def cmd_verify(args) -> int:
         return 0 if found else 1
     if token == "lemma22":
         res = verify_ses_gpd_bounds(alg)
+    elif token not in _VERDICTS:
+        raise ParseError(f"unknown theorem {token!r}")
+    elif args.n is None:
+        raise ParseError(f"theorem {token!r} needs --n")
+    elif token == "prinj":
+        res = verify_thm_prinj(alg, args.n)
+    elif token == "gp-socle-sub":
+        res = verify_thm_gp_socle_sub(alg, args.n, args.seed)
     else:
-        if args.n is None:
-            raise ParseError(f"theorem {token!r} needs --n")
-        if token == "prinj":
-            res = verify_thm_prinj(alg, args.n)
-        elif token == "gp-socle-sub":
-            res = verify_thm_gp_socle_sub(alg, args.n, args.seed)
-        elif token == "thm31-count":
-            res = verify_thm31_count(alg, args.n)
-        else:
-            raise ParseError(f"unknown theorem {token!r}")
+        res = verify_thm31_count(alg, args.n)
     payload = {
         "kupisch": list(alg.lengths),
         "cyclic": alg.cyclic,
@@ -256,7 +259,7 @@ def _tally(rec: dict) -> tuple[bool, ...]:
         rec["gorenstein_degree"] != "infinity",
         rec["minimal_ag_n"] is not None,
         rec["n_auslander_n"] is not None,
-        any(v.get("status") == "fail" for v in rec["theorem_verdicts"].values()),
+        any(rec["theorem_verdicts"][name]["status"] == "fail" for name in _VERDICTS),
         bool(_sweep_violations(rec)),
     )
 
@@ -319,6 +322,11 @@ def _resumed(path: str) -> dict:
                 f"{path}: malformed record: cyclic flag {rec['cyclic']!r} "
                 "is not a boolean"
             )
+        verdicts = rec["theorem_verdicts"]
+        for name in _VERDICTS:
+            verdict = verdicts.get(name) if isinstance(verdicts, dict) else None
+            if not isinstance(verdict, dict) or "status" not in verdict:
+                raise IoError(f"{path}: malformed record: {name} verdict {verdict!r}")
         try:
             alg = KupischSeries.validate(rec["kupisch"], rec["cyclic"])
         except (TypeError, NakayamaError) as exc:

@@ -15,7 +15,7 @@ combinatorics; no floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import total_ordering, wraps
 from typing import Iterator, Sequence
 
 from .errors import EmptySeries, InternalInconsistency, NotAdmissible
@@ -105,6 +105,24 @@ class ExtendedNat:
 
 
 INFINITY = ExtendedNat(None)
+
+
+def per_algebra(build):
+    """Memoize a per-algebra table: build(alg) runs once per algebra and
+    its result is kept in the algebra's `_memo` dict, under the builder's
+    dotted name.  The key is a string so that the algebra still pickles."""
+    key = f"{build.__module__}.{build.__qualname__}"
+
+    @wraps(build)
+    def table(alg):
+        try:
+            return alg.__dict__["_memo"][key]
+        except KeyError:
+            memo = alg.__dict__.setdefault("_memo", {})
+            memo[key] = value = build(alg)
+            return value
+
+    return table
 
 
 @dataclass(frozen=True)
@@ -197,36 +215,27 @@ class KupischSeries:
 
     # -- derived tables (memoized per instance) ---------------------------
 
-    def _cached(self, key, thunk):
-        memo = self.__dict__.get("_memo")
-        if memo is None:
-            memo = self.__dict__["_memo"] = {}
-        if key not in memo:
-            memo[key] = thunk()
-        return memo[key]
-
+    @per_algebra
     def injective_lengths(self) -> tuple[int, ...]:
-        """For each vertex j, the length of the longest interval module
+        """For each vertex j, the length d_j of the longest interval module
         with socle S_j.  That interval is the indecomposable injective
         envelope of S_j: interval modules with a fixed socle vertex are
-        totally ordered by inclusion, so the longest one is injective."""
-        return self._cached("dinj", self._injective_lengths)
-
-    def _injective_lengths(self) -> tuple[int, ...]:
-        out = []
-        for j in self.vertices():
-            d = 1
-            while True:
-                m = d + 1
-                if not self.cyclic and j - m + 1 < 1:
-                    break
-                start = self.shift(j, 1 - m)
-                if m <= self.lengths[start - 1]:
-                    d = m
-                else:
-                    break
-            out.append(d)
-        return tuple(out)
+        totally ordered by inclusion, so the longest one is injective.
+        One pass: M(i, l) has socle i + l - 1 (mod v), and from each top
+        only the last v lengths can be longest.  InternalInconsistency
+        when a projective's socle lies past the end of a linear quiver."""
+        v = len(self.lengths)
+        d = [0] * v
+        for i, c in enumerate(self.lengths):
+            if not self.cyclic and i + c > v:
+                raise InternalInconsistency(
+                    f"vertex walk {i + 1}{c - 1:+d} leaves the linear quiver "
+                    f"on {self.lengths}"
+                )
+            for l in range(max(1, c - v + 1), c + 1):
+                j = (i + l - 1) % v
+                d[j] = max(d[j], l)
+        return tuple(d)
 
     def injective_length(self, j: int) -> int:
         return self.injective_lengths()[j - 1]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import INFINITY, ExtendedNat, KupischSeries
+from .core import INFINITY, ExtendedNat, KupischSeries, per_algebra
 from .errors import GorensteinAsymmetry, InternalInconsistency, NotGorenstein
 from .modules import (
     IntervalModule,
@@ -100,14 +100,16 @@ def _depths(succ: list[int]) -> list[int | None]:
     return depth
 
 
+@per_algebra
 def _pd_table(alg: KupischSeries) -> list[int | None]:
     """pd of every indecomposable by position, None for infinite."""
-    return alg._cached("pd", lambda: _depths(_index(alg).omega))
+    return _depths(_index(alg).omega)
 
 
+@per_algebra
 def _id_table(alg: KupischSeries) -> list[int | None]:
     """id of every indecomposable by position, None for infinite."""
-    return alg._cached("id", lambda: _depths(_index(alg).coomega))
+    return _depths(_index(alg).coomega)
 
 
 def _max_depth(depths: list[int | None], positions) -> ExtendedNat:
@@ -137,30 +139,28 @@ def regular_id(alg: KupischSeries) -> ExtendedNat:
     return _max_depth(_id_table(alg), map(idx.projective_at, alg.vertices()))
 
 
+@per_algebra
 def regular_id_left(alg: KupischSeries) -> ExtendedNat:
     """Injective dimension on the other side, via the opposite algebra."""
-    return alg._cached("regular_id_left", lambda: regular_id(alg.opposite()))
+    return regular_id(alg.opposite())
 
 
+@per_algebra
 def domdim(alg: KupischSeries) -> ExtendedNat:
     """Least number of leading projective terms in the minimal injective
     coresolution of a P_i; infinite when all of one (possibly periodic)
     consists of projectives.  On the Omega^- graph an interval whose
     injective envelope is not projective (one that is not torsionless)
     is a sink, and a projective-injective one loops on itself."""
-
-    def compute():
-        idx = _index(alg)
-        sub = _torsionless(alg)
-        succ = [
-            (z if z >= 0 else p) if sub[j] else -1
-            for p, (z, j) in enumerate(zip(idx.coomega, idx.socle))
-        ]
-        depths = _depths(succ)
-        lead = [depths[idx.projective_at(i)] for i in alg.vertices()]
-        return min((ExtendedNat(k) for k in lead if k is not None), default=INFINITY)
-
-    return alg._cached("domdim", compute)
+    idx = _index(alg)
+    sub = _torsionless(alg)
+    succ = [
+        (z if z >= 0 else p) if sub[j] else -1
+        for p, (z, j) in enumerate(zip(idx.coomega, idx.socle))
+    ]
+    depths = _depths(succ)
+    lead = [depths[idx.projective_at(i)] for i in alg.vertices()]
+    return min((ExtendedNat(k) for k in lead if k is not None), default=INFINITY)
 
 
 # -- Ext dimensions -----------------------------------------------------------
@@ -202,24 +202,19 @@ def ext_dim(alg: KupischSeries, x, y, k: int) -> int:
 # -- Gorenstein invariants ----------------------------------------------------
 
 
+@per_algebra
 def gorenstein_degree(alg: KupischSeries) -> ExtendedNat:
     """Common value of the two self-injective dimensions; INFINITY when
     both are infinite.  Any one-sided or unequal answer is a bug, never a
     property of the algebra, hence the typed error."""
-
-    def compute():
-        right = regular_id(alg)
-        left = regular_id_left(alg)
-        if right.is_finite != left.is_finite or (
-            right.is_finite and right != left
-        ):
-            raise GorensteinAsymmetry(
-                f"self-injective dimensions disagree over {alg.lengths}: "
-                f"right={right}, left={left}"
-            )
-        return right
-
-    return alg._cached("gorenstein_degree", compute)
+    right = regular_id(alg)
+    left = regular_id_left(alg)
+    if right.is_finite != left.is_finite or (right.is_finite and right != left):
+        raise GorensteinAsymmetry(
+            f"self-injective dimensions disagree over {alg.lengths}: "
+            f"right={right}, left={left}"
+        )
+    return right
 
 
 def _finite_degree(alg: KupischSeries) -> int:
@@ -230,21 +225,18 @@ def _finite_degree(alg: KupischSeries) -> int:
     return g.value
 
 
+@per_algebra
 def _gpd_table(alg: KupischSeries) -> list[int]:
     """Gpd of every indecomposable by position, built once per algebra:
     its depth in the Omega graph whose sinks are the indecomposable
     Gorenstein projectives, the projectives and every nonzero Omega^g of
     an interval, g the Gorenstein degree.  NotGorenstein when g is
     infinite."""
-
-    def build():
-        omega = _index(alg).omega
-        layer = set(range(len(omega)))
-        for _ in range(_finite_degree(alg)):
-            layer = {omega[p] for p in layer} - {-1}
-        return _depths([-1 if p in layer else z for p, z in enumerate(omega)])
-
-    return alg._cached("gpd", build)
+    omega = _index(alg).omega
+    layer = set(range(len(omega)))
+    for _ in range(_finite_degree(alg)):
+        layer = {omega[p] for p in layer} - {-1}
+    return _depths([-1 if p in layer else z for p, z in enumerate(omega)])
 
 
 def _gpd1(alg: KupischSeries, m: IntervalModule) -> int:

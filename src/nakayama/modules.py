@@ -5,12 +5,13 @@ vertex and its length, written M(i, l) with 1 <= l <= c_i.  Composition
 factors top to socle are S_i, S_{i+1}, ..., S_{i+l-1} (successor
 convention).  Finite direct sums are multisets of intervals.
 
-Per-algebra tables are plain lists over one integer index (`_index`),
-in which M(i, l) sits at position offset[i - 1] + l - 1 of
-indecomposables(alg).  `_position` is the one validator of intervals from
-outside: an interval that is not a module over the algebra is refused by
-name, and anything else by its type.  Every module query takes an
-interval or a sum; only `socle_vertex` and `embeds_in` want an interval.
+Per-algebra tables, each built once by `core.per_algebra`, are plain
+lists over one integer index (`_index`): M(i, l) sits at position
+offset[i - 1] + l - 1 of indecomposables(alg).  `_position` is the one
+validator of intervals from outside: an interval that is not a module
+over the algebra is refused by name, and anything else by its type.
+Every module query takes an interval or a sum; only `socle_vertex` and
+`embeds_in` want an interval.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
 
-from .core import KupischSeries
+from .core import KupischSeries, per_algebra
 from .errors import InternalInconsistency, NotAdmissible
 
 __all__ = [
@@ -145,30 +146,24 @@ class _Index:
         return self.offset[i] - 1
 
 
+@per_algebra
 def _index(alg: KupischSeries) -> _Index:
-    """The algebra's integer index, built once per algebra.  Vertex
-    arithmetic goes through alg.shift, so a walk that leaves a linear
-    quiver raises InternalInconsistency."""
-
-    def build():
-        offset = [0, *accumulate(alg.lengths)]
-        d = alg.injective_lengths()
-        # position of the simple top of I(j), the injective envelope of S_j
-        inj_top = [offset[alg.shift(j, 1 - d[j - 1]) - 1] for j in alg.vertices()]
-        socle, omega, coomega = [], [], []
-        for i, c in enumerate(alg.lengths, 1):
-            block = [alg.shift(i, s) for s in range(c)]  # socles of M(i, 1..c)
-            for l, j in enumerate(block, 1):
-                # Omega M(i, l) = rad^l P_i = M(i + l, c - l), whose top
-                # vertex is the socle of M(i, l + 1)
-                omega.append(offset[block[l] - 1] + c - l - 1 if l < c else -1)
-                # Omega^- M(i, l) = I(j) / M(i, l), the top d_j - l of I(j)
-                dj = d[j - 1]
-                coomega.append(inj_top[j - 1] + dj - l - 1 if l < dj else -1)
-            socle += block
-        return _Index(offset, socle, omega, coomega)
-
-    return alg._cached("index", build)
+    """The algebra's integer index, in one pass with 0-based vertices mod
+    v; injective_lengths() refuses a walk off a linear quiver first."""
+    v = len(alg.lengths)
+    offset = [0, *accumulate(alg.lengths)]
+    d = alg.injective_lengths()
+    socle, omega, coomega = [], [], []
+    for i, c in enumerate(alg.lengths):
+        for l in range(1, c + 1):
+            j = (i + l - 1) % v  # the socle of M(i, l)
+            socle.append(j + 1)
+            # Omega M(i, l) = rad^l P_i = M(i + l, c - l)
+            omega.append(offset[(i + l) % v] + c - l - 1 if l < c else -1)
+            # Omega^- M(i, l) = I(j) / M(i, l), the top d_j - l of I(j)
+            dj = d[j]
+            coomega.append(offset[(j - dj + 1) % v] + dj - l - 1 if l < dj else -1)
+    return _Index(offset, socle, omega, coomega)
 
 
 def _position(alg: KupischSeries, m: IntervalModule) -> int:
@@ -216,17 +211,14 @@ def regular_module(alg: KupischSeries) -> ModuleSum:
     return ModuleSum.of(*(projective(alg, i) for i in alg.vertices()))
 
 
+@per_algebra
 def indecomposables(alg: KupischSeries) -> tuple[IntervalModule, ...]:
     """All interval modules, sorted."""
-
-    def build():
-        return tuple(
-            IntervalModule(i, l)
-            for i in alg.vertices()
-            for l in range(1, alg.loewy_length(i) + 1)
-        )
-
-    return alg._cached("indecs", build)
+    return tuple(
+        IntervalModule(i, l)
+        for i in alg.vertices()
+        for l in range(1, alg.loewy_length(i) + 1)
+    )
 
 
 def is_projective(alg: KupischSeries, m) -> bool:
@@ -335,6 +327,7 @@ def embeds_in(alg: KupischSeries, sub: IntervalModule, big: IntervalModule) -> b
     )
 
 
+@per_algebra
 def _torsionless(alg: KupischSeries) -> list[bool]:
     """For each socle vertex j (entry 0 unused), whether an indecomposable
     with socle S_j embeds into an indecomposable projective, which holds
@@ -346,25 +339,21 @@ def _torsionless(alg: KupischSeries) -> list[bool]:
     projective the longest projective with socle j has length d_j,
     otherwise none has socle j; a mismatch raises InternalInconsistency.
     """
-
-    def build():
-        idx = _index(alg)
-        longest = [0] * (alg.num_vertices + 1)
-        for i in alg.vertices():
-            j = idx.socle[idx.projective_at(i)]
-            longest[j] = max(longest[j], alg.loewy_length(i))
-        verdict = [False]
-        for j in alg.vertices():
-            via_envelope = is_projective(alg, injective(alg, j))
-            if longest[j] != (alg.injective_length(j) if via_envelope else 0):
-                raise InternalInconsistency(
-                    f"submodule-of-projective disagreement at S({j}) over "
-                    f"{alg.lengths}: longest={longest[j]}, envelope={via_envelope}"
-                )
-            verdict.append(via_envelope)
-        return verdict
-
-    return alg._cached("torsionless", build)
+    idx = _index(alg)
+    longest = [0] * (alg.num_vertices + 1)
+    for i in alg.vertices():
+        j = idx.socle[idx.projective_at(i)]
+        longest[j] = max(longest[j], alg.loewy_length(i))
+    verdict = [False]
+    for j in alg.vertices():
+        via_envelope = is_projective(alg, injective(alg, j))
+        if longest[j] != (alg.injective_length(j) if via_envelope else 0):
+            raise InternalInconsistency(
+                f"submodule-of-projective disagreement at S({j}) over "
+                f"{alg.lengths}: longest={longest[j]}, envelope={via_envelope}"
+            )
+        verdict.append(via_envelope)
+    return verdict
 
 
 def in_sub_lambda(alg: KupischSeries, m) -> bool:

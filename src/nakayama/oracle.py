@@ -18,10 +18,11 @@ answered from its summand pairs.  Injectivity is Baer's criterion on the
 same Ext^1: over a finite-dimensional algebra m is injective exactly when
 Ext^1(S, m) = 0 for every simple S.  `_state` holds one algebra at a time
 (a one-slot lru_cache): a batch that cycles through many algebras keeps
-only the current one.  The state lives outside `KupischSeries._cached` so
-the oracle shares no per-algebra state with the engine it checks, and so
-algebras held by a caller do not keep their matrices alive.  The AR
-translate reads no state and is answered summand by summand.
+only the current one.  The state lives outside the algebra's `_memo`
+(`core.per_algebra`) so the oracle shares no per-algebra state with the
+engine it checks, and so algebras held by a caller do not keep their
+matrices alive.  The AR translate reads no state and is answered summand
+by summand.
 """
 
 from __future__ import annotations

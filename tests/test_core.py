@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from test_homology import admissible_series
 
 from nakayama import (
     INFINITY,
@@ -13,8 +16,31 @@ from nakayama import (
     InternalInconsistency,
     KupischSeries,
     NotAdmissible,
+    classify,
     enumerate_admissible,
 )
+from nakayama.core import per_algebra
+from nakayama.modules import _index
+
+
+def reference_injective_lengths(alg):
+    """The vertex walk that the one-pass injective lengths replaced: grow
+    an interval with socle j upwards, one top vertex at a time, while the
+    projective at the new top is long enough to hold it."""
+    out = []
+    for j in alg.vertices():
+        d = 1
+        while True:
+            m = d + 1
+            if not alg.cyclic and j - m + 1 < 1:
+                break
+            start = alg.shift(j, 1 - m)
+            if m <= alg.lengths[start - 1]:
+                d = m
+            else:
+                break
+        out.append(d)
+    return tuple(out)
 
 
 class TestValidation:
@@ -120,6 +146,29 @@ class TestInjectiveLengths:
     def test_staircase(self):
         assert KupischSeries.validate([3, 2, 1], False).injective_lengths() == (1, 2, 3)
 
+    def test_one_pass_matches_reference_walk(self):
+        algs = enumerate_admissible(6, 8)
+        for alg in algs:
+            assert alg.injective_lengths() == reference_injective_lengths(alg)
+        assert len(algs) == 664
+
+    @pytest.mark.parametrize(
+        "call",
+        [KupischSeries.injective_lengths, _index, classify],
+        ids=["injective_lengths", "index", "classify"],
+    )
+    def test_linear_walk_off_the_quiver_is_a_bug_signal(self, call):
+        # built without validate: P_1 = M(1, 3) would have socle vertex 3
+        # on a 2-vertex linear quiver
+        with pytest.raises(InternalInconsistency, match="leaves the linear quiver"):
+            call(KupischSeries((3, 1), False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(admissible_series())
+def test_injective_lengths_match_reference_on_random_series(alg):
+    assert alg.injective_lengths() == reference_injective_lengths(alg)
+
 
 class TestOpposite:
     def test_golden_series_are_self_opposite(self):
@@ -208,3 +257,33 @@ class TestBasics:
         a2 = KupischSeries.validate([4, 3, 3], True)
         assert a1 == a2 and hash(a1) == hash(a2)
         assert len({a1, a2}) == 1
+
+
+class TestPerAlgebraMemo:
+    def test_builds_once_per_algebra_under_a_string_key(self):
+        calls = []
+
+        @per_algebra
+        def table(alg):
+            calls.append(alg)
+            return len(calls)
+
+        a, b = (KupischSeries.validate([3, 3, 4], True) for _ in range(2))
+        assert (table(a), table(a), table(b)) == (1, 1, 2)
+        assert a.__dict__["_memo"] == {f"{__name__}.{table.__qualname__}": 1}
+
+    def test_classified_algebra_pickles(self):
+        alg = KupischSeries.validate([3, 3, 4], True)
+        report = classify(alg).to_json()
+        copy = pickle.loads(pickle.dumps(alg))
+        assert copy == alg
+        assert copy.__dict__["_memo"].keys() == alg.__dict__["_memo"].keys()
+        assert all(isinstance(key, str) for key in copy.__dict__["_memo"])
+        assert classify(copy).to_json() == report
+
+    def test_opposite_keeps_its_own_tables(self):
+        # the left self-injective dimension is a cross-check through the
+        # opposite algebra, so it must not reuse the algebra's index
+        alg = KupischSeries.validate([3, 3, 4], True)
+        assert alg.opposite() == alg
+        assert _index(alg.opposite()) is not _index(alg)

@@ -361,8 +361,13 @@ class TestVerifyCommand:
         [
             (["--theorem", "precluster"], "precluster needs --n"),
             (["--theorem", "nonsense", "--n", "1"], "unknown theorem 'nonsense'"),
+            (["--theorem", "nonsense"], "unknown theorem 'nonsense'"),
         ],
-        ids=["precluster-without-level", "unknown-theorem"],
+        ids=[
+            "precluster-without-level",
+            "unknown-theorem",
+            "unknown-theorem-without-level",
+        ],
     )
     def test_unusable_theorem_request(self, capsys, argv, detail):
         code, payload = run_cli(
@@ -520,8 +525,10 @@ class TestSweepCommand:
         [
             lambda rec: rec.pop("theorem_verdicts"),
             lambda rec: rec.update(kupisch=[0]),
+            lambda rec: rec["theorem_verdicts"].pop("prinj"),
+            lambda rec: rec["theorem_verdicts"].update(prinj="pass"),
         ],
-        ids=["missing-key", "inadmissible-series"],
+        ids=["missing-key", "inadmissible-series", "missing-verdict", "bare-verdict"],
     )
     def test_malformed_resume_record_rejected(self, capsys, tmp_path, damage):
         out = tmp_path / "sweep.jsonl"
