@@ -387,9 +387,12 @@ def cmd_sweep(args) -> int:
     todo = [a for a in algs if (a.lengths, a.cyclic) not in existing]
     payloads = [(a.lengths, a.cyclic, args.seed) for a in todo]
     computed = []
-    if args.jobs > 1 and payloads:
-        chunk = max(1, len(payloads) // (args.jobs * 4))
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool forks every worker at the first submit, so never ask for
+    # more than there are algebras or CPUs
+    workers = min(args.jobs, len(payloads), os.cpu_count() or 1)
+    if workers > 1:
+        chunk = max(1, len(payloads) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             computed = _append_lines(
                 args.out, pool.map(_sweep_record, payloads, chunksize=chunk)
             )

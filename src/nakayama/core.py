@@ -9,7 +9,9 @@ convention, indices cyclic when the quiver is a cycle).  Admissibility:
   linear quiver:  c_v = 1, c_i >= 2 for i < v, and c_{i+1} >= c_i - 1.
 
 Everything else in the package is derived from this data by exact integer
-combinatorics; no floating point anywhere.
+combinatorics; no floating point anywhere.  `enumerate_admissible` yields
+every admissible series within given bounds once, in canonical form and
+in lexicographic order by construction.
 """
 
 from __future__ import annotations
@@ -257,45 +259,31 @@ class KupischSeries:
         return KupischSeries.validate(rev, self.cyclic)
 
 
-def _linear_series(v: int, max_length: int) -> Iterator[tuple[int, ...]]:
-    if v == 1:
-        if max_length >= 1:
-            yield (1,)
-        return
+def _series(v: int, max_length: int, cyclic: bool) -> Iterator[tuple[int, ...]]:
+    """Each admissible series on v vertices once, in lexicographic order,
+    a cyclic one as its least rotation: a walk over a[1..v] (a[0] = 0 is
+    a sentinel), cyclic ones by the FKM necklace recursion with p the
+    period of the prefix (Ruskey, Savage, Wang 1992).  The step rule prunes:
+    an entry is at least its predecessor minus 1, and at most what can
+    still step down to c_v = 1 (linear) or to c_v <= c_1 + 1 (cyclic)."""
+    a = [0] * (v + 1)
 
-    def rec(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        i = len(prefix)
-        if i == v - 1:
-            if prefix[-1] <= 2:
-                yield prefix + (1,)
+    def rec(t: int, p: int) -> Iterator[tuple[int, ...]]:
+        if t > v:
+            if not cyclic or v % p == 0:
+                yield tuple(a[1:])
             return
-        lo = max(2, prefix[-1] - 1) if prefix else 2
-        # entries can only drop by 1 per step, so anything too tall to
-        # reach c_v = 1 is a dead end
-        hi = min(max_length, v - i)
+        if cyclic:
+            lo = max(2, a[t - 1] - 1, a[t - p])
+            hi = max_length if t == 1 else min(max_length, a[1] + 1 + v - t)
+        else:
+            lo = max(2, a[t - 1] - 1) if t < v else 1
+            hi = min(max_length, v - t + 1)
         for c in range(lo, hi + 1):
-            yield from rec(prefix + (c,))
+            a[t] = c
+            yield from rec(t + 1, p if c == a[t - p] else t)
 
-    yield from rec(())
-
-
-def _cyclic_series(v: int, max_length: int) -> Iterator[tuple[int, ...]]:
-    seen = set()
-
-    def rec(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        i = len(prefix)
-        if i == v:
-            if prefix[0] >= prefix[-1] - 1:
-                canon = min(prefix[k:] + prefix[:k] for k in range(v))
-                if canon not in seen:
-                    seen.add(canon)
-                    yield canon
-            return
-        lo = max(2, prefix[-1] - 1) if prefix else 2
-        for c in range(lo, max_length + 1):
-            yield from rec(prefix + (c,))
-
-    yield from rec(())
+    yield from rec(1, 1)
 
 
 def enumerate_admissible(
@@ -303,19 +291,20 @@ def enumerate_admissible(
     max_length: int,
     shapes: Sequence[str] = ("linear", "cyclic"),
 ) -> list[KupischSeries]:
-    """All admissible algebras within the bounds, in a fixed order.
-
-    Cyclic series are produced once per rotation class (canonical form).
-    Order: linear shapes first, then cyclic, each by vertex count and
+    """All admissible algebras within the bounds, in a fixed order:
+    linear shapes first, then cyclic, each by vertex count and then by
     lexicographic series, so sweep output is reproducible byte for byte.
+    Each series comes out once, canonical and in that order by
+    construction.  ValueError on a shape other than "linear" or "cyclic".
     """
+    unknown = [shape for shape in shapes if shape not in ("linear", "cyclic")]
+    if unknown:
+        raise ValueError(f"unknown shapes {unknown}; want 'linear' or 'cyclic'")
     out: list[KupischSeries] = []
-    if "linear" in shapes:
-        for v in range(1, max_vertices + 1):
-            for series in sorted(_linear_series(v, max_length)):
-                out.append(KupischSeries(series, False))
-    if "cyclic" in shapes:
-        for v in range(1, max_vertices + 1):
-            for series in sorted(_cyclic_series(v, max_length)):
-                out.append(KupischSeries(series, True))
+    for shape, cyclic in (("linear", False), ("cyclic", True)):
+        if shape in shapes:
+            for v in range(1, max_vertices + 1):
+                out.extend(
+                    KupischSeries(s, cyclic) for s in _series(v, max_length, cyclic)
+                )
     return out

@@ -50,6 +50,9 @@ DEFAULT_DIM_CAP = 128
 
 
 def _check_prime(p: int):
+    # _rref multiplies int64 entries below p, so p * p must fit in int64
+    if p * p > 2**63 - 1:
+        raise ValueError(f"field order {p} is too large: p * p overflows int64")
     if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
         raise ValueError(f"field order must be prime, got {p}")
 

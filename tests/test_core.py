@@ -19,7 +19,7 @@ from nakayama import (
     classify,
     enumerate_admissible,
 )
-from nakayama.core import per_algebra
+from nakayama.core import _series, per_algebra
 from nakayama.modules import _index
 
 
@@ -41,6 +41,42 @@ def reference_injective_lengths(alg):
                 break
         out.append(d)
     return tuple(out)
+
+
+def reference_series(v, max_length, cyclic):
+    """The generators that the necklace walk replaced, sorted: every
+    admissible sequence, each cyclic one reduced to its least rotation
+    and deduplicated."""
+    if not cyclic:
+        if v == 1:
+            return [(1,)] if max_length >= 1 else []
+
+        def rec(prefix):
+            i = len(prefix)
+            if i == v - 1:
+                if prefix[-1] <= 2:
+                    yield prefix + (1,)
+                return
+            lo = max(2, prefix[-1] - 1) if prefix else 2
+            for c in range(lo, min(max_length, v - i) + 1):
+                yield from rec(prefix + (c,))
+
+        return sorted(rec(()))
+
+    seen = set()
+
+    def rec(prefix):
+        i = len(prefix)
+        if i == v:
+            if prefix[0] >= prefix[-1] - 1:
+                seen.add(min(prefix[k:] + prefix[:k] for k in range(v)))
+            return
+        lo = max(2, prefix[-1] - 1) if prefix else 2
+        for c in range(lo, max_length + 1):
+            rec(prefix + (c,))
+
+    rec(())
+    return sorted(seen)
 
 
 class TestValidation:
@@ -243,6 +279,32 @@ class TestEnumeration:
     def test_cyclic_results_are_canonical(self):
         for alg in enumerate_admissible(5, 6, shapes=("cyclic",)):
             assert KupischSeries.validate(list(alg.lengths), True) == alg
+
+
+class TestSeriesGenerator:
+    @pytest.mark.parametrize("cyclic", [False, True], ids=["linear", "cyclic"])
+    @pytest.mark.parametrize("v", range(1, 9))
+    def test_matches_reference(self, v, cyclic):
+        for max_length in range(v + 3):
+            got = list(_series(v, max_length, cyclic))
+            assert got == reference_series(v, max_length, cyclic), max_length
+
+    def test_blocks_are_strictly_increasing(self):
+        blocks = {}
+        for alg in enumerate_admissible(8, 10):
+            blocks.setdefault((alg.cyclic, alg.num_vertices), []).append(alg.lengths)
+        assert len(blocks) == 16
+        for block in blocks.values():
+            assert all(a < b for a, b in zip(block, block[1:]))
+
+    def test_count_at_10_12(self):
+        algs = enumerate_admissible(10, 12)
+        assert len(algs) == 104_822
+        assert sum(alg.cyclic for alg in algs) == 97_904
+
+    def test_unknown_shape_is_refused(self):
+        with pytest.raises(ValueError, match="cylic"):
+            enumerate_admissible(3, 3, ("cylic",))
 
 
 class TestBasics:

@@ -171,6 +171,12 @@ class TestModuleCommand:
         _, payload = self.run(capsys, "S(1)", "oracle-tau", "--field-p", "3")
         assert payload["result"] == "S(2)"
 
+    def test_oversized_field_is_a_json_error(self, capsys):
+        big = str(10**400 + 1)
+        code, payload = self.run(capsys, "S(1)", "oracle-tau", "--field-p", big)
+        assert code == 2
+        assert payload["error"] == "ValueError"
+
     def test_unknown_query(self, capsys):
         code, payload = self.run(capsys, "S(1)", "nonsense")
         assert code == 2
@@ -631,6 +637,36 @@ class TestSweepCommand:
         assert code == 2
         assert payload["error"] == "IoError"
         assert out.read_text() == before
+
+    def test_pool_is_capped_by_the_cpus(self, capsys, tmp_path, monkeypatch):
+        # the pool forks all its workers at once, so --jobs 4096 must not
+        # ask for 4096; a fake pool records the size and maps serially
+        import nakayama.cli as cli
+
+        serial = tmp_path / "serial.jsonl"
+        assert run_cli(capsys, *self.SWEEP_3_4, "--out", str(serial))[0] == 0
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        pooled = tmp_path / "pooled.jsonl"
+        args = [*self.SWEEP_3_4, "--jobs", "4096", "--out", str(pooled)]
+        assert run_cli(capsys, *args)[0] == 0
+        assert sizes == [2]
+        assert pooled.read_bytes() == serial.read_bytes()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_resumed_summary_matches_uninterrupted(self, capsys, tmp_path, jobs):

@@ -78,6 +78,27 @@ class TestRealize:
             realize(CYCLIC, M(1, 1), p=4)
 
 
+class TestFieldSize:
+    # p * p must fit in int64: 3037000493 is the largest prime for which
+    # it does, and the next primes past 2**32 overflow it
+    LARGEST = 3037000493
+
+    def test_refuses_primes_whose_products_overflow(self):
+        with pytest.raises(ValueError, match="overflows int64"):
+            oracle_hom_dim(CYCLIC, M(1, 1), M(1, 1), p=4294967311)
+
+    def test_largest_prime_matches_the_engine(self):
+        ind = indecomposables(CYCLIC)
+        for x in ind:
+            for y in ind:
+                assert oracle_hom_dim(CYCLIC, x, y, p=self.LARGEST) == hom_dim(
+                    CYCLIC, x, y
+                )
+                assert oracle_ext1_dim(CYCLIC, x, y, p=self.LARGEST) == ext_dim(
+                    CYCLIC, x, y, 1
+                )
+
+
 class TestHomAgainstFormula:
     def test_frozen_values(self):
         assert oracle_hom_dim(CYCLIC, M(2, 2), M(3, 4)) == 1
