@@ -6,19 +6,22 @@ independently of the combinatorial engine.  The point is cross-checking:
 the only shared ingredients are the Kupisch lengths and the vertex-shift
 convention, never the counting formulas being tested.
 
-Everything here is exact integer arithmetic; p = 2 by default and the
-answers must not depend on p (monomial relations), which the tests check.
+Everything here is exact integer arithmetic on plain Python ints: a
+matrix is a list of rows, reduced mod p by row elimination.  p = 2 by
+default and the answers must not depend on p (monomial relations), which
+the tests check.
 
 Cross-check state.  Hom and Ext^1 read one private state per (alg, p),
 filled on first use: the realization of each indecomposable, the hom
-basis of each ordered pair and each interval's presentation kernel.  None
-of it depends on a call's caps, which every call checks before reading
-the state.  Hom and Ext^1 are additive in each argument, so a sum is
-answered from its summand pairs.  Injectivity is Baer's criterion on the
-same Ext^1: over a finite-dimensional algebra m is injective exactly when
-Ext^1(S, m) = 0 for every simple S.  `_state` holds one algebra at a time
-(a one-slot lru_cache): a batch that cycles through many algebras keeps
-only the current one.  The state lives outside the algebra's `_memo`
+basis of each ordered pair, each interval's presentation kernel and the
+dimension of Ext^1 of each ordered pair.  None of it depends on a call's
+caps, which every call checks before reading the state.  Hom and Ext^1
+are additive in each argument, so a sum is answered from its summand
+pairs.  Injectivity is Baer's criterion on the same Ext^1 table: over a
+finite-dimensional algebra m is injective exactly when Ext^1(S, m) = 0
+for every simple S.  `_state` holds one algebra at a time (a one-slot
+lru_cache): a batch that cycles through many algebras keeps only the
+current one.  The state lives outside the algebra's `_memo`
 (`core.per_algebra`) so the oracle shares no per-algebra state with the
 engine it checks, and so algebras held by a caller do not keep their
 matrices alive.  The AR translate reads no state and is answered summand
@@ -28,9 +31,7 @@ by summand.
 from __future__ import annotations
 
 import functools
-from typing import Iterable
-
-import numpy as np
+from collections import defaultdict
 
 from .core import KupischSeries
 from .errors import DimensionCapExceeded, InternalInconsistency, NotAdmissible
@@ -50,9 +51,21 @@ DEFAULT_DIM_CAP = 128
 
 
 def _check_prime(p: int):
-    # _rref multiplies int64 entries below p, so p * p must fit in int64
+    if type(p) is not int:
+        raise ValueError(f"field order must be an int, got {p!r}")
+    _check_int_prime(p)
+
+
+@functools.lru_cache(maxsize=8)
+def _check_int_prime(p: int):
+    """Refuse p unless it is a prime with p * p <= 2**63 - 1.  The cap
+    bounds the trial division, so an oversized p fails fast; accepted
+    primes are kept, refusals raise and are never cached."""
     if p * p > 2**63 - 1:
-        raise ValueError(f"field order {p} is too large: p * p overflows int64")
+        raise ValueError(
+            f"field order {p} is too large: p * p exceeds 2**63 - 1, "
+            "the bound on trial division"
+        )
     if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
         raise ValueError(f"field order must be prime, got {p}")
 
@@ -81,52 +94,46 @@ def _check_dim(dim: int, dim_cap: int):
 # -- linear algebra mod p ----------------------------------------------------
 
 
-def _rref(mat: np.ndarray, p: int):
-    """Row-reduce mod p; returns (reduced matrix, pivot column list)."""
-    m = np.array(mat, dtype=np.int64) % p
-    rows, cols = m.shape
+def _rref(mat: list[list[int]], p: int):
+    """Row-reduce mod p; returns (nonzero reduced rows, pivot column list)."""
+    rows = [[e % p for e in row] for row in mat]
     pivots = []
     r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        hits = np.nonzero(m[r:, c])[0]
-        if hits.size == 0:
+    for c in range(len(rows[0]) if rows else 0):
+        lead = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if lead is None:
             continue
-        lead = r + int(hits[0])
-        if lead != r:
-            m[[r, lead]] = m[[lead, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), p - 2, p)) % p
-        other = np.nonzero(m[:, c])[0]
-        for rr in other:
-            if rr != r:
-                m[rr] = (m[rr] - m[rr, c] * m[r]) % p
+        rows[r], rows[lead] = rows[lead], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        pivot = rows[r] = [e * inv % p for e in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = [(e - f * q) % p for e, q in zip(row, pivot)]
         pivots.append(c)
         r += 1
-    return m, pivots
+        if r == len(rows):
+            break
+    return rows[:r], pivots
 
 
-def _rank(mat: np.ndarray, p: int) -> int:
-    if mat.size == 0:
-        return 0
+def _rank(mat: list[list[int]], p: int) -> int:
     return len(_rref(mat, p)[1])
 
 
-def _nullspace(mat: np.ndarray, p: int) -> list[np.ndarray]:
-    """Basis of the right kernel, one vector per free column."""
-    rows, cols = mat.shape
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [v for v in np.eye(cols, dtype=np.int64)]
+def _nullspace(mat: list[list[int]], cols: int, p: int) -> list[list[int]]:
+    """Basis of the right kernel of a matrix with `cols` columns, one
+    vector per free column."""
     red, pivots = _rref(mat, p)
-    free = [c for c in range(cols) if c not in pivots]
+    bound = set(pivots)
     basis = []
-    for fc in free:
-        vec = np.zeros(cols, dtype=np.int64)
+    for fc in range(cols):
+        if fc in bound:
+            continue
+        vec = [0] * cols
         vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-red[r, fc]) % p
+        for row, pc in zip(red, pivots):
+            vec[pc] = -row[fc] % p
         basis.append(vec)
     return basis
 
@@ -138,9 +145,9 @@ class MatrixRep:
     """A finite-dimensional representation of the algebra's quiver.
 
     dims[w-1] is the dimension at vertex w; maps[u] is the action of the
-    arrow out of u (toward shift(u, 1)) as a (target x source) matrix.
-    basis[w-1] records, per vertex, which (summand, position) pair each
-    local coordinate came from.
+    arrow out of u (toward shift(u, 1)) as a (target x source) matrix,
+    stored as a list of rows of ints mod p.  basis[w-1] records, per
+    vertex, which (summand, position) pair each local coordinate came from.
     """
 
     def __init__(self, alg: KupischSeries, p: int):
@@ -149,7 +156,7 @@ class MatrixRep:
         v = alg.num_vertices
         self.basis: list[list[tuple[int, int]]] = [[] for _ in range(v)]
         self.dims = [0] * v
-        self.maps: dict[int, np.ndarray] = {}
+        self.maps: dict[int, list[list[int]]] = {}
 
     def arrow_sources(self) -> list[int]:
         v = self.alg.num_vertices
@@ -183,69 +190,64 @@ def _realize(alg: KupischSeries, pieces, p: int) -> MatrixRep:
     lengths = [piece.length for piece in pieces]
     for u in rep.arrow_sources():
         t = alg.shift(u, 1)
-        mat = np.zeros((rep.dims[t - 1], rep.dims[u - 1]), dtype=np.int64)
+        mat = [[0] * rep.dims[u - 1] for _ in range(rep.dims[t - 1])]
         for loc, (s_idx, r) in enumerate(rep.basis[u - 1]):
             if r + 1 < lengths[s_idx]:
                 _, tloc = index[(s_idx, r + 1)]
-                mat[tloc, loc] = 1
+                mat[tloc][loc] = 1
         rep.maps[u] = mat
     return rep
 
 
-def _hom_system(x: MatrixRep, y: MatrixRep) -> tuple[np.ndarray, list[int], int]:
+def _hom_system(
+    x: MatrixRep, y: MatrixRep
+) -> tuple[list[list[int]], list[int], int]:
     """Linear system for intertwiners f: x -> y.
 
     Unknowns are the entries of the per-vertex blocks f_w, stacked in
-    vertex order (row-major per block).  Returns (system, offsets, nvars).
+    vertex order (row-major per block).  Returns (rows, offsets, nvars).
     """
     v = x.alg.num_vertices
     offs = [0] * (v + 1)
     for w in range(v):
         offs[w + 1] = offs[w] + y.dims[w] * x.dims[w]
     nvars = offs[v]
-    rows = []
-    for u in x.arrow_sources():
-        t = x.alg.shift(u, 1)
-        ax, ay = x.maps[u], y.maps[u]
-        du, dt = u - 1, t - 1
-        # f_t @ ax == ay @ f_u, entrywise over (a, b)
-        for a in range(y.dims[dt]):
-            for b in range(x.dims[du]):
-                row = np.zeros(nvars, dtype=np.int64)
-                for c in range(x.dims[dt]):
-                    if ax[c, b]:
-                        row[offs[dt] + a * x.dims[dt] + c] += ax[c, b]
-                for c in range(y.dims[du]):
-                    if ay[a, c]:
-                        row[offs[du] + c * x.dims[du] + b] -= ay[a, c]
-                if row.any():
-                    rows.append(row)
-    system = (
-        np.array(rows, dtype=np.int64)
-        if rows
-        else np.zeros((0, nvars), dtype=np.int64)
-    )
-    return system, offs, nvars
-
-
-def _unvec(vec: np.ndarray, x: MatrixRep, y: MatrixRep, offs) -> list[np.ndarray]:
-    blocks = []
-    for w in range(x.alg.num_vertices):
-        block = vec[offs[w] : offs[w + 1]].reshape(y.dims[w], x.dims[w])
-        blocks.append(block % x.p)
-    return blocks
-
-
-def _vec(blocks: Iterable[np.ndarray]) -> np.ndarray:
-    flat = [b.reshape(-1) for b in blocks]
-    return np.concatenate(flat) if flat else np.zeros(0, dtype=np.int64)
-
-
-def _hom_basis(x: MatrixRep, y: MatrixRep) -> list[list[np.ndarray]]:
-    system, offs, nvars = _hom_system(x, y)
     if nvars == 0:
-        return []
-    return [_unvec(vec, x, y, offs) for vec in _nullspace(system, x.p)]
+        return [], offs, 0
+    rows = []
+    for u, ax in x.maps.items():
+        du, dt = u - 1, x.alg.shift(u, 1) - 1
+        xt, xu, yt = x.dims[dt], x.dims[du], y.dims[dt]
+        if not (xu and yt):
+            continue  # both sides below are yt x xu matrices: no equations
+        # f_t @ ax == ay @ f_u, one equation per entry (a, b); only the
+        # nonzero entries of ax and ay contribute
+        eqs = defaultdict(lambda: [0] * nvars)
+        for c, arow in enumerate(ax):
+            for b, e in enumerate(arow):
+                if e:
+                    for a in range(yt):
+                        eqs[a, b][offs[dt] + a * xt + c] += e
+        for a, arow in enumerate(y.maps[u]):
+            for c, e in enumerate(arow):
+                if e:
+                    for b in range(xu):
+                        eqs[a, b][offs[du] + c * xu + b] -= e
+        rows.extend(eqs.values())
+    return rows, offs, nvars
+
+
+def _hom_basis(x: MatrixRep, y: MatrixRep) -> list[list[list[list[int]]]]:
+    """A basis of Hom(x, y), each map as its per-vertex blocks (rows of
+    ints mod p)."""
+    system, offs, nvars = _hom_system(x, y)
+    return [
+        [
+            [vec[o + a * dx : o + (a + 1) * dx] for a in range(dy)]
+            for o, dx, dy in zip(offs, x.dims, y.dims)
+        ]
+        for vec in _nullspace(system, nvars, x.p)
+    ]
 
 
 def _presentation_kernel(cover: MatrixRep, length: int):
@@ -254,7 +256,8 @@ def _presentation_kernel(cover: MatrixRep, length: int):
 
     The cover kills basis positions 0..length-1, so the kernel is spanned
     by the tail positions length..c-1; the arrow action restricts to the
-    tail.  Returns (kernel rep, inclusion blocks into P)."""
+    tail.  Returns (kernel rep, keep) where keep[w-1] lists the cover's
+    coordinates at w that span the kernel, in the kernel's order."""
     alg = cover.alg
     v = alg.num_vertices
     kernel = MatrixRep(alg, cover.p)
@@ -265,21 +268,12 @@ def _presentation_kernel(cover: MatrixRep, length: int):
                 keep[w0].append(loc)
                 kernel.basis[w0].append((0, r - length))
                 kernel.dims[w0] += 1
-    inclusion = []
-    for w0 in range(v):
-        blk = np.zeros((cover.dims[w0], kernel.dims[w0]), dtype=np.int64)
-        for kloc, ploc in enumerate(keep[w0]):
-            blk[ploc, kloc] = 1
-        inclusion.append(blk)
     for u in kernel.arrow_sources():
-        t = alg.shift(u, 1)
         full = cover.maps[u]
-        rows = keep[t - 1]
         cols = keep[u - 1]
-        kernel.maps[u] = full[np.ix_(rows, cols)] if rows and cols else np.zeros(
-            (len(rows), len(cols)), dtype=np.int64
-        )
-    return kernel, inclusion
+        rows = keep[alg.shift(u, 1) - 1]
+        kernel.maps[u] = [[full[i][j] for j in cols] for i in rows]
+    return kernel, keep
 
 
 # -- the cross-check state ---------------------------------------------------
@@ -295,14 +289,15 @@ class _OracleState:
         self.p = p
         self.reps: dict = {}  # interval -> MatrixRep
         self.homs: dict = {}  # (x, y) -> hom basis, as per-vertex blocks
-        self.kernels: dict = {}  # x -> (kernel of P(x) ->> x, inclusion)
+        self.kernels: dict = {}  # x -> (kernel of P(x) ->> x, kept coordinates)
+        self.ext1s: dict = {}  # (x, y) -> dim Ext^1(x, y)
 
     def rep(self, m: IntervalModule) -> MatrixRep:
         if m not in self.reps:
             self.reps[m] = _realize(self.alg, (m,), self.p)
         return self.reps[m]
 
-    def hom(self, x: IntervalModule, y: IntervalModule) -> list[list[np.ndarray]]:
+    def hom(self, x: IntervalModule, y: IntervalModule) -> list:
         if (x, y) not in self.homs:
             self.homs[x, y] = _hom_basis(self.rep(x), self.rep(y))
         return self.homs[x, y]
@@ -345,7 +340,7 @@ def oracle_ext1_dim(
 ) -> int:
     """dim Ext^1(x, y) = dim coker(Hom(P(x), y) -> Hom(K, y)) where
     0 -> K -> P(x) -> x -> 0 is the explicit minimal presentation,
-    summed over summand pairs."""
+    summed over summand pairs; each pair is computed once per state."""
     _check_prime(p)
     xs, ys = _summands(alg, x), _summands(alg, y)
     for piece in xs:
@@ -356,19 +351,21 @@ def oracle_ext1_dim(
 
 
 def _ext1(st: _OracleState, x: IntervalModule, y: IntervalModule) -> int:
-    p = st.p
-    kernel, inclusion = st.kernel(x)
+    """dim Ext^1(x, y) from the state's table, filled on first use.  A hom
+    P(x) -> y restricts to the kernel K by keeping K's coordinates."""
+    if (x, y) in st.ext1s:
+        return st.ext1s[x, y]
+    kernel, keep = st.kernel(x)
     ksys, _, knvars = _hom_system(kernel, st.rep(y))
-    dim_hom_k = knvars - _rank(ksys, p)
-    if dim_hom_k == 0:
-        return 0
-    rows = [
-        _vec([g[w] @ inclusion[w] % p for w in range(st.alg.num_vertices)])
-        for g in st.hom(st.cover(x), y)
-    ]
-    if not rows:
-        return dim_hom_k
-    return dim_hom_k - _rank(np.array(rows, dtype=np.int64), p)
+    dim = knvars - _rank(ksys, st.p)
+    if dim:
+        restricted = [
+            [row[k] for blk, cols in zip(g, keep) for row in blk for k in cols]
+            for g in st.hom(st.cover(x), y)
+        ]
+        dim -= _rank(restricted, st.p)
+    st.ext1s[x, y] = dim
+    return dim
 
 
 def oracle_is_injective(
@@ -400,8 +397,7 @@ def oracle_socle_vector(
     sources = set(rep.arrow_sources())
     for w in range(1, v + 1):
         if w in sources:
-            mat = rep.maps[w]
-            out.append(rep.dims[w - 1] - _rank(mat, p))
+            out.append(rep.dims[w - 1] - _rank(rep.maps[w], p))
         else:
             out.append(rep.dims[w - 1])
     return tuple(out)
@@ -457,11 +453,11 @@ def _tau1(alg: KupischSeries, m: IntervalModule, p: int) -> IntervalModule:
             # left action of the arrow out of pred maps start-vertex
             # component at w to the one at pred; its transpose is the
             # incoming right action at w of the dual module
-            mat = np.zeros((len(comp[pred]), len(comp[w])), dtype=np.int64)
+            mat = [[0] * len(comp[w]) for _ in comp[pred]]
             for b in comp[w]:
                 lifted = (pred, b[1] + 1)
                 if lifted in pos[pred]:
-                    mat[pos[pred][lifted], pos[w][b]] = 1
+                    mat[pos[pred][lifted]][pos[w][b]] = 1
             incoming_rank = _rank(mat, p)
         tops.append(len(comp[w]) - incoming_rank)
     if sum(tops) != 1:

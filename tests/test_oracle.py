@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,17 +60,17 @@ class TestRealize:
         for alg in (CYCLIC, LINEAR):
             for i in alg.vertices():
                 rep = realize(alg, projective(alg, i))
-                vec = np.zeros(rep.dims[i - 1], dtype=np.int64)
+                vec = [0] * rep.dims[i - 1]
                 vec[0] = 1
                 at = i
                 for _ in range(alg.lengths[i - 1]):
                     mat = rep.maps.get(at)
-                    if mat is None or mat.size == 0:
-                        vec = np.zeros(0, dtype=np.int64)
+                    if mat is None or not mat or not mat[0]:
+                        vec = []
                         break
-                    vec = (mat @ vec) % rep.p
+                    vec = [sum(a * b for a, b in zip(row, vec)) % rep.p for row in mat]
                     at = alg.shift(at, 1)
-                assert vec.size == 0 or not vec.any()
+                assert len(vec) == 0 or not any(vec)
 
     def test_dim_cap(self):
         with pytest.raises(DimensionCapExceeded):
@@ -79,12 +82,13 @@ class TestRealize:
 
 
 class TestFieldSize:
-    # p * p must fit in int64: 3037000493 is the largest prime for which
-    # it does, and the next primes past 2**32 overflow it
+    # p * p must not exceed 2**63 - 1, which bounds trial division:
+    # 3037000493 is the largest prime within it, and the next primes past
+    # 2**32 are beyond it
     LARGEST = 3037000493
 
     def test_refuses_primes_whose_products_overflow(self):
-        with pytest.raises(ValueError, match="overflows int64"):
+        with pytest.raises(ValueError, match=r"exceeds 2\*\*63 - 1"):
             oracle_hom_dim(CYCLIC, M(1, 1), M(1, 1), p=4294967311)
 
     def test_largest_prime_matches_the_engine(self):
@@ -97,6 +101,37 @@ class TestFieldSize:
                 assert oracle_ext1_dim(CYCLIC, x, y, p=self.LARGEST) == ext_dim(
                     CYCLIC, x, y, 1
                 )
+
+    @pytest.mark.parametrize("p", [4, 1, 4294967311, 2.0])
+    def test_a_refused_order_is_refused_again(self, p):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                oracle_hom_dim(CYCLIC, M(1, 1), M(1, 1), p=p)
+
+    def test_accepted_primes_are_checked_once(self):
+        oracle._check_int_prime.cache_clear()
+        for _ in range(3):
+            oracle_hom_dim(CYCLIC, M(1, 1), M(1, 1), p=self.LARGEST)
+        info = oracle._check_int_prime.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+
+# FIELD_CALLS[name](p) runs one public oracle call over F_p
+FIELD_CALLS = {
+    "realize": lambda p: realize(CYCLIC, M(1, 2), p),
+    "hom_dim": lambda p: oracle_hom_dim(CYCLIC, M(1, 2), M(1, 3), p),
+    "ext1_dim": lambda p: oracle_ext1_dim(CYCLIC, M(3, 2), M(1, 3), p),
+    "is_injective": lambda p: oracle_is_injective(CYCLIC, M(1, 2), p),
+    "tau": lambda p: oracle_tau(CYCLIC, M(1, 2), p),
+    "socle_vector": lambda p: oracle_socle_vector(CYCLIC, M(1, 2), p),
+}
+
+
+@pytest.mark.parametrize("call", sorted(FIELD_CALLS))
+@pytest.mark.parametrize("p", [5.5, 2.0, 3.0])
+def test_refuses_a_field_order_that_is_not_an_int(call, p):
+    with pytest.raises(ValueError, match="field order must be an int"):
+        FIELD_CALLS[call](p)
 
 
 class TestHomAgainstFormula:
@@ -234,16 +269,30 @@ def whole_sum_hom_dim(alg, x, y, p):
     return nullity(realize(alg, x, p), realize(alg, y, p), p)
 
 
+def matmul(a, b, p):
+    """a @ b mod p for list matrices; b's column count is len(b[0])."""
+    cols = len(b[0]) if b else 0
+    return [
+        [sum(row[k] * b[k][j] for k in range(len(b))) % p for j in range(cols)]
+        for row in a
+    ]
+
+
 def whole_sum_ext1_dim(alg, x: IntervalModule, y, p):
-    """Reference: coker(Hom(P(x), y) -> Hom(K, y)) with y realized whole."""
+    """Reference: coker(Hom(P(x), y) -> Hom(K, y)) with y realized whole,
+    each hom composed with the inclusion K -> P(x) as a matrix product."""
     cover = realize(alg, projective(alg, x.start), p)
-    kernel, inclusion = oracle._presentation_kernel(cover, x.length)
+    kernel, keep = oracle._presentation_kernel(cover, x.length)
+    inclusion = [
+        [[int(ploc == kept) for kept in keep[w]] for ploc in range(cover.dims[w])]
+        for w in range(alg.num_vertices)
+    ]
     yr = realize(alg, y, p)
     rows = [
-        oracle._vec([g[w] @ inclusion[w] % p for w in range(alg.num_vertices)])
+        [e for w, blk in enumerate(g) for row in matmul(blk, inclusion[w], p) for e in row]
         for g in oracle._hom_basis(cover, yr)
     ]
-    return nullity(kernel, yr, p) - (oracle._rank(np.array(rows), p) if rows else 0)
+    return nullity(kernel, yr, p) - (oracle._rank(rows, p) if rows else 0)
 
 
 class TestState:
@@ -276,11 +325,27 @@ class TestState:
         for m in indecomposables(CYCLIC):
             rep = realize(CYCLIC, m)
             for mat in rep.maps.values():
-                mat[...] = 1
+                for row in mat:
+                    row[:] = [1] * len(row)
             rep.dims[0] += 1
         assert oracle_hom_dim(CYCLIC, M(3, 4), M(3, 4)) == before == 2
         assert oracle_ext1_dim(CYCLIC, M(3, 2), M(1, 3)) == 1
         assert oracle_is_injective(CYCLIC, M(3, 4))
+
+    def test_ext1_table_is_shared_with_injectivity(self, monkeypatch):
+        oracle._state.cache_clear()
+        simples = [M(i, 1) for i in CYCLIC.vertices()]
+        assert not oracle_is_injective(CYCLIC, M(1, 2))
+        state = oracle._state(CYCLIC, 2)
+        assert set(state.ext1s) == {(s, M(1, 2)) for s in simples}
+
+        def recompute(*args):
+            raise AssertionError("Ext^1 recomputed")
+
+        monkeypatch.setattr(oracle, "_hom_system", recompute)
+        for s in simples:
+            assert oracle_ext1_dim(CYCLIC, s, M(1, 2)) == ext_dim(CYCLIC, s, M(1, 2), 1)
+        assert not oracle_is_injective(CYCLIC, M(1, 2))
 
     def test_one_algebra_held(self):
         oracle_hom_dim(CYCLIC, M(1, 1), M(1, 1))
@@ -319,6 +384,52 @@ def test_oracle_matches_engine_on_random_series(alg, p):
         for y in ind:
             assert oracle_hom_dim(alg, x, y, p) == hom_dim(alg, x, y)
             assert oracle_ext1_dim(alg, x, y, p) == ext_dim(alg, x, y, 1)
+
+
+@st.composite
+def matrices_mod_p(draw):
+    """(matrix, column count, p): up to 17 x 17, the largest intertwiner
+    system of the oracle benchmark, with entries in -2p..2p, half zero."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    rows, cols = draw(st.integers(0, 17)), draw(st.integers(0, 17))
+    entry = st.one_of(st.just(0), st.integers(-2 * p, 2 * p))
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=rows, max_size=rows)), cols, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_mod_p(), st.data())
+def test_kernels_mod_p(case, data):
+    mat, cols, p = case
+    rank = oracle._rank(mat, p)
+    basis = oracle._nullspace(mat, cols, p)
+    for vec in basis:
+        assert all(sum(a * b for a, b in zip(row, vec)) % p == 0 for row in mat)
+    assert oracle._rank(basis, p) == len(basis)
+    assert rank + len(basis) == cols
+    assert oracle._rank([[row[j] for row in mat] for j in range(cols)], p) == rank
+    order = data.draw(st.permutations(range(len(mat))))
+    assert oracle._rank([mat[i] for i in order], p) == rank
+    if mat:
+        i = data.draw(st.integers(0, len(mat) - 1))
+        unit = data.draw(st.integers(1, p - 1))
+        scaled = [[unit * e for e in row] if k == i else row for k, row in enumerate(mat)]
+        assert oracle._rank(scaled, p) == rank
+
+
+def test_package_import_leaves_numpy_out():
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, nakayama, nakayama.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
 
 
 # -- one rule for module arguments: sums answered summand by summand ---------
