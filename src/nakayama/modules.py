@@ -344,10 +344,12 @@ def _torsionless(alg: KupischSeries) -> list[bool]:
     for i in alg.vertices():
         j = idx.socle[idx.projective_at(i)]
         longest[j] = max(longest[j], alg.loewy_length(i))
+    d, v = alg.injective_lengths(), alg.num_vertices
     verdict = [False]
     for j in alg.vertices():
-        via_envelope = is_projective(alg, injective(alg, j))
-        if longest[j] != (alg.injective_length(j) if via_envelope else 0):
+        # I(j) = M(j - d_j + 1, d_j) is projective when P(j - d_j + 1) has length d_j
+        via_envelope = alg.lengths[(j - d[j - 1]) % v] == d[j - 1]
+        if longest[j] != (d[j - 1] if via_envelope else 0):
             raise InternalInconsistency(
                 f"submodule-of-projective disagreement at S({j}) over "
                 f"{alg.lengths}: longest={longest[j]}, envelope={via_envelope}"

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import random
 import sys
+import zlib
+from itertools import product
 
 import pytest
 from test_homology import ext_gpd
@@ -35,7 +38,7 @@ from nakayama import (
     verify_thm_gp_socle_sub,
     verify_thm_prinj,
 )
-from nakayama.classify import REPORT_KEYS, _sample_sums
+from nakayama.classify import REPORT_KEYS, _sample_positions, _sample_sums
 from nakayama.cli import _sweep_violations
 
 CYCLIC = KupischSeries.validate([3, 3, 4], True)
@@ -390,3 +393,53 @@ def test_breached_theorems_report_witnesses_and_sweep_flags(monkeypatch):
         "lemma22 inequality breached",
         "thm31-count mismatch",
     ]
+
+
+def reference_sample_positions(alg, seed, tag):
+    """The seeded sums drawn as 24 separate choices() calls, 12 pairs and
+    then 12 triples."""
+    key = repr((alg.lengths, alg.cyclic, seed, tag)).encode()
+    rng = random.Random(zlib.crc32(key))
+    size = range(alg.total_dim)
+    return [rng.choices(size, k=width) for width in (2, 3) for _ in range(12)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1802])
+def test_one_draw_sample_matches_separate_draws(seed):
+    for alg in enumerate_admissible(6, 8):
+        assert _sample_positions(alg, seed, "gp-socle-sub") == (
+            reference_sample_positions(alg, seed, "gp-socle-sub")
+        ), alg
+
+
+def test_breached_table_gives_reference_socle_witnesses(monkeypatch):
+    """Raise Gpd S(3) by 2 over linear (3,3,3,3,2,1): at every level the
+    position codes give the reference witnesses, sums and both values of
+    in_sub_lambda among them."""
+    alg = KupischSeries.validate([3, 3, 3, 3, 2, 1], False)
+    classify_module = sys.modules["nakayama.classify"]
+    indecs = indecomposables(alg)
+    s3 = indecs.index(IntervalModule(3, 1))
+    raised = [g + 2 * (p == s3) for p, g in enumerate(classify_module._gpd_table(alg))]
+    monkeypatch.setattr(classify_module, "_gpd_table", lambda _alg: raised)
+    witnesses = []
+    for n in range(4):
+        got = verify_thm_gp_socle_sub(alg, n).to_json()
+        assert got == reference_gp_socle_sub(alg, n, 0, dict(zip(indecs, raised)))
+        witnesses += got["witnesses"]
+    assert any("+" in w["module"] for w in witnesses)
+    assert {w["in_sub_lambda"] for w in witnesses} == {False, True}
+
+
+def test_lemma22_conditions_match_max_forms(monkeypatch):
+    """Over linear (2,1) the one cut is S(2) -> M(1,2) -> S(1).  Every
+    Gpd triple in 0..5 on it gives the witnesses of the max forms."""
+    alg = KupischSeries.validate([2, 1], False)
+    classify_module = sys.modules["nakayama.classify"]
+    indecs = indecomposables(alg)  # S(1), M(1,2), S(2)
+    table = [0, 0, 0]
+    monkeypatch.setattr(classify_module, "_gpd_table", lambda _alg: table)
+    for gx, gy, gz in product(range(6), repeat=3):
+        table[:] = [gz, gy, gx]
+        got = verify_ses_gpd_bounds(alg).to_json()
+        assert got == reference_ses_gpd_bounds(alg, dict(zip(indecs, table)))

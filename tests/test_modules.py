@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nakayama import (
+    InternalInconsistency,
     IntervalModule,
     KupischSeries,
     ModuleSum,
@@ -32,7 +33,7 @@ from nakayama import (
     socle_vertex,
     top,
 )
-from nakayama.modules import check_module
+from nakayama.modules import _torsionless, check_module
 
 CYCLIC = KupischSeries.validate([3, 3, 4], True)
 LINEAR = KupischSeries.validate([3, 3, 3, 3, 2, 1], False)
@@ -162,6 +163,22 @@ class TestEmbedding:
         for alg in (CYCLIC, LINEAR):
             for i in alg.vertices():
                 assert in_sub_lambda(alg, radical(alg, projective(alg, i)))
+
+    def test_torsionless_matches_projective_envelope(self):
+        """The arithmetic envelope leg of _torsionless against building
+        I(j) and asking is_projective, on the 6/8 pool."""
+        for alg in enumerate_admissible(6, 8):
+            envelope = [is_projective(alg, injective(alg, j)) for j in alg.vertices()]
+            assert _torsionless(alg)[1:] == envelope, alg
+
+    def test_torsionless_cross_check_fires(self):
+        """A wrong injective length makes the envelope leg disagree with
+        the longest projective of that socle."""
+        alg = KupischSeries.validate([2, 2, 2], True)
+        key = "nakayama.core.KupischSeries.injective_lengths"
+        alg.__dict__["_memo"] = {key: (1, 2, 2)}
+        with pytest.raises(InternalInconsistency, match="disagreement at S\\(1\\)"):
+            _torsionless(alg)
 
     @pytest.mark.parametrize(
         "call",

@@ -526,6 +526,15 @@ class TestSweepCommand:
             "38f76aa4b4ccdda3d975467561ca2c1bb14e3e2c64b791a6a46e5e66ee7c8788"
         )
 
+    def test_sweep_bytes_pinned_seed_1802(self, capsys, tmp_path):
+        # the seeded sums are the only bytes that move with the seed
+        out = tmp_path / "sweep.jsonl"
+        argv = ["sweep", "--max-vertices", "6", "--max-length", "8", "--seed", "1802"]
+        assert run_cli(capsys, *argv, "--out", str(out))[0] == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "70c0cf1d638739c20ba92821c397c36461ce6b1e4e26c78348962a872fa9b19b"
+        )
+
     @pytest.mark.parametrize(
         "damage",
         [
