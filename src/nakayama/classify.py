@@ -24,7 +24,6 @@ from .homology import (
     regular_id_left,
 )
 from .modules import (
-    ModuleSum,
     _index,
     _torsionless,
     indecomposables,
@@ -188,15 +187,6 @@ def _sample_positions(alg: KupischSeries, seed: int, tag: str) -> list[list[int]
     draws = random.Random(zlib.crc32(key)).choices(range(alg.total_dim), k=60)
     return [draws[k : k + 2] for k in range(0, 24, 2)] + [
         draws[k : k + 3] for k in range(24, 60, 3)
-    ]
-
-
-def _sample_sums(alg: KupischSeries, seed: int, tag: str) -> list[ModuleSum]:
-    """The batch of _sample_positions as module sums."""
-    indec = indecomposables(alg)
-    return [
-        ModuleSum(tuple(indec[p] for p in pieces))
-        for pieces in _sample_positions(alg, seed, tag)
     ]
 
 

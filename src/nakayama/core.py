@@ -201,9 +201,8 @@ class KupischSeries:
     def shift(self, i: int, steps: int = 1) -> int:
         """Vertex reached from i after `steps` arrows (top-to-socle direction).
 
-        All composition-factor index arithmetic funnels through here, so a
-        single orientation flip anywhere is a flip everywhere and the
-        golden-value guard catches it.
+        The per-interval helpers and the AR translates walk vertices here;
+        `injective_lengths` and the tables in `modules` work modulo v.
         """
         v = len(self.lengths)
         if self.cyclic:

@@ -24,12 +24,12 @@ from .errors import GorensteinAsymmetry, InternalInconsistency, NotGorenstein
 from .modules import (
     IntervalModule,
     ModuleSum,
-    _as_sum,
     _hom,
     _index,
     _pieces,
     _position,
     _positions,
+    _split,
     _torsionless,
     check_module,
     hom_dim,
@@ -166,6 +166,17 @@ def domdim(alg: KupischSeries) -> ExtendedNat:
 # -- Ext dimensions -----------------------------------------------------------
 
 
+def _source(succ: list[int], p: int, k: int) -> int:
+    """succ^(k-1)(p) when succ^k(p) is nonzero, else -1 (k >= 1).  Over
+    omega its Ext^1 is Ext^k of p and its tau is tau_k of p; over coomega
+    its tau^- is tau_k^- of p."""
+    for _ in range(k - 1):
+        p = succ[p]
+        if p < 0:
+            return -1
+    return p if succ[p] >= 0 else -1
+
+
 def _ext1(alg: KupischSeries, z: IntervalModule, w: IntervalModule, y) -> int:
     """dim Ext^1(z, y) for an indecomposable z with syzygy w via the
     minimal presentation:
@@ -189,11 +200,8 @@ def ext_dim(alg: KupischSeries, x, y, k: int) -> int:
     indecs = indecomposables(alg)
     total = 0
     for p in _positions(alg, x):
-        for _ in range(k - 1):
-            p = omega[p]
-            if p < 0:
-                break
-        if p >= 0 and omega[p] >= 0:
+        p = _source(omega, p, k)
+        if p >= 0:
             z, w = indecs[p], indecs[omega[p]]
             total += sum(_ext1(alg, z, w, b) for b in ys)
     return total
@@ -209,7 +217,7 @@ def gorenstein_degree(alg: KupischSeries) -> ExtendedNat:
     property of the algebra, hence the typed error."""
     right = regular_id(alg)
     left = regular_id_left(alg)
-    if right.is_finite != left.is_finite or (right.is_finite and right != left):
+    if right != left:
         raise GorensteinAsymmetry(
             f"self-injective dimensions disagree over {alg.lengths}: "
             f"right={right}, left={left}"
@@ -240,8 +248,7 @@ def _gpd_table(alg: KupischSeries) -> list[int]:
 
 
 def _gpd1(alg: KupischSeries, m: IntervalModule) -> int:
-    table = _gpd_table(alg)
-    return table[_position(alg, m)]
+    return _gpd_table(alg)[_position(alg, m)]
 
 
 def gpd(alg: KupischSeries, m) -> int:
@@ -250,7 +257,7 @@ def gpd(alg: KupischSeries, m) -> int:
     Gpd table.  Over a Gorenstein algebra it lies in
     0..gorenstein_degree; NotGorenstein otherwise (0 for the zero
     module, which needs no table)."""
-    return max((_gpd1(alg, piece) for piece in _as_sum(m)), default=0)
+    return max((_gpd1(alg, piece) for piece in _split(m)), default=0)
 
 
 def is_gorenstein_projective(alg: KupischSeries, m) -> bool:

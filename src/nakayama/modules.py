@@ -99,17 +99,18 @@ class ModuleSum:
         return "ModuleSum" + repr(tuple(self.summands))
 
 
-def _as_sum(m) -> ModuleSum:
-    if isinstance(m, ModuleSum):
-        return m
+def _split(m) -> tuple[IntervalModule, ...]:
+    """The summands of an interval or a sum, unchecked."""
     if isinstance(m, IntervalModule):
-        return ModuleSum.of(m)
+        return (m,)
+    if isinstance(m, ModuleSum):
+        return m.summands
     raise TypeError(f"expected IntervalModule or ModuleSum, got {type(m).__name__}")
 
 
 def _pieces(alg: KupischSeries, m) -> tuple[IntervalModule, ...]:
     """The validated summands of an interval or a sum, unwrapped."""
-    pieces = (m,) if isinstance(m, IntervalModule) else _as_sum(m).summands
+    pieces = _split(m)
     for piece in pieces:
         _position(alg, piece)
     return pieces
@@ -184,7 +185,7 @@ def _position(alg: KupischSeries, m: IntervalModule) -> int:
 
 def _positions(alg: KupischSeries, m) -> list[int]:
     """Positions of the summands of an interval module or sum."""
-    return [_position(alg, piece) for piece in _as_sum(m)]
+    return [_position(alg, piece) for piece in _split(m)]
 
 
 # -- distinguished modules -------------------------------------------------
@@ -230,7 +231,7 @@ def is_projective(alg: KupischSeries, m) -> bool:
 def is_injective(alg: KupischSeries, m) -> bool:
     return all(
         piece.length == alg.injective_length(socle_vertex(alg, piece))
-        for piece in _as_sum(m)
+        for piece in _split(m)
     )
 
 
@@ -254,7 +255,7 @@ def dim_vector(alg: KupischSeries, m) -> tuple[int, ...]:
 
 def socle(alg: KupischSeries, m) -> ModuleSum:
     return ModuleSum.of(
-        *(IntervalModule(socle_vertex(alg, piece), 1) for piece in _as_sum(m))
+        *(IntervalModule(socle_vertex(alg, piece), 1) for piece in _split(m))
     )
 
 
@@ -313,7 +314,7 @@ def projective_cover(alg: KupischSeries, m) -> ModuleSum:
 
 def injective_envelope(alg: KupischSeries, m) -> ModuleSum:
     return ModuleSum.of(
-        *(injective(alg, socle_vertex(alg, piece)) for piece in _as_sum(m))
+        *(injective(alg, socle_vertex(alg, piece)) for piece in _split(m))
     )
 
 

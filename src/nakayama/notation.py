@@ -9,7 +9,7 @@ from .errors import NotAdmissible, ParseError
 from .modules import (
     IntervalModule,
     ModuleSum,
-    _as_sum,
+    _split,
     check_module,
     injective,
     projective,
@@ -31,10 +31,7 @@ def format_interval(m: IntervalModule) -> str:
 
 def format_module(m) -> str:
     """Canonical text for a module: sorted summands joined by '+', '0' if zero."""
-    msum = _as_sum(m)
-    if msum.is_zero:
-        return "0"
-    return "+".join(format_interval(piece) for piece in msum)
+    return "+".join(map(format_interval, _split(m))) or "0"
 
 
 def _parse_term(alg: KupischSeries, term: str) -> IntervalModule:

@@ -35,7 +35,7 @@ from collections import defaultdict
 
 from .core import KupischSeries
 from .errors import DimensionCapExceeded, InternalInconsistency, NotAdmissible
-from .modules import IntervalModule, ModuleSum, _as_sum
+from .modules import IntervalModule, ModuleSum, _split
 
 __all__ = [
     "MatrixRep",
@@ -74,7 +74,7 @@ def _summands(alg: KupischSeries, m) -> tuple[IntervalModule, ...]:
     """The summands of m, each checked against the Kupisch lengths
     directly (not through the engine's index, which is under test): an
     interval that is not a module over alg raises NotAdmissible."""
-    pieces = (m,) if isinstance(m, IntervalModule) else _as_sum(m).summands
+    pieces = _split(m)
     for piece in pieces:
         inside = 1 <= piece.start <= alg.num_vertices
         if not (inside and 1 <= piece.length <= alg.loewy_length(piece.start)):

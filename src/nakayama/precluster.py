@@ -8,7 +8,7 @@ from math import comb
 
 from .core import KupischSeries
 from .errors import InternalInconsistency, SearchSpaceTooLarge
-from .homology import ext_dim
+from .homology import _ext1, _source, ext_dim
 from .modules import (
     IntervalModule,
     ModuleSum,
@@ -53,11 +53,8 @@ def _tau_n(alg: KupischSeries, m, n: int, forward: bool) -> ModuleSum:
     indecs = indecomposables(alg)
     out = []
     for p in _positions(alg, m):
-        for _ in range(n - 1):
-            p = step[p]
-            if p < 0:
-                break
-        if p >= 0 and step[p] >= 0:
+        p = _source(step, p, n)
+        if p >= 0:
             z = indecs[p]
             out.append(IntervalModule(alg.shift(z.start, 1 if forward else -1), z.length))
     return ModuleSum(tuple(out))
@@ -143,27 +140,37 @@ def is_precluster(alg: KupischSeries, members, n: int) -> PreclusterVerdict:
 
 
 def _member_masks(alg: KupischSeries, n: int) -> tuple[list[int], list[int]]:
-    """Per-indecomposable bitmasks over indecomposables(alg) for the
-    level-n conditions of is_precluster: need[i] holds the pieces of
-    tau_n and tau_n^- of the i-th indecomposable, and clash[i] every y
-    with Ext^k between it and y, either way round, for some k in 1..n-1
-    (y itself included).  Masks are built with `|`: tau_n and tau_n^- of
-    one interval can coincide."""
+    """Bitmasks over positions for the level-n conditions of is_precluster,
+    from the index: need[p] holds the pieces of tau_n and tau_n^- of the
+    interval at p, and clash[p] every y with Ext^k between it and y,
+    either way round, for some k in 1..n-1 (y itself included).  Masks
+    are built with `|`: tau_n and tau_n^- of one interval can coincide."""
+    idx = _index(alg)
     indecs = indecomposables(alg)
-    need = []
-    for m in indecs:
-        mask = 0
-        for piece in (*tau_n(alg, m, n), *tau_n_inverse(alg, m, n)):
-            mask |= 1 << _position(alg, piece)
-        need.append(mask)
-    clash = [0] * len(indecs)
-    for i, x in enumerate(indecs):
-        for j in range(i, len(indecs)):
-            y = indecs[j]
-            if any(ext_dim(alg, x, y, k) or ext_dim(alg, y, x, k) for k in range(1, n)):
-                clash[i] |= 1 << j
-                clash[j] |= 1 << i
+    need, clash = [0] * len(indecs), [0] * len(indecs)
+    for p in range(len(indecs)):
+        for succ, shift in ((idx.omega, 1), (idx.coomega, -1)):
+            q = _source(succ, p, n)
+            if q >= 0:
+                z = indecs[q]
+                image = IntervalModule(alg.shift(z.start, shift), z.length)
+                need[p] |= 1 << _position(alg, image)
+        for k in range(1, n):
+            q = _source(idx.omega, p, k)
+            if q < 0:
+                break
+            z, w = indecs[q], indecs[idx.omega[q]]
+            for j, y in enumerate(indecs):
+                if _ext1(alg, z, w, y):
+                    clash[p] |= 1 << j
+                    clash[j] |= 1 << p
     return need, clash
+
+
+def _forced(alg: KupischSeries) -> list[int]:
+    """Positions of the projectives and injectives: zero (co)syzygy."""
+    idx = _index(alg)
+    return [p for p, (z, w) in enumerate(zip(idx.omega, idx.coomega)) if z < 0 or w < 0]
 
 
 def search_precluster(
@@ -188,10 +195,9 @@ def search_precluster(
         raise ValueError("search_precluster wants n >= 1")
     if max_extra is not None and max_extra < 0:
         raise ValueError("search_precluster wants max_extra >= 0")
-    seed = {projective(alg, i) for i in alg.vertices()}
-    seed.update(injective(alg, i) for i in alg.vertices())
+    forced = _forced(alg)
     indecs = indecomposables(alg)
-    extras = [i for i, m in enumerate(indecs) if m not in seed]
+    extras = [p for p in range(len(indecs)) if p not in forced]
     kmax = len(extras) if max_extra is None else min(max_extra, len(extras))
     total = sum(comb(len(extras), k) for k in range(kmax + 1))
     if total > subset_cap:
@@ -199,13 +205,12 @@ def search_precluster(
             f"{total} candidate member sets exceeds the cap {subset_cap}"
         )
     need, clash = _member_masks(alg, n)
-    base = tuple(sorted(seed))
+    base = tuple(indecs[p] for p in forced)
     base_mask = base_need = base_clash = 0
-    for i, m in enumerate(indecs):
-        if m in seed:
-            base_mask |= 1 << i
-            base_need |= need[i]
-            base_clash |= clash[i]
+    for p in forced:
+        base_mask |= 1 << p
+        base_need |= need[p]
+        base_clash |= clash[p]
     found = []
     for k in range(kmax + 1):
         for combo in itertools.combinations(extras, k):

@@ -38,7 +38,7 @@ from nakayama import (
     verify_thm_gp_socle_sub,
     verify_thm_prinj,
 )
-from nakayama.classify import REPORT_KEYS, _sample_positions, _sample_sums
+from nakayama.classify import REPORT_KEYS, _sample_positions
 from nakayama.cli import _sweep_violations
 
 CYCLIC = KupischSeries.validate([3, 3, 4], True)
@@ -274,8 +274,12 @@ def reference_gp_socle_sub(alg, n, seed, gpd_of):
     """verify_thm_gp_socle_sub(...).to_json() recomputed from a Gpd table
     and a direct embedding search over the projectives."""
     projectives = [projective(alg, i) for i in alg.vertices()]
-    mods = [ModuleSum.of(m) for m in indecomposables(alg)]
-    mods += _sample_sums(alg, seed, "gp-socle-sub")
+    indecs = indecomposables(alg)
+    mods = [ModuleSum.of(m) for m in indecs]
+    mods += [
+        ModuleSum(tuple(indecs[p] for p in pieces))
+        for pieces in _sample_positions(alg, seed, "gp-socle-sub")
+    ]
     witnesses = []
     for nmod in mods:
         g = max(gpd_of[p] for p in nmod)

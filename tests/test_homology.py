@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nakayama import (
     INFINITY,
     ExtendedNat,
+    GorensteinAsymmetry,
     IntervalModule,
     KupischSeries,
     ModuleSum,
@@ -52,7 +53,7 @@ from nakayama import (
     tau_n,
     top,
 )
-from nakayama.homology import _depths, _gpd1
+from nakayama.homology import _depths, _gpd1, _source
 from nakayama.modules import _index, _position
 
 CYCLIC = KupischSeries.validate([3, 3, 4], True)
@@ -154,6 +155,21 @@ class TestGlobalInvariants:
 
     def test_non_gorenstein(self):
         assert gorenstein_degree(WILD) == INFINITY
+
+    @pytest.mark.parametrize("left", [INFINITY, ExtendedNat(3)])
+    def test_asymmetric_self_injective_dimensions_raise(self, left):
+        # Right and left are both 2 over (3,3,4); a seeded left value
+        # stands in for a faulty opposite() route.
+        alg = KupischSeries.validate([3, 3, 4], True)
+        alg.__dict__.setdefault("_memo", {})["nakayama.homology.regular_id_left"] = left
+        with pytest.raises(GorensteinAsymmetry, match="right=2, left="):
+            gorenstein_degree(alg)
+
+    def test_infinite_on_both_sides_is_infinite(self):
+        alg = KupischSeries.validate([3, 4], True)
+        alg.__dict__.setdefault("_memo", {})["nakayama.homology.regular_id_left"] = INFINITY
+        assert regular_id(alg) == INFINITY
+        assert gorenstein_degree(alg) == INFINITY
 
     def test_finite_gldim_forces_symmetry(self):
         # whenever gldim is finite all four invariants coincide
@@ -327,6 +343,17 @@ class TestDepthSolver:
     def test_sink_self_loop_and_cycle(self):
         # 0 -> 1 -> 2 (sink); 3 -> 3; 4 -> 5 -> 6 -> 5
         assert _depths([1, 2, -1, 3, 5, 6, 5]) == [2, 1, 0, None, None, None, None]
+
+    def test_source_of_a_k_step_walk(self):
+        # 0 -> 1 -> 2 (sink); 3 -> 3; 4 -> 5 -> 6 -> 5
+        succ = [1, 2, -1, 3, 5, 6, 5]
+        assert _source(succ, 0, 1) == 0  # k = 1: the start, its step is nonzero
+        assert _source(succ, 0, 2) == 1
+        assert _source(succ, 0, 3) == -1  # ends on the sink: its next step is zero
+        assert _source(succ, 0, 4) == -1  # the walk dies before k
+        assert _source(succ, 2, 1) == -1  # a sink
+        assert [_source(succ, 3, k) for k in (1, 2, 7)] == [3, 3, 3]  # self-loop
+        assert [_source(succ, 4, k) for k in (1, 2, 3, 4)] == [4, 5, 6, 5]
 
     def test_matches_explicit_resolutions(self):
         checked = 0

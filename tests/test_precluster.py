@@ -22,6 +22,7 @@ from nakayama import (
     ar_translate,
     ar_translate_inverse,
     enumerate_admissible,
+    ext_dim,
     format_module,
     indecomposables,
     injective,
@@ -35,6 +36,8 @@ from nakayama import (
     tau_n_inverse,
 )
 import nakayama.precluster as precluster_module
+from nakayama.modules import _position
+from nakayama.precluster import _forced, _member_masks
 
 CYCLIC = KupischSeries.validate([3, 3, 4], True)
 LINEAR = KupischSeries.validate([3, 3, 3, 3, 2, 1], False)
@@ -257,3 +260,40 @@ class TestSearchDifferential:
                 assert search_precluster(alg, n, max_extra=1) == reference_search(
                     alg, n, 1
                 ), (alg, n)
+
+
+def reference_member_masks(alg, n):
+    """_member_masks from the public, validating routes: the tau_n and
+    tau_n^- pieces of every interval, and ext_dim both ways on every pair
+    and degree 1..n-1."""
+    indecs = indecomposables(alg)
+    need = []
+    for m in indecs:
+        mask = 0
+        for piece in (*tau_n(alg, m, n), *tau_n_inverse(alg, m, n)):
+            mask |= 1 << _position(alg, piece)
+        need.append(mask)
+    clash = [0] * len(indecs)
+    for i, x in enumerate(indecs):
+        for j in range(i, len(indecs)):
+            y = indecs[j]
+            if any(ext_dim(alg, x, y, k) or ext_dim(alg, y, x, k) for k in range(1, n)):
+                clash[i] |= 1 << j
+                clash[j] |= 1 << i
+    return need, clash
+
+
+class TestMemberMasks:
+    POOL = enumerate_admissible(4, 6)
+
+    def test_match_public_routes(self):
+        for alg in self.POOL:
+            for n in (1, 2, 3, 4):
+                assert _member_masks(alg, n) == reference_member_masks(alg, n), (alg, n)
+
+    def test_forced_are_projectives_and_injectives(self):
+        for alg in self.POOL:
+            forced = {projective(alg, i) for i in alg.vertices()}
+            forced.update(injective(alg, j) for j in alg.vertices())
+            indecs = indecomposables(alg)
+            assert [indecs[p] for p in _forced(alg)] == sorted(forced), alg
