@@ -35,7 +35,6 @@ from .modules import (
     hom_dim,
     indecomposables,
     injective_envelope,
-    projective,
     projective_cover,
 )
 
@@ -141,8 +140,10 @@ def regular_id(alg: KupischSeries) -> ExtendedNat:
 
 @per_algebra
 def regular_id_left(alg: KupischSeries) -> ExtendedNat:
-    """Injective dimension on the other side, via the opposite algebra."""
-    return regular_id(alg.opposite())
+    """Injective dimension as a left module: by the duality D, id(_A A) =
+    pd(D(A)_A), the largest pd at the injectives (zero cosyzygy)."""
+    injectives = (p for p, z in enumerate(_index(alg).coomega) if z < 0)
+    return _max_depth(_pd_table(alg), injectives)
 
 
 @per_algebra
@@ -177,11 +178,11 @@ def _source(succ: list[int], p: int, k: int) -> int:
     return p if succ[p] >= 0 else -1
 
 
-def _ext1(alg: KupischSeries, z: IntervalModule, w: IntervalModule, y) -> int:
-    """dim Ext^1(z, y) for an indecomposable z with syzygy w via the
-    minimal presentation:
+def _ext1(alg: KupischSeries, z: IntervalModule, w: IntervalModule, pz, y) -> int:
+    """dim Ext^1(z, y) for an indecomposable z with syzygy w and
+    projective cover pz via the minimal presentation:
     0 -> Hom(z,y) -> Hom(P(z),y) -> Hom(Omega z,y) -> Ext^1(z,y) -> 0."""
-    val = _hom(alg, w, y) - _hom(alg, projective(alg, z.start), y) + _hom(alg, z, y)
+    val = _hom(alg, w, y) - _hom(alg, pz, y) + _hom(alg, z, y)
     if val < 0:
         raise InternalInconsistency(
             f"negative Ext^1({z}, {y}) = {val} over {alg.lengths}"
@@ -196,14 +197,15 @@ def ext_dim(alg: KupischSeries, x, y, k: int) -> int:
     if k == 0:
         return hom_dim(alg, x, y)
     ys = _pieces(alg, y)
-    omega = _index(alg).omega
-    indecs = indecomposables(alg)
+    idx = _index(alg)
+    omega, indecs = idx.omega, indecomposables(alg)
     total = 0
     for p in _positions(alg, x):
         p = _source(omega, p, k)
         if p >= 0:
             z, w = indecs[p], indecs[omega[p]]
-            total += sum(_ext1(alg, z, w, b) for b in ys)
+            pz = indecs[idx.projective_at(z.start)]
+            total += sum(_ext1(alg, z, w, pz, b) for b in ys)
     return total
 
 
@@ -212,9 +214,10 @@ def ext_dim(alg: KupischSeries, x, y, k: int) -> int:
 
 @per_algebra
 def gorenstein_degree(alg: KupischSeries) -> ExtendedNat:
-    """Common value of the two self-injective dimensions; INFINITY when
-    both are infinite.  Any one-sided or unequal answer is a bug, never a
-    property of the algebra, hence the typed error."""
+    """Common value of the two self-injective dimensions, the id table at
+    the projectives (right) and the pd table at the injectives (left);
+    INFINITY when both are infinite.  Any one-sided or unequal answer is
+    a bug, never a property of the algebra, hence the typed error."""
     right = regular_id(alg)
     left = regular_id_left(alg)
     if right != left:

@@ -160,8 +160,9 @@ def _member_masks(alg: KupischSeries, n: int) -> tuple[list[int], list[int]]:
             if q < 0:
                 break
             z, w = indecs[q], indecs[idx.omega[q]]
+            pz = indecs[idx.projective_at(z.start)]
             for j, y in enumerate(indecs):
-                if _ext1(alg, z, w, y):
+                if _ext1(alg, z, w, pz, y):
                     clash[p] |= 1 << j
                     clash[j] |= 1 << p
     return need, clash

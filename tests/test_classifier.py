@@ -266,6 +266,20 @@ class TestClassify:
         for alg in (CYCLIC, LINEAR, WILD, BAD, POINT):
             json.dumps(classify(alg).to_json())
 
+    def test_never_builds_the_opposite_algebra(self, monkeypatch):
+        # The opposite algebra is a test-side cross-check only: classify
+        # reads the left self-injective dimension off the algebra's own
+        # tables.
+        def refuse(alg):
+            raise AssertionError(f"opposite() called on {alg.lengths}")
+
+        monkeypatch.setattr(KupischSeries, "opposite", refuse)
+        algs = list(enumerate_admissible(5, 7))
+        assert len(algs) == 209
+        for alg in algs:
+            report = classify(alg)
+            assert report.regular_id_left == report.regular_id
+
 
 # -- the verifiers against a test-side recomputation ------------------------------
 

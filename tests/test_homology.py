@@ -159,7 +159,7 @@ class TestGlobalInvariants:
     @pytest.mark.parametrize("left", [INFINITY, ExtendedNat(3)])
     def test_asymmetric_self_injective_dimensions_raise(self, left):
         # Right and left are both 2 over (3,3,4); a seeded left value
-        # stands in for a faulty opposite() route.
+        # stands in for a faulty read of the pd table at the injectives.
         alg = KupischSeries.validate([3, 3, 4], True)
         alg.__dict__.setdefault("_memo", {})["nakayama.homology.regular_id_left"] = left
         with pytest.raises(GorensteinAsymmetry, match="right=2, left="):
@@ -179,6 +179,15 @@ class TestGlobalInvariants:
                 assert regular_id(alg) == g
                 assert regular_id_left(alg) == g
                 assert gorenstein_degree(alg) == g
+
+    def test_left_id_matches_opposite_route_cross_check(self):
+        # Cross-check: the left self-injective dimension, read off the pd
+        # table at the injectives, equals the right one of the opposite
+        # algebra, which builds its own index and id table.
+        algs = list(enumerate_admissible(6, 8))
+        assert len(algs) == 664
+        for alg in algs:
+            assert regular_id_left(alg) == regular_id(alg.opposite()), alg
 
 
 class TestExt:
