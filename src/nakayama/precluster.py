@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb
 
 from .core import KupischSeries
 from .errors import InternalInconsistency, SearchSpaceTooLarge
@@ -144,10 +142,12 @@ def _member_masks(alg: KupischSeries, n: int) -> tuple[list[int], list[int]]:
     from the index: need[p] holds the pieces of tau_n and tau_n^- of the
     interval at p, and clash[p] every y with Ext^k between it and y,
     either way round, for some k in 1..n-1 (y itself included).  Masks
-    are built with `|`: tau_n and tau_n^- of one interval can coincide."""
+    are built with `|`: tau_n and tau_n^- of one interval can coincide.
+    Ext^k(p, -) is the Ext^1 row of its source Omega^(k-1)(p), and many
+    p share a source, so each row is computed once."""
     idx = _index(alg)
     indecs = indecomposables(alg)
-    need, clash = [0] * len(indecs), [0] * len(indecs)
+    need, ext, rows = [0] * len(indecs), [0] * len(indecs), {}
     for p in range(len(indecs)):
         for succ, shift in ((idx.omega, 1), (idx.coomega, -1)):
             q = _source(succ, p, n)
@@ -159,12 +159,18 @@ def _member_masks(alg: KupischSeries, n: int) -> tuple[list[int], list[int]]:
             q = _source(idx.omega, p, k)
             if q < 0:
                 break
-            z, w = indecs[q], indecs[idx.omega[q]]
-            pz = indecs[idx.projective_at(z.start)]
-            for j, y in enumerate(indecs):
-                if _ext1(alg, z, w, pz, y):
-                    clash[p] |= 1 << j
-                    clash[j] |= 1 << p
+            if q not in rows:
+                z, w = indecs[q], indecs[idx.omega[q]]
+                pz = indecs[idx.projective_at(z.start)]
+                rows[q] = sum(
+                    1 << j for j, y in enumerate(indecs) if _ext1(alg, z, w, pz, y)
+                )
+            ext[p] |= rows[q]
+    clash = ext[:]
+    for p, row in enumerate(ext):
+        for j in range(row.bit_length()):
+            if row >> j & 1:
+                clash[j] |= 1 << p
     return need, clash
 
 
@@ -182,15 +188,21 @@ def search_precluster(
 ) -> tuple[tuple[IntervalModule, ...], ...]:
     """All n-precluster tilting member sets grown from the forced seed
     (projectives and injectives) by subsets of the remaining
-    indecomposables, smallest first.  Raises SearchSpaceTooLarge before
-    examining more than subset_cap subsets.
+    indecomposables (the extras) of at most max_extra members, smallest
+    first and in itertools.combinations order within one size.
 
-    Each subset is decided from the per-indecomposable tau_n and
-    Ext-conflict masks (_member_masks): it passes when the union of its
-    members' needs lies inside it and the union of their clashes misses
-    it.  The seed makes it a generator and cogenerator.  Cross-check:
-    is_precluster re-decides every set that passes, and a disagreement
-    raises InternalInconsistency.
+    A set is decided from the per-indecomposable tau_n and Ext-conflict
+    masks (_member_masks): it passes when the union of its members'
+    needs lies inside it and the union of their clashes misses it.  The
+    seed makes it a generator and cogenerator.  The search backtracks
+    over the extras in index order, adding or banning each one, and
+    drops a branch as soon as its clashes hit its members or it needs a
+    banned extra; an explicit stack keeps deep walks off the call stack.
+    subset_cap bounds the work: the Ext pairs the masks examine
+    (charged before they are built), plus the nodes the walk examines;
+    past it, SearchSpaceTooLarge.  Cross-check: is_precluster re-decides
+    every set that passes, and a disagreement raises
+    InternalInconsistency.
     """
     if n < 1:
         raise ValueError("search_precluster wants n >= 1")
@@ -200,34 +212,44 @@ def search_precluster(
     indecs = indecomposables(alg)
     extras = [p for p in range(len(indecs)) if p not in forced]
     kmax = len(extras) if max_extra is None else min(max_extra, len(extras))
-    total = sum(comb(len(extras), k) for k in range(kmax + 1))
-    if total > subset_cap:
-        raise SearchSpaceTooLarge(
-            f"{total} candidate member sets exceeds the cap {subset_cap}"
-        )
+    work = len(indecs) ** 2 * (n - 1)
+    if work > subset_cap:
+        raise SearchSpaceTooLarge(f"{work} Ext pairs exceed the work cap {subset_cap}")
     need, clash = _member_masks(alg, n)
     base = tuple(indecs[p] for p in forced)
-    base_mask = base_need = base_clash = 0
+    mask = needs = clashes = 0
     for p in forced:
-        base_mask |= 1 << p
-        base_need |= need[p]
-        base_clash |= clash[p]
+        mask |= 1 << p
+        needs |= need[p]
+        clashes |= clash[p]
+    stack = [] if clashes & mask else [(0, 0, mask, needs, clashes, 0)]
+    accepted = []
+    while stack:
+        work += 1
+        if work > subset_cap:
+            raise SearchSpaceTooLarge(
+                f"Ext pairs and walk nodes exceed the work cap {subset_cap}"
+            )
+        i, k, mask, needs, clashes, banned = stack.pop()
+        if i == len(extras) or k == kmax:
+            if not needs & ~mask:
+                accepted.append(mask)
+            continue
+        p = extras[i]
+        if not needs >> p & 1:
+            stack.append((i + 1, k, mask, needs, clashes, banned | 1 << p))
+        grown, wants, hits = mask | 1 << p, needs | need[p], clashes | clash[p]
+        if not hits & grown and not wants & banned:
+            stack.append((i + 1, k + 1, grown, wants, hits, banned))
+    combos = [tuple(p for p in extras if mask >> p & 1) for mask in accepted]
     found = []
-    for k in range(kmax + 1):
-        for combo in itertools.combinations(extras, k):
-            mask, needs, clashes = base_mask, base_need, base_clash
-            for i in combo:
-                mask |= 1 << i
-                needs |= need[i]
-                clashes |= clash[i]
-            if needs & ~mask or clashes & mask:
-                continue
-            verdict = is_precluster(alg, base + tuple(indecs[i] for i in combo), n)
-            if not verdict.ok:
-                raise InternalInconsistency(
-                    f"precluster masks accept {verdict.members} over "
-                    f"{alg.lengths} at n={n}, is_precluster refuses: "
-                    f"{verdict.failures}"
-                )
-            found.append(verdict.members)
+    for combo in sorted(combos, key=lambda c: (len(c), c)):
+        verdict = is_precluster(alg, base + tuple(indecs[i] for i in combo), n)
+        if not verdict.ok:
+            raise InternalInconsistency(
+                f"precluster masks accept {verdict.members} over "
+                f"{alg.lengths} at n={n}, is_precluster refuses: "
+                f"{verdict.failures}"
+            )
+        found.append(verdict.members)
     return tuple(found)

@@ -10,8 +10,12 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_homology import admissible_series
 
 from nakayama import (
     IntervalModule,
@@ -297,3 +301,84 @@ class TestMemberMasks:
             forced.update(injective(alg, j) for j in alg.vertices())
             indecs = indecomposables(alg)
             assert [indecs[p] for p in _forced(alg)] == sorted(forced), alg
+
+
+def reference_mask_search(alg, n, max_extra=None):
+    """The search without backtracking: the member masks tested on every
+    subset of the extras, in combinations order."""
+    forced = _forced(alg)
+    indecs = indecomposables(alg)
+    extras = [p for p in range(len(indecs)) if p not in forced]
+    kmax = len(extras) if max_extra is None else min(max_extra, len(extras))
+    need, clash = _member_masks(alg, n)
+    base_mask = base_need = base_clash = 0
+    for p in forced:
+        base_mask |= 1 << p
+        base_need |= need[p]
+        base_clash |= clash[p]
+    found = []
+    for k in range(kmax + 1):
+        for combo in itertools.combinations(extras, k):
+            mask, needs, clashes = base_mask, base_need, base_clash
+            for i in combo:
+                mask |= 1 << i
+                needs |= need[i]
+                clashes |= clash[i]
+            if not (needs & ~mask or clashes & mask):
+                found.append(tuple(indecs[p] for p in sorted(forced + list(combo))))
+    return tuple(found)
+
+
+class TestBacktracking:
+    def test_matches_mask_loop_on_pool(self):
+        # (6,6,6,6) has 20 extras, so the reference tests 2^20 subsets
+        # per level: most of this test's time.
+        for alg in enumerate_admissible(4, 6):
+            for n in (1, 2, 3):
+                assert search_precluster(alg, n) == reference_mask_search(alg, n), (alg, n)
+
+    def test_past_the_old_subset_cap(self):
+        # 18 extras, 262,144 subsets: more than the default cap of 200,000,
+        # which bounds the walk's work, not the number of subsets.  Tau
+        # keeps each length, and the six lengths below the projectives
+        # are its orbits, so 2^6 sets.
+        alg = KupischSeries.validate([7, 7, 7], True)
+        assert len(_extras(alg)) == 18
+        cands = search_precluster(alg, 1)
+        assert len(cands) == 64
+        assert cands == reference_mask_search(alg, 1)
+
+    def test_walk_stops_at_banned_needs(self):
+        # tau ties M(1,l), M(2,l) and M(3,l) together: once the six extras
+        # at vertex 1 are decided, each later extra has one live choice.
+        # So the walk examines 2^7 - 1 + 64 * 12 = 895 nodes; one that
+        # went on past a banned need would examine thousands.
+        alg = KupischSeries.validate([7, 7, 7], True)
+        assert len(search_precluster(alg, 1, subset_cap=1_000)) == 64
+
+    @settings(max_examples=60, deadline=None)
+    @given(admissible_series(max_vertices=5, max_length=5), st.integers(1, 3), st.data())
+    def test_matches_mask_loop_on_random_series(self, alg, n, data):
+        assume(len(_extras(alg)) <= 10)
+        max_extra = data.draw(st.none() | st.integers(0, 10))
+        assert search_precluster(alg, n, max_extra) == reference_mask_search(
+            alg, n, max_extra
+        )
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_oversized_search_fails_fast(self, n):
+        # 1199 extras: a recursive walk would pass the recursion limit,
+        # and at n = 2 the masks alone would look at 1.4 M Ext pairs.
+        alg = KupischSeries.validate([1200], True)
+        start = time.perf_counter()
+        with pytest.raises(SearchSpaceTooLarge):
+            search_precluster(alg, n)
+        assert time.perf_counter() - start < 2
+
+    def test_refuses_before_building_the_masks(self, monkeypatch):
+        def refuse(alg, n):
+            raise AssertionError("masks built for a search past the cap")
+
+        monkeypatch.setattr(precluster_module, "_member_masks", refuse)
+        with pytest.raises(SearchSpaceTooLarge):
+            search_precluster(KupischSeries.validate([1200], True), 2)
