@@ -201,8 +201,8 @@ class KupischSeries:
     def shift(self, i: int, steps: int = 1) -> int:
         """Vertex reached from i after `steps` arrows (top-to-socle direction).
 
-        The per-interval helpers and the AR translates walk vertices here;
-        `injective_lengths` and the tables in `modules` work modulo v.
+        The per-interval helpers walk vertices here; `injective_lengths`,
+        the tables in `modules` and the AR translates work modulo v.
         """
         v = len(self.lengths)
         if self.cyclic:
@@ -237,9 +237,6 @@ class KupischSeries:
                 j = (i + l - 1) % v
                 d[j] = max(d[j], l)
         return tuple(d)
-
-    def injective_length(self, j: int) -> int:
-        return self.injective_lengths()[j - 1]
 
     def opposite(self) -> "KupischSeries":
         """Kupisch series of the opposite algebra, in canonical form.

@@ -67,7 +67,7 @@ class PreconditionFailed(NakayamaError):
 
 
 class SearchSpaceTooLarge(NakayamaError):
-    """Subset enumeration would exceed the configured cap."""
+    """A search's work would exceed the configured cap."""
 
 
 class DimensionCapExceeded(NakayamaError):

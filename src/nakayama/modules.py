@@ -7,9 +7,9 @@ convention).  Finite direct sums are multisets of intervals.
 
 Per-algebra tables, each built once by `core.per_algebra`, are plain
 lists over one integer index (`_index`): M(i, l) sits at position
-offset[i - 1] + l - 1 of indecomposables(alg).  `_position` is the one
-validator of intervals from outside: an interval that is not a module
-over the algebra is refused by name, and anything else by its type.
+offset[i - 1] + l - 1 of indecomposables(alg).  `_position` and `_vertex`
+are the one validators of intervals and vertices from outside, and a zero
+Omega or Omega^- step in the index the one test for projective and injective.
 Every module query takes an interval or a sum; only `socle_vertex` and
 `embeds_in` want an interval.
 """
@@ -174,10 +174,10 @@ def _position(alg: KupischSeries, m: IntervalModule) -> int:
     type."""
     if not isinstance(m, IntervalModule):
         raise TypeError(f"expected IntervalModule, got {type(m).__name__}")
-    v = len(alg.lengths)
-    if not 1 <= m.start <= v:
-        raise NotAdmissible(f"{m} is not well-formed: vertex {m.start} outside 1..{v}")
-    c = alg.lengths[m.start - 1]
+    try:
+        c = alg.lengths[_vertex(alg, m.start) - 1]
+    except NotAdmissible as exc:
+        raise NotAdmissible(f"{m} is not well-formed: {exc}") from None
     if not 1 <= m.length <= c:
         raise NotAdmissible(f"{m} is not well-formed: length must lie in 1..{c}")
     return _index(alg).offset[m.start - 1] + m.length - 1
@@ -188,22 +188,32 @@ def _positions(alg: KupischSeries, m) -> list[int]:
     return [_position(alg, piece) for piece in _split(m)]
 
 
+def _vertex(alg: KupischSeries, i) -> int:
+    """The one check on vertex arguments: i unchanged when it is a plain
+    int in 1..v, else NotAdmissible naming it (True is not vertex 1)."""
+    v = len(alg.lengths)
+    if type(i) is not int or not 1 <= i <= v:
+        raise NotAdmissible(f"vertex {i!r} outside 1..{v}")
+    return i
+
+
 # -- distinguished modules -------------------------------------------------
 
 
 def projective(alg: KupischSeries, i: int) -> IntervalModule:
     """P_i = M(i, c_i)."""
+    i = _vertex(alg, i)
     return IntervalModule(i, alg.loewy_length(i))
 
 
 def simple(alg: KupischSeries, i: int) -> IntervalModule:
-    return IntervalModule(i, 1)
+    return IntervalModule(_vertex(alg, i), 1)
 
 
 def injective(alg: KupischSeries, j: int) -> IntervalModule:
     """The indecomposable injective with socle S_j (longest interval
     module with that socle)."""
-    d = alg.injective_length(j)
+    d = alg.injective_lengths()[_vertex(alg, j) - 1]
     return IntervalModule(alg.shift(j, 1 - d), d)
 
 
@@ -223,16 +233,13 @@ def indecomposables(alg: KupischSeries) -> tuple[IntervalModule, ...]:
 
 
 def is_projective(alg: KupischSeries, m) -> bool:
-    return all(
-        piece.length == alg.loewy_length(piece.start) for piece in check_module(alg, m)
-    )
+    omega = _index(alg).omega
+    return all(omega[p] < 0 for p in _positions(alg, m))
 
 
 def is_injective(alg: KupischSeries, m) -> bool:
-    return all(
-        piece.length == alg.injective_length(socle_vertex(alg, piece))
-        for piece in _split(m)
-    )
+    coomega = _index(alg).coomega
+    return all(coomega[p] < 0 for p in _positions(alg, m))
 
 
 # -- structure of a single interval ----------------------------------------

@@ -47,8 +47,6 @@ def _parse_term(alg: KupischSeries, term: str) -> IntervalModule:
         raise ParseError(f"{kind}(i) takes one argument, got {term!r}")
     if kind == "S":
         return IntervalModule(first, 1)
-    if not 1 <= first <= alg.num_vertices:
-        raise ParseError(f"vertex {first} out of range in {term!r}")
     if kind == "P":
         return projective(alg, first)
     return injective(alg, first)
@@ -58,17 +56,15 @@ def parse_module(alg: KupischSeries, text: str) -> ModuleSum:
     """Parse a '+'-separated sum of terms against a concrete algebra.
 
     P(i) and I(j) expand to that algebra's projective and injective
-    intervals; '0' is the zero module.  Malformed syntax and modules that
-    do not live over the algebra both raise ParseError.
+    intervals; '0' is the zero module.  Malformed syntax, vertices outside
+    the algebra and modules that do not live over it all raise ParseError.
     """
     if text is None or not text.strip():
         raise ParseError("empty module expression")
     if text.strip() == "0":
         return ModuleSum.zero()
-    pieces = [_parse_term(alg, chunk) for chunk in text.split("+")]
-    out = ModuleSum.of(*pieces)
     try:
-        check_module(alg, out)
+        pieces = [_parse_term(alg, chunk) for chunk in text.split("+")]
+        return check_module(alg, ModuleSum.of(*pieces))
     except NotAdmissible as exc:
         raise ParseError(str(exc)) from exc
-    return out

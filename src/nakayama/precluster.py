@@ -10,8 +10,8 @@ from .homology import _ext1, _source, ext_dim
 from .modules import (
     IntervalModule,
     ModuleSum,
+    _Index,
     _index,
-    _position,
     _positions,
     check_module,
     indecomposables,
@@ -39,23 +39,26 @@ def ar_translate_inverse(alg: KupischSeries, m) -> ModuleSum:
     return tau_n_inverse(alg, m, 1)
 
 
+def _tau_at(idx: _Index, indecs, p: int, n: int, forward: bool) -> int:
+    """Position of tau_n (forward) or tau_n^- of the interval at p, -1 for
+    zero: M(i + 1, l) or M(i - 1, l) for its source M(i, l) (_source), a
+    module as c_(i+1) >= c_i - 1 >= l, or as M(i - 1, l + 1) exists."""
+    q = _source(idx.omega if forward else idx.coomega, p, n)
+    if q < 0:
+        return -1
+    z = indecs[q]
+    i = z.start if forward else z.start - 2  # 0-based vertex of the image
+    return idx.offset[i % (len(idx.offset) - 1)] + z.length - 1
+
+
 def _tau_n(alg: KupischSeries, m, n: int, forward: bool) -> ModuleSum:
     """tau of Omega^(n-1) of each summand (forward), or tau^- of
-    Omega^-(n-1); the walk reads the algebra's index.  tau M(i, l) is
-    M(i + 1, l), zero on projectives, and tau^- M(i, l) is M(i - 1, l),
-    zero on injectives: exactly the intervals whose next step is zero."""
+    Omega^-(n-1), each read off the index by _tau_at."""
     if n < 1:
         raise ValueError(f"{'tau_n' if forward else 'tau_n_inverse'} wants n >= 1")
-    idx = _index(alg)
-    step = idx.omega if forward else idx.coomega
-    indecs = indecomposables(alg)
-    out = []
-    for p in _positions(alg, m):
-        p = _source(step, p, n)
-        if p >= 0:
-            z = indecs[p]
-            out.append(IntervalModule(alg.shift(z.start, 1 if forward else -1), z.length))
-    return ModuleSum(tuple(out))
+    idx, indecs = _index(alg), indecomposables(alg)
+    images = [_tau_at(idx, indecs, p, n, forward) for p in _positions(alg, m)]
+    return ModuleSum.of(*(indecs[q] for q in images if q >= 0))
 
 
 def tau_n(alg: KupischSeries, m, n: int) -> ModuleSum:
@@ -149,12 +152,9 @@ def _member_masks(alg: KupischSeries, n: int) -> tuple[list[int], list[int]]:
     indecs = indecomposables(alg)
     need, ext, rows = [0] * len(indecs), [0] * len(indecs), {}
     for p in range(len(indecs)):
-        for succ, shift in ((idx.omega, 1), (idx.coomega, -1)):
-            q = _source(succ, p, n)
+        for q in (_tau_at(idx, indecs, p, n, True), _tau_at(idx, indecs, p, n, False)):
             if q >= 0:
-                z = indecs[q]
-                image = IntervalModule(alg.shift(z.start, shift), z.length)
-                need[p] |= 1 << _position(alg, image)
+                need[p] |= 1 << q
         for k in range(1, n):
             q = _source(idx.omega, p, k)
             if q < 0:

@@ -394,7 +394,7 @@ def reference_syzygy(alg, m):
 
 def reference_cosyzygy(alg, m):
     """Cokernel of m into its injective envelope, or None when injective."""
-    d = alg.injective_length(socle_vertex(alg, m))
+    d = alg.injective_lengths()[socle_vertex(alg, m) - 1]
     if m.length == d:
         return None
     return IntervalModule(alg.shift(m.start, m.length - d), d - m.length)

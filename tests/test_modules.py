@@ -129,6 +129,30 @@ class TestProjectivesInjectives:
             M(4, 3),
         ]
 
+    @pytest.mark.parametrize("alg", [CYCLIC, LINEAR], ids=["cyclic", "linear"])
+    @pytest.mark.parametrize("make", [projective, simple, injective])
+    @pytest.mark.parametrize("bad", ["zero", "negative", "past_v", "bool"])
+    def test_vertex_outside_the_quiver_refused_by_name(self, alg, make, bad):
+        v = alg.num_vertices
+        vertex = {"zero": 0, "negative": -1, "past_v": v + 1, "bool": True}[bad]
+        with pytest.raises(NotAdmissible, match=rf"^vertex {vertex!r} outside 1\.\."):
+            make(alg, vertex)
+
+    def test_predicates_match_length_formulas(self):
+        # projective: l = c_i; injective: l = d_j at the socle j of M(i, l)
+        checked = 0
+        for alg in enumerate_admissible(6, 8):
+            d, v = alg.injective_lengths(), alg.num_vertices
+            for m in indecomposables(alg):
+                proj = m.length == alg.lengths[m.start - 1]
+                inj = m.length == d[(m.start + m.length - 2) % v]
+                assert is_projective(alg, m) == proj, (alg, m)
+                assert is_injective(alg, m) == inj, (alg, m)
+                both = ModuleSum.of(m, projective(alg, 1))
+                assert is_projective(alg, both) == proj, (alg, m)
+                checked += 1
+        assert checked == 16833
+
     def test_predicates(self):
         assert is_projective(CYCLIC, M(2, 3))
         assert not is_projective(CYCLIC, M(3, 3))

@@ -62,7 +62,10 @@ class TestNotation:
 
     @pytest.mark.parametrize(
         "expr",
-        ["M(1)", "S(1,2)", "Q(1)", "", "M(1,9)", "M(1,0)", "S(5)", "S(1)+0"],
+        [
+            "M(1)", "S(1,2)", "Q(1)", "", "M(1,9)", "M(1,0)", "S(5)", "S(1)+0",
+            "P(0)", "I(4)", "P(9)",
+        ],
     )
     def test_rejects_malformed(self, expr):
         with pytest.raises(ParseError):

@@ -15,7 +15,7 @@ import time
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_homology import admissible_series
+from test_homology import admissible_series, reference_cosyzygy, reference_syzygy
 
 from nakayama import (
     IntervalModule,
@@ -99,7 +99,40 @@ class TestTranslateBijection:
                     assert piece.length == m.length
 
 
+def reference_walk(step, alg, m, k):
+    """k steps of a reference (co)syzygy from an interval, None for zero."""
+    for _ in range(k):
+        if m is None:
+            return None
+        m = step(alg, m)
+    return m
+
+
 class TestHigherTranslate:
+    POOL = enumerate_admissible(5, 7)
+
+    def test_is_oracle_tau_of_syzygy(self):
+        checked = 0
+        for alg in self.POOL:
+            for m in indecomposables(alg):
+                for n in (1, 2, 3):
+                    w = reference_walk(reference_syzygy, alg, m, n - 1)
+                    want = ModuleSum.zero() if w is None else oracle_tau(alg, w)
+                    assert tau_n(alg, m, n) == want, (alg, m, n)
+                    checked += 1
+        assert checked == 11298
+
+    def test_inverse_undoes_to_non_injective_cosyzygy(self):
+        # tau tau_n^- M is Omega^-(n-1) M with its injective summand dropped
+        for alg in self.POOL:
+            for m in indecomposables(alg):
+                for n in (1, 2, 3):
+                    w = reference_walk(reference_cosyzygy, alg, m, n - 1)
+                    keep = w is not None and reference_cosyzygy(alg, w) is not None
+                    want = ModuleSum.of(w) if keep else ModuleSum.zero()
+                    back = ar_translate(alg, tau_n_inverse(alg, m, n))
+                    assert back == want, (alg, m, n)
+
     def test_golden(self):
         assert tau_n(LINEAR, M(2, 1), 2) == ModuleSum.of(M(4, 2))
 
