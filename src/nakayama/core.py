@@ -109,6 +109,14 @@ class ExtendedNat:
 INFINITY = ExtendedNat(None)
 
 
+def _vertex(alg: KupischSeries, i) -> int:
+    """The one check on vertex arguments: i unchanged when it is a plain
+    int in 1..v, else NotAdmissible naming it (True is not vertex 1)."""
+    if type(i) is int and 0 < i <= len(alg.lengths):
+        return i
+    raise NotAdmissible(f"vertex {i!r} outside 1..{len(alg.lengths)}")
+
+
 def per_algebra(build):
     """Memoize a per-algebra table: build(alg) runs once per algebra and
     its result is kept in the algebra's `_memo` dict, under the builder's
@@ -188,8 +196,8 @@ class KupischSeries:
         return len(self.lengths)
 
     def loewy_length(self, i: int) -> int:
-        """c_i, the length of the projective with top S_i (1-based)."""
-        return self.lengths[i - 1]
+        """c_i, the length of P_i (1-based); NotAdmissible off 1..v."""
+        return self.lengths[_vertex(self, i) - 1]
 
     @property
     def total_dim(self) -> int:
@@ -199,11 +207,12 @@ class KupischSeries:
         return range(1, len(self.lengths) + 1)
 
     def shift(self, i: int, steps: int = 1) -> int:
-        """Vertex reached from i after `steps` arrows (top-to-socle direction).
-
-        The per-interval helpers walk vertices here; `injective_lengths`,
-        the tables in `modules` and the AR translates work modulo v.
+        """Vertex reached from i after `steps` arrows (top-to-socle direction);
+        NotAdmissible for i outside 1..v.  The per-interval helpers walk
+        vertices here; `injective_lengths`, the tables in `modules` and the
+        AR translates work modulo v.
         """
+        i = _vertex(self, i)
         v = len(self.lengths)
         if self.cyclic:
             return (i - 1 + steps) % v + 1

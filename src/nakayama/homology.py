@@ -178,16 +178,20 @@ def _source(succ: list[int], p: int, k: int) -> int:
     return p if succ[p] >= 0 else -1
 
 
-def _ext1(alg: KupischSeries, z: IntervalModule, w: IntervalModule, pz, y) -> int:
-    """dim Ext^1(z, y) for an indecomposable z with syzygy w and
-    projective cover pz via the minimal presentation:
+def _ext1(alg: KupischSeries, q: int, ys) -> list[int]:
+    """dim Ext^1(z, y) for each interval y of ys, z the non-projective
+    interval at position q, by its minimal presentation off the index:
     0 -> Hom(z,y) -> Hom(P(z),y) -> Hom(Omega z,y) -> Ext^1(z,y) -> 0."""
-    val = _hom(alg, w, y) - _hom(alg, pz, y) + _hom(alg, z, y)
-    if val < 0:
-        raise InternalInconsistency(
-            f"negative Ext^1({z}, {y}) = {val} over {alg.lengths}"
-        )
-    return val
+    idx, indecs = _index(alg), indecomposables(alg)
+    z, w = indecs[q], indecs[idx.omega[q]]
+    pz = indecs[idx.projective_at(z.start)]
+    row = [_hom(alg, w, y) - _hom(alg, pz, y) + _hom(alg, z, y) for y in ys]
+    for y, val in zip(ys, row):
+        if val < 0:
+            raise InternalInconsistency(
+                f"negative Ext^1({z}, {y}) = {val} over {alg.lengths}"
+            )
+    return row
 
 
 def ext_dim(alg: KupischSeries, x, y, k: int) -> int:
@@ -197,15 +201,12 @@ def ext_dim(alg: KupischSeries, x, y, k: int) -> int:
     if k == 0:
         return hom_dim(alg, x, y)
     ys = _pieces(alg, y)
-    idx = _index(alg)
-    omega, indecs = idx.omega, indecomposables(alg)
+    omega = _index(alg).omega
     total = 0
     for p in _positions(alg, x):
-        p = _source(omega, p, k)
-        if p >= 0:
-            z, w = indecs[p], indecs[omega[p]]
-            pz = indecs[idx.projective_at(z.start)]
-            total += sum(_ext1(alg, z, w, pz, b) for b in ys)
+        q = _source(omega, p, k)
+        if q >= 0:
+            total += sum(_ext1(alg, q, ys))
     return total
 
 

@@ -7,9 +7,9 @@ convention).  Finite direct sums are multisets of intervals.
 
 Per-algebra tables, each built once by `core.per_algebra`, are plain
 lists over one integer index (`_index`): M(i, l) sits at position
-offset[i - 1] + l - 1 of indecomposables(alg).  `_position` and `_vertex`
-are the one validators of intervals and vertices from outside, and a zero
-Omega or Omega^- step in the index the one test for projective and injective.
+offset[i - 1] + l - 1 of indecomposables(alg).  `_position` and `core._vertex`
+are the one checks on intervals and vertices from outside, and a zero Omega
+or Omega^- step in the index the one test for projective and injective.
 Every module query takes an interval or a sum; only `socle_vertex` and
 `embeds_in` want an interval.
 """
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
 
-from .core import KupischSeries, per_algebra
+from .core import KupischSeries, _vertex, per_algebra
 from .errors import InternalInconsistency, NotAdmissible
 
 __all__ = [
@@ -188,21 +188,11 @@ def _positions(alg: KupischSeries, m) -> list[int]:
     return [_position(alg, piece) for piece in _split(m)]
 
 
-def _vertex(alg: KupischSeries, i) -> int:
-    """The one check on vertex arguments: i unchanged when it is a plain
-    int in 1..v, else NotAdmissible naming it (True is not vertex 1)."""
-    v = len(alg.lengths)
-    if type(i) is not int or not 1 <= i <= v:
-        raise NotAdmissible(f"vertex {i!r} outside 1..{v}")
-    return i
-
-
 # -- distinguished modules -------------------------------------------------
 
 
 def projective(alg: KupischSeries, i: int) -> IntervalModule:
-    """P_i = M(i, c_i)."""
-    i = _vertex(alg, i)
+    """P_i = M(i, c_i); loewy_length checks the vertex."""
     return IntervalModule(i, alg.loewy_length(i))
 
 
@@ -247,8 +237,7 @@ def is_injective(alg: KupischSeries, m) -> bool:
 
 def socle_vertex(alg: KupischSeries, m: IntervalModule) -> int:
     """The vertex of the simple socle of an interval; TypeError for a sum."""
-    _position(alg, m)
-    return alg.shift(m.start, m.length - 1)
+    return _index(alg).socle[_position(alg, m)]
 
 
 def dim_vector(alg: KupischSeries, m) -> tuple[int, ...]:

@@ -77,7 +77,7 @@ def _summands(alg: KupischSeries, m) -> tuple[IntervalModule, ...]:
     pieces = _split(m)
     for piece in pieces:
         inside = 1 <= piece.start <= alg.num_vertices
-        if not (inside and 1 <= piece.length <= alg.loewy_length(piece.start)):
+        if not (inside and 1 <= piece.length <= alg.lengths[piece.start - 1]):
             raise NotAdmissible(f"{piece} is not a module over {alg.lengths}")
     return pieces
 
@@ -216,7 +216,7 @@ def _hom_system(
         return [], offs, 0
     rows = []
     for u, ax in x.maps.items():
-        du, dt = u - 1, x.alg.shift(u, 1) - 1
+        du, dt = u - 1, u % v  # 0-based u and shift(u, 1)
         xt, xu, yt = x.dims[dt], x.dims[du], y.dims[dt]
         if not (xu and yt):
             continue  # both sides below are yt x xu matrices: no equations

@@ -6,19 +6,19 @@ from dataclasses import dataclass
 
 from .core import KupischSeries
 from .errors import InternalInconsistency, SearchSpaceTooLarge
-from .homology import _ext1, _source, ext_dim
+from .homology import _ext1, _source
 from .modules import (
     IntervalModule,
     ModuleSum,
     _Index,
     _index,
     _positions,
-    check_module,
     indecomposables,
-    injective,
-    projective,
 )
 from .notation import format_module
+
+# Unused here: perfbench/workloads.py traces ext_dim in this module.
+from .homology import ext_dim  # noqa: F401
 
 __all__ = [
     "PreclusterVerdict",
@@ -89,46 +89,47 @@ def is_precluster(alg: KupischSeries, members, n: int) -> PreclusterVerdict:
     tau_n and its inverse, and has no self-extensions in degrees
     1..n-1.  Functorial finiteness holds for free here (finitely many
     indecomposables), recorded in the note rather than re-checked.
-    Members that are not modules over `alg` raise NotAdmissible.
+    Members that are not modules over `alg` raise NotAdmissible.  They
+    are validated once, and the rest is read off the index: P_i at
+    projective_at(i), I(i) as the zero cosyzygy with socle i, tau_n and
+    tau_n^- by _tau_at, Ext^k by _ext1 from the member's _source.
     """
     if n < 1:
         raise ValueError("is_precluster wants n >= 1")
-    mset = frozenset(check_module(alg, ModuleSum.of(*members)))
-    ordered = tuple(sorted(mset))
+    held = sorted(set(_positions(alg, ModuleSum.of(*members))))
+    idx, indecs, mset = _index(alg), indecomposables(alg), set(held)
+    ordered = tuple(indecs[p] for p in held)
+    inj = {j: p for p, (j, z) in enumerate(zip(idx.socle, idx.coomega)) if z < 0}
     failures: list[dict] = []
     for i in alg.vertices():
-        p = projective(alg, i)
-        if p not in mset:
-            failures.append({"condition": "generator", "missing": format_module(p)})
-        inj = injective(alg, i)
-        if inj not in mset:
-            failures.append({"condition": "cogenerator", "missing": format_module(inj)})
-    for m in ordered:
-        for label, image in (
-            ("tau_n", tau_n(alg, m, n)),
-            ("tau_n_inverse", tau_n_inverse(alg, m, n)),
-        ):
-            stray = [piece for piece in image if piece not in mset]
-            if stray:
+        for label, p in (("generator", idx.projective_at(i)), ("cogenerator", inj[i])):
+            if p not in mset:
+                missing = format_module(indecs[p])
+                failures.append({"condition": label, "missing": missing})
+    for p in held:
+        for label, forward in (("tau_n", True), ("tau_n_inverse", False)):
+            q = _tau_at(idx, indecs, p, n, forward)
+            if q >= 0 and q not in mset:
                 failures.append(
                     {
                         "condition": label,
-                        "member": format_module(m),
-                        "escapes_to": format_module(ModuleSum.of(*stray)),
+                        "member": format_module(indecs[p]),
+                        "escapes_to": format_module(indecs[q]),
                     }
                 )
-    for x in ordered:
-        for y in ordered:
-            for k in range(1, n):
-                val = ext_dim(alg, x, y, k)
-                if val:
+    for p in held:
+        sources = ((k, _source(idx.omega, p, k)) for k in range(1, n))
+        rows = [(k, _ext1(alg, q, ordered)) for k, q in sources if q >= 0]
+        for j, y in enumerate(ordered):
+            for k, row in rows:
+                if row[j]:
                     failures.append(
                         {
                             "condition": "ext-vanishing",
-                            "source": format_module(x),
+                            "source": format_module(indecs[p]),
                             "target": format_module(y),
                             "degree": k,
-                            "dim": val,
+                            "dim": row[j],
                         }
                     )
     return PreclusterVerdict(
@@ -148,8 +149,7 @@ def _member_masks(alg: KupischSeries, n: int) -> tuple[list[int], list[int]]:
     are built with `|`: tau_n and tau_n^- of one interval can coincide.
     Ext^k(p, -) is the Ext^1 row of its source Omega^(k-1)(p), and many
     p share a source, so each row is computed once."""
-    idx = _index(alg)
-    indecs = indecomposables(alg)
+    idx, indecs = _index(alg), indecomposables(alg)
     need, ext, rows = [0] * len(indecs), [0] * len(indecs), {}
     for p in range(len(indecs)):
         for q in (_tau_at(idx, indecs, p, n, True), _tau_at(idx, indecs, p, n, False)):
@@ -160,11 +160,7 @@ def _member_masks(alg: KupischSeries, n: int) -> tuple[list[int], list[int]]:
             if q < 0:
                 break
             if q not in rows:
-                z, w = indecs[q], indecs[idx.omega[q]]
-                pz = indecs[idx.projective_at(z.start)]
-                rows[q] = sum(
-                    1 << j for j, y in enumerate(indecs) if _ext1(alg, z, w, pz, y)
-                )
+                rows[q] = sum(1 << j for j, d in enumerate(_ext1(alg, q, indecs)) if d)
             ext[p] |= rows[q]
     clash = ext[:]
     for p, row in enumerate(ext):
@@ -202,7 +198,10 @@ def search_precluster(
     (charged before they are built), plus the nodes the walk examines;
     past it, SearchSpaceTooLarge.  Cross-check: is_precluster re-decides
     every set that passes, and a disagreement raises
-    InternalInconsistency.
+    InternalInconsistency.  It shares _tau_at, _source, _ext1 and the
+    index with the masks, so it guards the masks, their unions and the
+    walk; the kernels themselves are checked by the tests
+    (test_is_oracle_tau_of_syzygy, TestMemberMasks, the oracle tests).
     """
     if n < 1:
         raise ValueError("search_precluster wants n >= 1")

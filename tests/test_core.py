@@ -314,6 +314,21 @@ class TestBasics:
         assert a.total_dim == 10
         assert list(a.vertices()) == [1, 2, 3]
 
+    @pytest.mark.parametrize(
+        "lengths, cyclic, call",
+        [
+            ((3, 3, 4), True, lambda a: a.loewy_length(0)),
+            ((3, 3, 4), True, lambda a: a.loewy_length(-1)),
+            ((3, 3, 4), True, lambda a: a.shift(0, 1)),
+            ((3, 3, 3, 3, 2, 1), False, lambda a: a.loewy_length(0)),
+        ],
+        ids=["cyclic loewy 0", "cyclic loewy -1", "cyclic shift 0", "linear loewy 0"],
+    )
+    def test_vertex_outside_the_quiver_refused(self, lengths, cyclic, call):
+        # Python would read lengths[-1] and lengths[-2] for vertices 0 and -1.
+        with pytest.raises(NotAdmissible, match="outside 1.."):
+            call(KupischSeries.validate(list(lengths), cyclic))
+
     def test_series_is_hashable_value(self):
         a1 = KupischSeries.validate([3, 3, 4], True)
         a2 = KupischSeries.validate([4, 3, 3], True)

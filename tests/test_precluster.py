@@ -7,8 +7,8 @@ Getting the direction wrong here silently flips every downstream verdict.
 
 from __future__ import annotations
 
-import functools
 import itertools
+import random
 import re
 import time
 
@@ -22,6 +22,7 @@ from nakayama import (
     KupischSeries,
     ModuleSum,
     NotAdmissible,
+    PreclusterVerdict,
     SearchSpaceTooLarge,
     ar_translate,
     ar_translate_inverse,
@@ -40,7 +41,7 @@ from nakayama import (
     tau_n_inverse,
 )
 import nakayama.precluster as precluster_module
-from nakayama.modules import _position
+from nakayama.modules import _position, check_module
 from nakayama.precluster import _forced, _member_masks
 
 CYCLIC = KupischSeries.validate([3, 3, 4], True)
@@ -211,6 +212,86 @@ class TestIsPrecluster:
             search_precluster(CYCLIC, 0)
 
 
+def reference_is_precluster(alg, members, n):
+    """is_precluster from the public, validating routes: projective and
+    injective from the length formulas, tau_n and tau_n_inverse per
+    member, and ext_dim per ordered pair of members and degree."""
+    mset = frozenset(check_module(alg, ModuleSum.of(*members)))
+    ordered = tuple(sorted(mset))
+    failures = []
+    for i in alg.vertices():
+        p = projective(alg, i)
+        if p not in mset:
+            failures.append({"condition": "generator", "missing": format_module(p)})
+        inj = injective(alg, i)
+        if inj not in mset:
+            failures.append({"condition": "cogenerator", "missing": format_module(inj)})
+    for m in ordered:
+        for label, image in (
+            ("tau_n", tau_n(alg, m, n)),
+            ("tau_n_inverse", tau_n_inverse(alg, m, n)),
+        ):
+            stray = [piece for piece in image if piece not in mset]
+            if stray:
+                failures.append(
+                    {
+                        "condition": label,
+                        "member": format_module(m),
+                        "escapes_to": format_module(ModuleSum.of(*stray)),
+                    }
+                )
+    for x in ordered:
+        for y in ordered:
+            for k in range(1, n):
+                val = ext_dim(alg, x, y, k)
+                if val:
+                    failures.append(
+                        {
+                            "condition": "ext-vanishing",
+                            "source": format_module(x),
+                            "target": format_module(y),
+                            "degree": k,
+                            "dim": val,
+                        }
+                    )
+    return PreclusterVerdict(
+        ok=not failures,
+        n=n,
+        members=ordered,
+        failures=tuple(failures),
+        note="functorial finiteness automatic: finitely many indecomposables",
+    )
+
+
+class TestIsPreclusterDifferential:
+    def test_matches_public_routes_on_random_sets(self):
+        # Half the draws hold the projectives and injectives, so that the
+        # tau_n and Ext conditions also decide some verdicts alone; members
+        # come shuffled, some twice.
+        checked, passed, conditions = 0, 0, set()
+        for alg in enumerate_admissible(4, 6):
+            indecs = indecomposables(alg)
+            forced = [indecs[p] for p in _forced(alg)]
+            for n in (1, 2, 3):
+                rng = random.Random(f"{alg.lengths}{alg.cyclic}{n}")
+                for draw in range(8):
+                    members = [m for m in indecs if rng.random() < 0.6]
+                    if draw % 2:
+                        members += forced
+                    members += rng.choices(indecs, k=2)
+                    rng.shuffle(members)
+                    verdict = is_precluster(alg, members, n)
+                    want = reference_is_precluster(alg, members, n)
+                    assert verdict == want, (alg, n, members)
+                    checked += 1
+                    passed += verdict.ok
+                    conditions.update(f["condition"] for f in verdict.failures)
+        assert checked == 1776
+        assert passed and conditions == {
+            "generator", "cogenerator", "tau_n", "tau_n_inverse", "ext-vanishing",
+        }
+
+
 class TestSearch:
     def test_frozen_candidates_degree_one(self):
         cands = search_precluster(CYCLIC, 1)
@@ -278,18 +359,12 @@ def reference_search(alg, n, max_extra=None):
 class TestSearchDifferential:
     POOL = enumerate_admissible(4, 5)
 
-    def test_matches_subset_loop(self, monkeypatch):
+    def test_matches_subset_loop(self):
         # On the one-vertex cyclic algebras tau_n and tau_n^- of an
         # interval can coincide, which a mask built by `sum` gets wrong.
         assert {a.lengths for a in self.POOL if a.cyclic and a.num_vertices == 1} == {
             (2,), (3,), (4,), (5,)
         }
-        # The reference loop asks is_precluster about 8k subsets.  The Ext
-        # and tau_n kernels it looks up through nakayama.precluster are
-        # pure, so they are memoised here to keep the test near 2 s.
-        for name in ("ext_dim", "tau_n", "tau_n_inverse"):
-            kernel = getattr(precluster_module, name)
-            monkeypatch.setattr(precluster_module, name, functools.cache(kernel))
         for alg in self.POOL:
             for n in (1, 2, 3):
                 if len(_extras(alg)) <= 8:
