@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import random
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .core import ExtendedNat, KupischSeries
+from .core import ExtendedNat, KupischSeries, per_algebra
 from .errors import PreconditionFailed
 from .homology import (
     _finite_degree,
@@ -23,20 +24,15 @@ from .homology import (
     regular_id,
     regular_id_left,
 )
-from .modules import (
-    _index,
-    _torsionless,
-    indecomposables,
-    injective,
-)
+from .modules import _index, _torsionless, injective
 
 # The verifiers read the per-algebra position tables directly.  These
 # names stay bound here because perfbench/workloads.py traces them in
 # this module.
 from .homology import _gpd1, gpd, pd  # noqa: F401
-from .modules import in_sub_lambda, is_injective, is_projective  # noqa: F401
-from .modules import projective, simple, socle  # noqa: F401
-from .notation import format_interval, format_module
+from .modules import in_sub_lambda, indecomposables, is_injective  # noqa: F401
+from .modules import is_projective, projective, simple, socle  # noqa: F401
+from .notation import format_module, interval_text
 
 __all__ = [
     "ClassificationReport",
@@ -97,11 +93,12 @@ def n_auslander_parameter(alg: KupischSeries) -> int | None:
     return _least_level(alg, gldim(alg), 0)
 
 
+@per_algebra
 def prinj_vertices(alg: KupischSeries) -> tuple[int, ...]:
     """Vertices whose indecomposable projective is also injective, that
     is, has zero cosyzygy."""
     idx = _index(alg)
-    return tuple(i for i in alg.vertices() if idx.coomega[idx.projective_at(i)] < 0)
+    return tuple(i for i, p in enumerate(idx.offset[1:], 1) if idx.coomega[p - 1] < 0)
 
 
 # -- verifier verdicts ----------------------------------------------------------
@@ -179,6 +176,12 @@ def verify_thm_prinj(alg: KupischSeries, n: int) -> VerifierResult:
 # -- verifier: Gpd <= n versus socle and embedding -------------------------------
 
 
+def _text(offset: list[int], p: int) -> str:
+    """The text of the interval at position p of the index's offsets."""
+    i = bisect_right(offset, p)
+    return interval_text(i, p - offset[i - 1] + 1)
+
+
 def _sample_positions(alg: KupischSeries, seed: int, tag: str) -> list[list[int]]:
     """Deterministic small batch of 2- and 3-term direct sums, each as
     the positions of its summands in indecomposables(alg): 12 pairs and
@@ -200,37 +203,46 @@ def verify_thm_gp_socle_sub(
     torsionless).  Each leg of a sum is a max or an all over its
     summands, so the AND of their codes holds the sum's legs, and the
     module passes when that AND is 0 or 7.  Only a witness gets its
-    fields and its text."""
+    fields, and its text comes from its positions: an indecomposable's
+    from its own (i, l), a summand's from the index's offsets."""
     _require_precluster_level(n)
     gpd_of = _gpd_table(alg)
     idx = _index(alg)
+    offset, socle_at = idx.offset, idx.socle
     sub = _torsionless(alg)
-    socle_gpd = [0] + [gpd_of[idx.simple_at(j)] for j in alg.vertices()]
+    socle_gpd = [0] + [gpd_of[p] for p in offset[:-1]]
     code = [
         (g <= n) | (socle_gpd[j] <= n) << 1 | sub[j] << 2
-        for g, j in zip(gpd_of, idx.socle)
+        for g, j in zip(gpd_of, socle_at)
     ]
-    mods = [(p,) for p in range(len(code))]
-    mods.extend(_sample_positions(alg, seed, "gp-socle-sub"))
     witnesses = []
-    for pieces in mods:
+    for i, (base, c) in enumerate(zip(offset, alg.lengths), 1):
+        for l, p in enumerate(range(base, base + c), 1):
+            if code[p] not in (0, 7):
+                witnesses.append(
+                    {
+                        "module": interval_text(i, l),
+                        "gpd": gpd_of[p],
+                        "socle_gpd": socle_gpd[socle_at[p]],
+                        "in_sub_lambda": bool(code[p] & 4),
+                    }
+                )
+    sums = _sample_positions(alg, seed, "gp-socle-sub")
+    for pieces in sums:
         bits = 7
         for p in pieces:
             bits &= code[p]
         if bits not in (0, 7):
-            indecs = indecomposables(alg)
             witnesses.append(
                 {
-                    "module": "+".join(
-                        format_interval(indecs[p]) for p in sorted(pieces)
-                    ),
+                    "module": "+".join(_text(offset, p) for p in sorted(pieces)),
                     "gpd": max(gpd_of[p] for p in pieces),
-                    "socle_gpd": max(socle_gpd[idx.socle[p]] for p in pieces),
+                    "socle_gpd": max(socle_gpd[socle_at[p]] for p in pieces),
                     "in_sub_lambda": bool(bits & 4),
                 }
             )
     return VerifierResult(
-        "gp-socle-sub", n, not witnesses, len(mods), tuple(witnesses)
+        "gp-socle-sub", n, not witnesses, len(code) + len(sums), tuple(witnesses)
     )
 
 
@@ -283,37 +295,41 @@ def verify_ses_gpd_bounds(alg: KupischSeries) -> VerifierResult:
     """For every interval module Y and every proper radical layer cut
     0 -> X -> Y -> Z -> 0 (X = rad^s Y, Z = Y/rad^s Y), check:
     Gpd Y <= max(Gpd X, Gpd Z), Gpd X <= max(Gpd Y, Gpd Z - 1),
-    Gpd Z <= max(Gpd Y, Gpd X + 1)."""
+    Gpd Z <= max(Gpd Y, Gpd X + 1).  The walk takes (base, c) off the
+    index's offsets and the Kupisch lengths, base the position of S(i),
+    and Y = M(i, l) at py = base + l - 1.  A witness's text comes from
+    the positions of its three terms."""
     gpd_of = _gpd_table(alg)
     idx = _index(alg)
-    indecs = indecomposables(alg)
+    offset, socle_at = idx.offset, idx.socle
     checked = 0
     witnesses = []
-    for py, y in enumerate(indecs):
-        base = idx.simple_at(y.start)
-        for s in range(1, y.length):
-            # X = rad^s Y starts at the socle vertex of M(start, s + 1)
-            px = idx.simple_at(idx.socle[base + s]) + y.length - s - 1
-            pz = base + s - 1
-            gx, gy, gz = gpd_of[px], gpd_of[py], gpd_of[pz]
-            checked += 1
-            bad = []
-            if gy > gx and gy > gz:
-                bad.append("middle")
-            if gx > gy and gx >= gz:
-                bad.append("sub")
-            if gz > gy and gz > gx + 1:
-                bad.append("quotient")
-            if bad:
-                witnesses.append(
-                    {
-                        "sub": format_module(indecs[px]),
-                        "middle": format_module(y),
-                        "quotient": format_module(indecs[pz]),
-                        "gpd": [gx, gy, gz],
-                        "violates": bad,
-                    }
-                )
+    for base, c in zip(offset, alg.lengths):
+        for py in range(base + 1, base + c):
+            gy = gpd_of[py]
+            for s in range(1, py - base + 1):
+                # X = rad^s Y starts at the socle vertex of M(i, s + 1)
+                px = offset[socle_at[base + s] - 1] + py - base - s
+                pz = base + s - 1
+                gx, gz = gpd_of[px], gpd_of[pz]
+                bad = []
+                if gy > gx and gy > gz:
+                    bad.append("middle")
+                if gx > gy and gx >= gz:
+                    bad.append("sub")
+                if gz > gy and gz > gx + 1:
+                    bad.append("quotient")
+                if bad:
+                    witnesses.append(
+                        {
+                            "sub": _text(offset, px),
+                            "middle": _text(offset, py),
+                            "quotient": _text(offset, pz),
+                            "gpd": [gx, gy, gz],
+                            "violates": bad,
+                        }
+                    )
+            checked += py - base
     return VerifierResult(
         "lemma22", None, not witnesses, checked, tuple(witnesses)
     )
@@ -379,7 +395,7 @@ class ClassificationReport:
 def classify(alg: KupischSeries, seed: int = 0) -> ClassificationReport:
     """Compute every headline invariant plus theorem verdicts for one algebra."""
     g = gorenstein_degree(alg)
-    simples = list(map(_index(alg).simple_at, alg.vertices()))
+    simples = _index(alg).offset[:-1]
     if g.is_finite:
         gpd_of = _gpd_table(alg)
         simple_gpd = tuple(gpd_of[p] for p in simples)

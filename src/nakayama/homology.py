@@ -127,15 +127,17 @@ def idim(alg: KupischSeries, m) -> ExtendedNat:
     return _max_depth(_id_table(alg), _positions(alg, m))
 
 
+@per_algebra
 def gldim(alg: KupischSeries) -> ExtendedNat:
-    idx = _index(alg)
-    return _max_depth(_pd_table(alg), map(idx.simple_at, alg.vertices()))
+    """The largest pd at the simples."""
+    return _max_depth(_pd_table(alg), _index(alg).offset[:-1])
 
 
+@per_algebra
 def regular_id(alg: KupischSeries) -> ExtendedNat:
-    """Injective dimension of the algebra as a right module over itself."""
-    idx = _index(alg)
-    return _max_depth(_id_table(alg), map(idx.projective_at, alg.vertices()))
+    """Injective dimension of the algebra as a right module over itself:
+    the largest id at the projectives."""
+    return _max_depth(_id_table(alg), (p - 1 for p in _index(alg).offset[1:]))
 
 
 @per_algebra
@@ -160,7 +162,7 @@ def domdim(alg: KupischSeries) -> ExtendedNat:
         for p, (z, j) in enumerate(zip(idx.coomega, idx.socle))
     ]
     depths = _depths(succ)
-    lead = [depths[idx.projective_at(i)] for i in alg.vertices()]
+    lead = [depths[p - 1] for p in idx.offset[1:]]
     return min((ExtendedNat(k) for k in lead if k is not None), default=INFINITY)
 
 

@@ -338,9 +338,9 @@ def _torsionless(alg: KupischSeries) -> list[bool]:
     """
     idx = _index(alg)
     longest = [0] * (alg.num_vertices + 1)
-    for i in alg.vertices():
-        j = idx.socle[idx.projective_at(i)]
-        longest[j] = max(longest[j], alg.loewy_length(i))
+    for c, p in zip(alg.lengths, idx.offset[1:]):
+        j = idx.socle[p - 1]  # the socle of P_i, at position p - 1
+        longest[j] = max(longest[j], c)
     d, v = alg.injective_lengths(), alg.num_vertices
     verdict = [False]
     for j in alg.vertices():

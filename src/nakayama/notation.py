@@ -23,10 +23,13 @@ _TERM_RE = re.compile(
 )
 
 
+def interval_text(start: int, length: int) -> str:
+    """The one text of an interval: S(i) for length 1, else M(i,l)."""
+    return f"S({start})" if length == 1 else f"M({start},{length})"
+
+
 def format_interval(m: IntervalModule) -> str:
-    if m.length == 1:
-        return f"S({m.start})"
-    return f"M({m.start},{m.length})"
+    return interval_text(m.start, m.length)
 
 
 def format_module(m) -> str:

@@ -38,8 +38,12 @@ from nakayama import (
     verify_thm_gp_socle_sub,
     verify_thm_prinj,
 )
-from nakayama.classify import REPORT_KEYS, _sample_positions
+from nakayama.classify import REPORT_KEYS, VerifierResult, _sample_positions
+from nakayama.notation import format_interval, interval_text
 from nakayama.cli import _sweep_violations
+
+# the package attribute `classify` is the function, not the module
+classify_tables = sys.modules["nakayama.classify"]
 
 CYCLIC = KupischSeries.validate([3, 3, 4], True)
 LINEAR = KupischSeries.validate([3, 3, 3, 3, 2, 1], False)
@@ -461,3 +465,147 @@ def test_lemma22_conditions_match_max_forms(monkeypatch):
         table[:] = [gz, gy, gx]
         got = verify_ses_gpd_bounds(alg).to_json()
         assert got == reference_ses_gpd_bounds(alg, dict(zip(indecs, table)))
+
+
+# -- the sweep path on positions ---------------------------------------------------
+
+
+def reference_verify_gp_socle_sub(alg, n, seed=0):
+    """The former verify_thm_gp_socle_sub: the same position codes, with
+    the witness text written from indecomposables(alg)."""
+    gpd_of = classify_tables._gpd_table(alg)
+    idx = classify_tables._index(alg)
+    sub = classify_tables._torsionless(alg)
+    socle_gpd = [0] + [gpd_of[idx.simple_at(j)] for j in alg.vertices()]
+    code = [
+        (g <= n) | (socle_gpd[j] <= n) << 1 | sub[j] << 2
+        for g, j in zip(gpd_of, idx.socle)
+    ]
+    mods = [(p,) for p in range(len(code))]
+    mods.extend(_sample_positions(alg, seed, "gp-socle-sub"))
+    witnesses = []
+    for pieces in mods:
+        bits = 7
+        for p in pieces:
+            bits &= code[p]
+        if bits not in (0, 7):
+            indecs = indecomposables(alg)
+            witnesses.append(
+                {
+                    "module": "+".join(
+                        format_interval(indecs[p]) for p in sorted(pieces)
+                    ),
+                    "gpd": max(gpd_of[p] for p in pieces),
+                    "socle_gpd": max(socle_gpd[idx.socle[p]] for p in pieces),
+                    "in_sub_lambda": bool(bits & 4),
+                }
+            )
+    return VerifierResult(
+        "gp-socle-sub", n, not witnesses, len(mods), tuple(witnesses)
+    )
+
+
+def reference_verify_ses_gpd_bounds(alg):
+    """The former verify_ses_gpd_bounds: Y read off indecomposables(alg)."""
+    gpd_of = classify_tables._gpd_table(alg)
+    idx = classify_tables._index(alg)
+    indecs = indecomposables(alg)
+    checked = 0
+    witnesses = []
+    for py, y in enumerate(indecs):
+        base = idx.simple_at(y.start)
+        for s in range(1, y.length):
+            px = idx.simple_at(idx.socle[base + s]) + y.length - s - 1
+            pz = base + s - 1
+            gx, gy, gz = gpd_of[px], gpd_of[py], gpd_of[pz]
+            checked += 1
+            bad = []
+            if gy > gx and gy > gz:
+                bad.append("middle")
+            if gx > gy and gx >= gz:
+                bad.append("sub")
+            if gz > gy and gz > gx + 1:
+                bad.append("quotient")
+            if bad:
+                witnesses.append(
+                    {
+                        "sub": format_module(indecs[px]),
+                        "middle": format_module(y),
+                        "quotient": format_module(indecs[pz]),
+                        "gpd": [gx, gy, gz],
+                        "violates": bad,
+                    }
+                )
+    return VerifierResult(
+        "lemma22", None, not witnesses, checked, tuple(witnesses)
+    )
+
+
+POOL_6_8 = enumerate_admissible(6, 8)
+
+
+def test_position_verifiers_match_former_bodies():
+    """Every Gorenstein algebra of the 6/8 pool at every level n in
+    0..g-1 (n = 0 when g = 0) and seeds 0, 7 and 1802: the position
+    verifiers give the former verdicts and witness text."""
+    levels = failing = sums = 0
+    for alg in POOL_6_8:
+        g = gorenstein_degree(alg)
+        if not g.is_finite:
+            continue
+        for n in range(max(g.value, 1)):
+            for seed in (0, 7, 1802):
+                got = verify_thm_gp_socle_sub(alg, n, seed).to_json()
+                want = reference_verify_gp_socle_sub(alg, n, seed).to_json()
+                assert got == want, (alg, n, seed)
+                levels += 1
+                failing += got["status"] == "fail"
+                sums += any("+" in w["module"] for w in got["witnesses"])
+        got = verify_ses_gpd_bounds(alg).to_json()
+        assert got == reference_verify_ses_gpd_bounds(alg).to_json(), alg
+    assert levels > 0 and 0 < failing < levels and sums > 0
+
+
+def test_position_text_is_format_interval():
+    """At every position of the 6/8 pool the text read off the index's
+    offsets is format_interval of the interval there."""
+    for alg in POOL_6_8:
+        offset = classify_tables._index(alg).offset
+        for p, m in enumerate(indecomposables(alg)):
+            assert classify_tables._text(offset, p) == format_interval(m), (alg, p)
+            assert interval_text(m.start, m.length) == format_interval(m)
+
+
+def test_lemma22_position_witnesses_match_former_body(monkeypatch):
+    """Raised Gpd tables over a few algebras: the lemma's position walk
+    reports the former body's witnesses, sub, middle and quotient text
+    included."""
+    for lengths, cyclic in (([3, 3, 3, 3, 2, 1], False), ([3, 3, 4], True)):
+        alg = KupischSeries.validate(lengths, cyclic)
+        table = list(classify_tables._gpd_table(alg))
+        monkeypatch.setattr(classify_tables, "_gpd_table", lambda _alg: table)
+        for p in range(len(table)):
+            table[p] += 10
+            got = verify_ses_gpd_bounds(alg).to_json()
+            assert got == reference_verify_ses_gpd_bounds(alg).to_json(), (alg, p)
+            assert got["witnesses"], (alg, p)
+            table[p] -= 10
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("seed", [0, 1802])
+def test_classify_builds_no_interval_table(monkeypatch, seed):
+    """The sweep path reads positions only: classify runs on all 664
+    algebras of the 6/8 pool with indecomposables refused wherever the
+    classifier, the module tables and the homology tables could call
+    it."""
+
+    def refuse(alg):
+        raise AssertionError(f"indecomposables({alg.lengths}) on the sweep path")
+
+    for name in ("nakayama.classify", "nakayama.modules", "nakayama.homology"):
+        monkeypatch.setattr(sys.modules[name], "indecomposables", refuse)
+    pool = enumerate_admissible(6, 8)
+    assert len(pool) == 664
+    for alg in pool:
+        classify(alg, seed)
