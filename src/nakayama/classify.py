@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 import zlib
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .core import ExtendedNat, KupischSeries, per_algebra
@@ -24,15 +23,15 @@ from .homology import (
     regular_id,
     regular_id_left,
 )
-from .modules import _index, _torsionless, injective
+from .modules import _index, _injectives, _interval_at, _torsionless
 
 # The verifiers read the per-algebra position tables directly.  These
 # names stay bound here because perfbench/workloads.py traces them in
 # this module.
 from .homology import _gpd1, gpd, pd  # noqa: F401
 from .modules import in_sub_lambda, indecomposables, is_injective  # noqa: F401
-from .modules import is_projective, projective, simple, socle  # noqa: F401
-from .notation import format_module, interval_text
+from .modules import injective, is_projective, projective, simple, socle  # noqa: F401
+from .notation import interval_text
 
 __all__ = [
     "ClassificationReport",
@@ -151,19 +150,17 @@ def verify_thm_prinj(alg: KupischSeries, n: int) -> VerifierResult:
             f"self-injective algebra; {alg.lengths} has degree {g}"
         )
     gpd_of = _gpd_table(alg)
-    idx = _index(alg)
-    # I(j) is projective exactly when socle-j intervals are torsionless
-    inj_is_proj = _torsionless(alg)
+    idx, inj = _index(alg), _injectives(alg)
     witnesses = []
     for j in alg.vertices():
-        lhs = inj_is_proj[j]
+        lhs = idx.omega[inj[j]] < 0  # I(j) is projective: zero syzygy
         socle_gpd = gpd_of[idx.simple_at(j)]
         rhs = socle_gpd <= n
         if lhs != rhs:
             witnesses.append(
                 {
                     "vertex": j,
-                    "injective": format_module(injective(alg, j)),
+                    "injective": interval_text(*_interval_at(idx.offset, inj[j])),
                     "injective_is_projective": lhs,
                     "socle_gpd": socle_gpd,
                 }
@@ -174,12 +171,6 @@ def verify_thm_prinj(alg: KupischSeries, n: int) -> VerifierResult:
 
 
 # -- verifier: Gpd <= n versus socle and embedding -------------------------------
-
-
-def _text(offset: list[int], p: int) -> str:
-    """The text of the interval at position p of the index's offsets."""
-    i = bisect_right(offset, p)
-    return interval_text(i, p - offset[i - 1] + 1)
 
 
 def _sample_positions(alg: KupischSeries, seed: int, tag: str) -> list[list[int]]:
@@ -235,7 +226,9 @@ def verify_thm_gp_socle_sub(
         if bits not in (0, 7):
             witnesses.append(
                 {
-                    "module": "+".join(_text(offset, p) for p in sorted(pieces)),
+                    "module": "+".join(
+                        interval_text(*_interval_at(offset, p)) for p in sorted(pieces)
+                    ),
                     "gpd": max(gpd_of[p] for p in pieces),
                     "socle_gpd": max(socle_gpd[socle_at[p]] for p in pieces),
                     "in_sub_lambda": bool(bits & 4),
@@ -322,9 +315,9 @@ def verify_ses_gpd_bounds(alg: KupischSeries) -> VerifierResult:
                 if bad:
                     witnesses.append(
                         {
-                            "sub": _text(offset, px),
-                            "middle": _text(offset, py),
-                            "quotient": _text(offset, pz),
+                            "sub": interval_text(*_interval_at(offset, px)),
+                            "middle": interval_text(*_interval_at(offset, py)),
+                            "quotient": interval_text(*_interval_at(offset, pz)),
                             "gpd": [gx, gy, gz],
                             "violates": bad,
                         }

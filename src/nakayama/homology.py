@@ -26,14 +26,15 @@ from .modules import (
     ModuleSum,
     _hom,
     _index,
-    _pieces,
+    _injectives,
+    _interval_at,
     _position,
     _positions,
     _split,
+    _sum_at,
     _torsionless,
     check_module,
     hom_dim,
-    indecomposables,
     injective_envelope,
     projective_cover,
 )
@@ -64,9 +65,7 @@ __all__ = [
 def _step(alg: KupischSeries, succ: list[int], m) -> ModuleSum:
     """The nonzero successors of m's summands in succ, the index's omega
     or coomega."""
-    indecs = indecomposables(alg)
-    steps = [succ[p] for p in _positions(alg, m)]
-    return ModuleSum.of(*(indecs[q] for q in steps if q >= 0))
+    return _sum_at(_index(alg).offset, [succ[p] for p in _positions(alg, m)])
 
 
 def syzygy(alg: KupischSeries, m) -> ModuleSum:
@@ -144,8 +143,7 @@ def regular_id(alg: KupischSeries) -> ExtendedNat:
 def regular_id_left(alg: KupischSeries) -> ExtendedNat:
     """Injective dimension as a left module: by the duality D, id(_A A) =
     pd(D(A)_A), the largest pd at the injectives (zero cosyzygy)."""
-    injectives = (p for p, z in enumerate(_index(alg).coomega) if z < 0)
-    return _max_depth(_pd_table(alg), injectives)
+    return _max_depth(_pd_table(alg), _injectives(alg).values())
 
 
 @per_algebra
@@ -180,19 +178,25 @@ def _source(succ: list[int], p: int, k: int) -> int:
     return p if succ[p] >= 0 else -1
 
 
-def _ext1(alg: KupischSeries, q: int, ys) -> list[int]:
-    """dim Ext^1(z, y) for each interval y of ys, z the non-projective
-    interval at position q, by its minimal presentation off the index:
+def _ext1(alg: KupischSeries, q: int, targets) -> list[int]:
+    """dim Ext^1(z, y) for the interval y at each position of targets, z
+    the non-projective interval at position q, by its minimal presentation
+    off the index, with z, Omega z and P(z) = M(zs, c) read once per row:
     0 -> Hom(z,y) -> Hom(P(z),y) -> Hom(Omega z,y) -> Ext^1(z,y) -> 0."""
-    idx, indecs = _index(alg), indecomposables(alg)
-    z, w = indecs[q], indecs[idx.omega[q]]
-    pz = indecs[idx.projective_at(z.start)]
-    row = [_hom(alg, w, y) - _hom(alg, pz, y) + _hom(alg, z, y) for y in ys]
-    for y, val in zip(ys, row):
+    idx = _index(alg)
+    offset = idx.offset
+    zs, zl = _interval_at(offset, q)
+    ws, wl = _interval_at(offset, idx.omega[q])
+    c = alg.lengths[zs - 1]
+    row = []
+    for y in targets:
+        s, l = _interval_at(offset, y)
+        val = _hom(alg, ws, wl, s, l) - _hom(alg, zs, c, s, l) + _hom(alg, zs, zl, s, l)
         if val < 0:
             raise InternalInconsistency(
-                f"negative Ext^1({z}, {y}) = {val} over {alg.lengths}"
+                f"negative Ext^1(M({zs},{zl}), M({s},{l})) = {val} over {alg.lengths}"
             )
+        row.append(val)
     return row
 
 
@@ -202,13 +206,13 @@ def ext_dim(alg: KupischSeries, x, y, k: int) -> int:
         raise ValueError("ext_dim wants k >= 0")
     if k == 0:
         return hom_dim(alg, x, y)
-    ys = _pieces(alg, y)
+    targets = _positions(alg, y)
     omega = _index(alg).omega
     total = 0
     for p in _positions(alg, x):
         q = _source(omega, p, k)
         if q >= 0:
-            total += sum(_ext1(alg, q, ys))
+            total += sum(_ext1(alg, q, targets))
     return total
 
 
@@ -272,9 +276,8 @@ def is_gorenstein_projective(alg: KupischSeries, m) -> bool:
 
 def gp_census(alg: KupischSeries) -> tuple[IntervalModule, ...]:
     """All Gorenstein projective indecomposables, sorted."""
-    return tuple(
-        m for m, k in zip(indecomposables(alg), _gpd_table(alg)) if k == 0
-    )
+    gp = [p for p, k in enumerate(_gpd_table(alg)) if k == 0]
+    return _sum_at(_index(alg).offset, gp).summands
 
 
 # -- explicit resolutions -----------------------------------------------------

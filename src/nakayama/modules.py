@@ -10,12 +10,14 @@ lists over one integer index (`_index`): M(i, l) sits at position
 offset[i - 1] + l - 1 of indecomposables(alg).  `_position` and `core._vertex`
 are the one checks on intervals and vertices from outside, and a zero Omega
 or Omega^- step in the index the one test for projective and injective.
-Every module query takes an interval or a sum; only `socle_vertex` and
-`embeds_in` want an interval.
+Public queries take an interval or a sum (only `socle_vertex` and
+`embeds_in` want an interval).  Inside, a module is its position, and
+`_interval_at` reads its (start, length) back only for text and results.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
@@ -143,9 +145,6 @@ class _Index:
     def simple_at(self, i: int) -> int:
         return self.offset[i - 1]
 
-    def projective_at(self, i: int) -> int:
-        return self.offset[i] - 1
-
 
 @per_algebra
 def _index(alg: KupischSeries) -> _Index:
@@ -186,6 +185,25 @@ def _position(alg: KupischSeries, m: IntervalModule) -> int:
 def _positions(alg: KupischSeries, m) -> list[int]:
     """Positions of the summands of an interval module or sum."""
     return [_position(alg, piece) for piece in _split(m)]
+
+
+def _interval_at(offset: list[int], p: int) -> tuple[int, int]:
+    """(start, length) of the interval at position p, off the offsets."""
+    i = bisect_right(offset, p)
+    return i, p - offset[i - 1] + 1
+
+
+def _sum_at(offset: list[int], positions) -> ModuleSum:
+    """The sum of the intervals at the positions; -1 stands for zero."""
+    pieces = (IntervalModule(*_interval_at(offset, p)) for p in positions if p >= 0)
+    return ModuleSum.of(*pieces)
+
+
+@per_algebra
+def _injectives(alg: KupischSeries) -> dict[int, int]:
+    """Position of I(j) by socle vertex j: the zero cosyzygy with socle j."""
+    idx = _index(alg)
+    return {j: p for p, (j, z) in enumerate(zip(idx.socle, idx.coomega)) if z < 0}
 
 
 # -- distinguished modules -------------------------------------------------
@@ -374,21 +392,21 @@ def hom_dim(alg: KupischSeries, x, y) -> int:
     total = 0
     for a in xs:
         for b in ys:
-            total += _hom(alg, a, b)
+            total += _hom(alg, a.start, a.length, b.start, b.length)
     return total
 
 
-def _hom(alg: KupischSeries, x: IntervalModule, y: IntervalModule) -> int:
-    """hom_dim of two intervals known to be modules over alg.
+def _hom(alg: KupischSeries, xs: int, xl: int, ys: int, yl: int) -> int:
+    """dim Hom(x, y) for x = M(xs, xl), y = M(ys, yl) modules over alg.
 
     A nonzero hom between uniserials factors as quotient-then-submodule:
     a length-t top part of x matching the length-t bottom part of y, one
-    dimension for each t in 1..min(l, m) where that bottom part starts at
-    x.start.  That is t = t0 = y.start + y.length - x.start, or on a cycle
-    of v vertices any t = t0 (mod v): a long y can meet x.start again.
+    dimension for each t in 1..min(xl, yl) where that bottom part starts
+    at xs.  That is t = t0 = ys + yl - xs, or on a cycle of v vertices
+    any t = t0 (mod v): a long y can meet xs again.
     """
-    top = min(x.length, y.length)
-    t0 = y.start + y.length - x.start
+    top = xl if xl < yl else yl  # not min(): this is the Ext rows' inner loop
+    t0 = ys + yl - xs
     if not alg.cyclic:
         return 1 if 1 <= t0 <= top else 0
     v = len(alg.lengths)

@@ -12,10 +12,13 @@ from .modules import (
     ModuleSum,
     _Index,
     _index,
+    _injectives,
+    _interval_at,
+    _position,
     _positions,
-    indecomposables,
+    _sum_at,
 )
-from .notation import format_module
+from .notation import interval_text
 
 # Unused here: perfbench/workloads.py traces ext_dim in this module.
 from .homology import ext_dim  # noqa: F401
@@ -39,16 +42,16 @@ def ar_translate_inverse(alg: KupischSeries, m) -> ModuleSum:
     return tau_n_inverse(alg, m, 1)
 
 
-def _tau_at(idx: _Index, indecs, p: int, n: int, forward: bool) -> int:
+def _tau_at(idx: _Index, p: int, n: int, forward: bool) -> int:
     """Position of tau_n (forward) or tau_n^- of the interval at p, -1 for
     zero: M(i + 1, l) or M(i - 1, l) for its source M(i, l) (_source), a
     module as c_(i+1) >= c_i - 1 >= l, or as M(i - 1, l + 1) exists."""
     q = _source(idx.omega if forward else idx.coomega, p, n)
     if q < 0:
         return -1
-    z = indecs[q]
-    i = z.start if forward else z.start - 2  # 0-based vertex of the image
-    return idx.offset[i % (len(idx.offset) - 1)] + z.length - 1
+    start, length = _interval_at(idx.offset, q)
+    i = start if forward else start - 2  # 0-based vertex of the image
+    return idx.offset[i % (len(idx.offset) - 1)] + length - 1
 
 
 def _tau_n(alg: KupischSeries, m, n: int, forward: bool) -> ModuleSum:
@@ -56,9 +59,9 @@ def _tau_n(alg: KupischSeries, m, n: int, forward: bool) -> ModuleSum:
     Omega^-(n-1), each read off the index by _tau_at."""
     if n < 1:
         raise ValueError(f"{'tau_n' if forward else 'tau_n_inverse'} wants n >= 1")
-    idx, indecs = _index(alg), indecomposables(alg)
-    images = [_tau_at(idx, indecs, p, n, forward) for p in _positions(alg, m)]
-    return ModuleSum.of(*(indecs[q] for q in images if q >= 0))
+    idx = _index(alg)
+    images = [_tau_at(idx, p, n, forward) for p in _positions(alg, m)]
+    return _sum_at(idx.offset, images)
 
 
 def tau_n(alg: KupischSeries, m, n: int) -> ModuleSum:
@@ -90,44 +93,43 @@ def is_precluster(alg: KupischSeries, members, n: int) -> PreclusterVerdict:
     1..n-1.  Functorial finiteness holds for free here (finitely many
     indecomposables), recorded in the note rather than re-checked.
     Members that are not modules over `alg` raise NotAdmissible.  They
-    are validated once, and the rest is read off the index: P_i at
-    projective_at(i), I(i) as the zero cosyzygy with socle i, tau_n and
-    tau_n^- by _tau_at, Ext^k by _ext1 from the member's _source.
+    are validated once, and the rest, failure text included, is read off
+    the index: P_i at offset[i] - 1, I(i) by _injectives, tau_n and
+    tau_n^- by _tau_at, Ext^k by _ext1 from the member's _source.  The
+    verdict's members are the given intervals, sorted, each once.
     """
     if n < 1:
         raise ValueError("is_precluster wants n >= 1")
-    held = sorted(set(_positions(alg, ModuleSum.of(*members))))
-    idx, indecs, mset = _index(alg), indecomposables(alg), set(held)
-    ordered = tuple(indecs[p] for p in held)
-    inj = {j: p for p, (j, z) in enumerate(zip(idx.socle, idx.coomega)) if z < 0}
+    by_position = {_position(alg, m): m for m in members}
+    held = sorted(by_position)
+    idx, inj, mset = _index(alg), _injectives(alg), set(held)
+
+    def text(p: int) -> str:
+        return interval_text(*_interval_at(idx.offset, p))
+
     failures: list[dict] = []
     for i in alg.vertices():
-        for label, p in (("generator", idx.projective_at(i)), ("cogenerator", inj[i])):
+        for label, p in (("generator", idx.offset[i] - 1), ("cogenerator", inj[i])):
             if p not in mset:
-                missing = format_module(indecs[p])
-                failures.append({"condition": label, "missing": missing})
+                failures.append({"condition": label, "missing": text(p)})
     for p in held:
         for label, forward in (("tau_n", True), ("tau_n_inverse", False)):
-            q = _tau_at(idx, indecs, p, n, forward)
+            q = _tau_at(idx, p, n, forward)
             if q >= 0 and q not in mset:
                 failures.append(
-                    {
-                        "condition": label,
-                        "member": format_module(indecs[p]),
-                        "escapes_to": format_module(indecs[q]),
-                    }
+                    {"condition": label, "member": text(p), "escapes_to": text(q)}
                 )
     for p in held:
         sources = ((k, _source(idx.omega, p, k)) for k in range(1, n))
-        rows = [(k, _ext1(alg, q, ordered)) for k, q in sources if q >= 0]
-        for j, y in enumerate(ordered):
+        rows = [(k, _ext1(alg, q, held)) for k, q in sources if q >= 0]
+        for j, y in enumerate(held):
             for k, row in rows:
                 if row[j]:
                     failures.append(
                         {
                             "condition": "ext-vanishing",
-                            "source": format_module(indecs[p]),
-                            "target": format_module(y),
+                            "source": text(p),
+                            "target": text(y),
                             "degree": k,
                             "dim": row[j],
                         }
@@ -135,7 +137,7 @@ def is_precluster(alg: KupischSeries, members, n: int) -> PreclusterVerdict:
     return PreclusterVerdict(
         ok=not failures,
         n=n,
-        members=ordered,
+        members=tuple(by_position[p] for p in held),
         failures=tuple(failures),
         note="functorial finiteness automatic: finitely many indecomposables",
     )
@@ -149,10 +151,11 @@ def _member_masks(alg: KupischSeries, n: int) -> tuple[list[int], list[int]]:
     are built with `|`: tau_n and tau_n^- of one interval can coincide.
     Ext^k(p, -) is the Ext^1 row of its source Omega^(k-1)(p), and many
     p share a source, so each row is computed once."""
-    idx, indecs = _index(alg), indecomposables(alg)
-    need, ext, rows = [0] * len(indecs), [0] * len(indecs), {}
-    for p in range(len(indecs)):
-        for q in (_tau_at(idx, indecs, p, n, True), _tau_at(idx, indecs, p, n, False)):
+    idx = _index(alg)
+    size = idx.offset[-1]
+    need, ext, rows = [0] * size, [0] * size, {}
+    for p in range(size):
+        for q in (_tau_at(idx, p, n, True), _tau_at(idx, p, n, False)):
             if q >= 0:
                 need[p] |= 1 << q
         for k in range(1, n):
@@ -160,7 +163,8 @@ def _member_masks(alg: KupischSeries, n: int) -> tuple[list[int], list[int]]:
             if q < 0:
                 break
             if q not in rows:
-                rows[q] = sum(1 << j for j, d in enumerate(_ext1(alg, q, indecs)) if d)
+                row = _ext1(alg, q, range(size))
+                rows[q] = sum(1 << j for j, d in enumerate(row) if d)
             ext[p] |= rows[q]
     clash = ext[:]
     for p, row in enumerate(ext):
@@ -196,8 +200,8 @@ def search_precluster(
     banned extra; an explicit stack keeps deep walks off the call stack.
     subset_cap bounds the work: the Ext pairs the masks examine
     (charged before they are built), plus the nodes the walk examines;
-    past it, SearchSpaceTooLarge.  Cross-check: is_precluster re-decides
-    every set that passes, and a disagreement raises
+    past it, SearchSpaceTooLarge.  Cross-check: the sets that pass become
+    intervals, is_precluster re-decides each, and a disagreement raises
     InternalInconsistency.  It shares _tau_at, _source, _ext1 and the
     index with the masks, so it guards the masks, their unions and the
     walk; the kernels themselves are checked by the tests
@@ -208,14 +212,13 @@ def search_precluster(
     if max_extra is not None and max_extra < 0:
         raise ValueError("search_precluster wants max_extra >= 0")
     forced = _forced(alg)
-    indecs = indecomposables(alg)
-    extras = [p for p in range(len(indecs)) if p not in forced]
+    offset = _index(alg).offset
+    extras = [p for p in range(offset[-1]) if p not in forced]
     kmax = len(extras) if max_extra is None else min(max_extra, len(extras))
-    work = len(indecs) ** 2 * (n - 1)
+    work = offset[-1] ** 2 * (n - 1)
     if work > subset_cap:
         raise SearchSpaceTooLarge(f"{work} Ext pairs exceed the work cap {subset_cap}")
     need, clash = _member_masks(alg, n)
-    base = tuple(indecs[p] for p in forced)
     mask = needs = clashes = 0
     for p in forced:
         mask |= 1 << p
@@ -243,7 +246,8 @@ def search_precluster(
     combos = [tuple(p for p in extras if mask >> p & 1) for mask in accepted]
     found = []
     for combo in sorted(combos, key=lambda c: (len(c), c)):
-        verdict = is_precluster(alg, base + tuple(indecs[i] for i in combo), n)
+        members = [IntervalModule(*_interval_at(offset, p)) for p in (*forced, *combo)]
+        verdict = is_precluster(alg, members, n)
         if not verdict.ok:
             raise InternalInconsistency(
                 f"precluster masks accept {verdict.members} over "

@@ -39,6 +39,7 @@ from nakayama import (
     verify_thm_prinj,
 )
 from nakayama.classify import REPORT_KEYS, VerifierResult, _sample_positions
+from nakayama.modules import _interval_at
 from nakayama.notation import format_interval, interval_text
 from nakayama.cli import _sweep_violations
 
@@ -567,13 +568,14 @@ def test_position_verifiers_match_former_bodies():
 
 
 def test_position_text_is_format_interval():
-    """At every position of the 6/8 pool the text read off the index's
-    offsets is format_interval of the interval there."""
+    """At every position of the 6/8 pool, _interval_at reads the start and
+    length of the interval there off the index's offsets, and the text
+    made from them is format_interval of that interval."""
     for alg in POOL_6_8:
         offset = classify_tables._index(alg).offset
         for p, m in enumerate(indecomposables(alg)):
-            assert classify_tables._text(offset, p) == format_interval(m), (alg, p)
-            assert interval_text(m.start, m.length) == format_interval(m)
+            assert _interval_at(offset, p) == (m.start, m.length), (alg, p)
+            assert interval_text(*_interval_at(offset, p)) == format_interval(m)
 
 
 def test_lemma22_position_witnesses_match_former_body(monkeypatch):
@@ -597,15 +599,22 @@ def test_lemma22_position_witnesses_match_former_body(monkeypatch):
 def test_classify_builds_no_interval_table(monkeypatch, seed):
     """The sweep path reads positions only: classify runs on all 664
     algebras of the 6/8 pool with indecomposables refused wherever the
-    classifier, the module tables and the homology tables could call
-    it."""
+    classifier, the module tables and the homology tables could call it,
+    and with no IntervalModule built at all, prinj witnesses included."""
 
     def refuse(alg):
         raise AssertionError(f"indecomposables({alg.lengths}) on the sweep path")
 
+    def refuse_interval(self, *args):
+        raise AssertionError(f"IntervalModule{args} built on the sweep path")
+
     for name in ("nakayama.classify", "nakayama.modules", "nakayama.homology"):
-        monkeypatch.setattr(sys.modules[name], "indecomposables", refuse)
+        monkeypatch.setattr(sys.modules[name], "indecomposables", refuse, raising=False)
+    monkeypatch.setattr(IntervalModule, "__init__", refuse_interval)
     pool = enumerate_admissible(6, 8)
     assert len(pool) == 664
+    prinj_witnesses = 0
     for alg in pool:
-        classify(alg, seed)
+        verdicts = dict(classify(alg, seed).theorem_verdicts)
+        prinj_witnesses += len(verdicts["prinj"]["witnesses"])
+    assert prinj_witnesses > 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from nakayama import (
     INFINITY,
     ExtendedNat,
     GorensteinAsymmetry,
+    InternalInconsistency,
     IntervalModule,
     KupischSeries,
     ModuleSum,
@@ -53,6 +56,7 @@ from nakayama import (
     tau_n,
     top,
 )
+import nakayama.homology as homology_module
 from nakayama.homology import _depths, _gpd1, _source
 from nakayama.modules import _index, _position
 
@@ -205,9 +209,69 @@ class TestExt:
         assert ext_dim(CYCLIC, M(1, 2), regular_module(CYCLIC), 3) == 0
         assert ext_dim(CYCLIC, M(1, 2), regular_module(CYCLIC), 2) >= 0
 
+    def test_negative_ext1_is_an_internal_inconsistency(self, monkeypatch):
+        # Over (3,3,4) Omega M(1,1) = M(2,2) is not projective, so only the
+        # P(z) = M(1,3) term of the presentation sees the inflated Hom.
+        hom = homology_module._hom
+
+        def inflated(alg, xs, xl, ys, yl):
+            return hom(alg, xs, xl, ys, yl) + 9 * ((xs, xl) == (1, 3))
+
+        monkeypatch.setattr(homology_module, "_hom", inflated)
+        want = re.escape("negative Ext^1(M(1,1), M(3,1)) = -9 over (3, 3, 4)")
+        with pytest.raises(InternalInconsistency, match=want):
+            ext_dim(CYCLIC, M(1, 1), M(3, 1), 1)
+
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             ext_dim(CYCLIC, M(1, 1), M(1, 1), -1)
+
+
+def basis_lengths(alg, a, b):
+    """T(a, b): the image lengths t of the basis maps a -> b.  The image of
+    such a map is the length-t top part of a and the length-t bottom part
+    of b, so that part of b must start at the top vertex of a."""
+    return [
+        t
+        for t in range(1, min(a.length, b.length) + 1)
+        if alg.shift(b.start, b.length - t) == a.start
+    ]
+
+
+def stable_hom_dim(alg, y, b):
+    """dim Hom(y, b) modulo the maps that factor through an injective.
+    Such a map factors through the envelope y in I(y), and restricting the
+    basis map of I(y) -> b with image length t to y gives the one with
+    image length t - (|I(y)| - |y|), or zero when that is not positive."""
+    (iy,) = injective_envelope(alg, y)
+    cut = iy.length - y.length
+    factored = sum(t > cut for t in basis_lengths(alg, iy, b))
+    return len(basis_lengths(alg, y, b)) - factored
+
+
+def test_ext1_matches_auslander_reiten_formula_cross_check():
+    """Labelled cross-check of _ext1: the Auslander-Reiten formula
+    Ext^1(X, Y) = D Hom~(Y, tau X), Hom~ being Hom modulo the maps that
+    factor through an injective (Auslander-Reiten-Smalo, Representation
+    Theory of Artin Algebras, Ch. IV), for X non-projective and Y any
+    indecomposable of the 5/7 pool.  It shares the Hom basis rule and tau
+    with the engine, but not Omega, P(z) or the presentation.  Dropping
+    the injective-factoring term must miss somewhere."""
+    pairs = nonzero = misses = 0
+    for alg in enumerate_admissible(5, 7):
+        indecs = indecomposables(alg)
+        for x in indecs:
+            if is_projective(alg, x):
+                continue
+            (tx,) = ar_translate(alg, x)
+            for y in indecs:
+                want = ext_dim(alg, x, y, 1)
+                assert stable_hom_dim(alg, y, tx) == want, (alg, x, y)
+                pairs += 1
+                nonzero += want > 0
+                misses += len(basis_lengths(alg, y, tx)) != want
+    assert (pairs, nonzero) == (62_906, 15_326)
+    assert misses > 0
 
 
 def ext_gpd(alg, m):

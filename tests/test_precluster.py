@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import sys
 import time
 
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from test_homology import admissible_series, reference_cosyzygy, reference_syzygy
 
 from nakayama import (
+    InternalInconsistency,
     IntervalModule,
     KupischSeries,
     ModuleSum,
@@ -356,6 +358,19 @@ def reference_search(alg, n, max_extra=None):
     )
 
 
+@pytest.fixture
+def no_interval_table(monkeypatch):
+    """indecomposables refused wherever the precluster engine and the Ext
+    rows could call it; the references read this module's own binding."""
+
+    def refuse(alg):
+        raise AssertionError(f"indecomposables({alg.lengths}) in the engine")
+
+    for name in ("nakayama.precluster", "nakayama.homology"):
+        monkeypatch.setattr(sys.modules[name], "indecomposables", refuse, raising=False)
+
+
+@pytest.mark.usefixtures("no_interval_table")
 class TestSearchDifferential:
     POOL = enumerate_admissible(4, 5)
 
@@ -395,6 +410,7 @@ def reference_member_masks(alg, n):
     return need, clash
 
 
+@pytest.mark.usefixtures("no_interval_table")
 class TestMemberMasks:
     POOL = enumerate_admissible(4, 6)
 
@@ -485,6 +501,17 @@ class TestBacktracking:
         with pytest.raises(SearchSpaceTooLarge):
             search_precluster(alg, n)
         assert time.perf_counter() - start < 2
+
+    def test_mask_decision_disagreement_raises(self, monkeypatch):
+        # Blank masks accept every subset of the extras; is_precluster
+        # refuses the first that is not closed under tau.
+        def blank(alg, n):
+            size = len(indecomposables(alg))
+            return [0] * size, [0] * size
+
+        monkeypatch.setattr(precluster_module, "_member_masks", blank)
+        with pytest.raises(InternalInconsistency, match="precluster masks accept"):
+            search_precluster(CYCLIC, 1)
 
     def test_refuses_before_building_the_masks(self, monkeypatch):
         def refuse(alg, n):
