@@ -125,12 +125,13 @@ def per_algebra(build):
 
     @wraps(build)
     def table(alg):
-        try:
-            return alg.__dict__["_memo"][key]
-        except KeyError:
-            memo = alg.__dict__.setdefault("_memo", {})
-            memo[key] = value = build(alg)
-            return value
+        memo = alg.__dict__.get("_memo")
+        if memo is None:
+            memo = alg.__dict__["_memo"] = {}
+        elif key in memo:
+            return memo[key]
+        memo[key] = value = build(alg)
+        return value
 
     return table
 
@@ -231,20 +232,28 @@ class KupischSeries:
         with socle S_j.  That interval is the indecomposable injective
         envelope of S_j: interval modules with a fixed socle vertex are
         totally ordered by inclusion, so the longest one is injective.
-        One pass: M(i, l) has socle i + l - 1 (mod v), and from each top
-        only the last v lengths can be longest.  InternalInconsistency
-        when a projective's socle lies past the end of a linear quiver."""
-        v = len(self.lengths)
-        d = [0] * v
-        for i, c in enumerate(self.lengths):
-            if not self.cyclic and i + c > v:
-                raise InternalInconsistency(
-                    f"vertex walk {i + 1}{c - 1:+d} leaves the linear quiver "
-                    f"on {self.lengths}"
-                )
-            for l in range(max(1, c - v + 1), c + 1):
-                j = (i + l - 1) % v
-                d[j] = max(d[j], l)
+        M(j - l + 1, l) has socle j and is a module when l <= c_{j-l+1};
+        by admissibility the lengths that fit are 1..d_j, and M(i, l - 1)
+        has socle j - 1, so d_j <= d_{j-1} + 1.  Each d_j steps down from
+        d_{j-1} + 1; d_1 steps down from max c on a cyclic quiver and is 1
+        on a linear one.  InternalInconsistency when a projective's socle
+        lies past the end of a linear quiver."""
+        c = self.lengths
+        v = len(c)
+        if not self.cyclic:
+            for i, ci in enumerate(c):
+                if i + ci > v:
+                    raise InternalInconsistency(
+                        f"vertex walk {i + 1}{ci - 1:+d} leaves the linear "
+                        f"quiver on {c}"
+                    )
+        d = []
+        l = max(c) if self.cyclic else 1
+        for j in range(v):
+            while c[(j - l + 1) % v] < l:
+                l -= 1
+            d.append(l)
+            l += 1
         return tuple(d)
 
     def opposite(self) -> "KupischSeries":

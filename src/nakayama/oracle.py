@@ -12,26 +12,27 @@ default and the answers must not depend on p (monomial relations), which
 the tests check.
 
 Cross-check state.  Hom and Ext^1 read one private state per (alg, p),
-filled on first use: the realization of each indecomposable, the hom
-basis of each ordered pair, each interval's presentation kernel and the
-dimension of Ext^1 of each ordered pair.  None of it depends on a call's
-caps, which every call checks before reading the state.  Hom and Ext^1
-are additive in each argument, so a sum is answered from its summand
-pairs.  Injectivity is Baer's criterion on the same Ext^1 table: over a
-finite-dimensional algebra m is injective exactly when Ext^1(S, m) = 0
-for every simple S.  `_state` holds one algebra at a time (a one-slot
-lru_cache): a batch that cycles through many algebras keeps only the
-current one.  The state lives outside the algebra's `_memo`
-(`core.per_algebra`) so the oracle shares no per-algebra state with the
-engine it checks, and so algebras held by a caller do not keep their
-matrices alive.  The AR translate reads no state and is answered summand
-by summand.
+keyed by (start, length) pairs and filled on first use: the realization
+of each indecomposable, the dimension of Hom of each ordered pair, a hom
+basis only from a projective cover P_i to a target (the maps that Ext^1
+restricts to the presentation kernel), each interval's presentation
+kernel and the dimension of Ext^1 of each ordered pair.  None of it
+depends on a call's caps, which every call checks before reading the
+state.  Hom and Ext^1 are additive in each argument, so a sum is
+answered from its summand pairs.  Injectivity is Baer's criterion on the
+same Ext^1 table: over a finite-dimensional algebra m is injective
+exactly when Ext^1(S, m) = 0 for every simple S.  `_state` holds one
+algebra at a time (a one-slot lru_cache): a batch that cycles through
+many algebras keeps only the current one.  The state lives outside the
+algebra's `_memo` (`core.per_algebra`) so the oracle shares no
+per-algebra state with the engine it checks, and so algebras held by a
+caller do not keep their matrices alive.  The AR translate reads no
+state and is answered summand by summand.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import defaultdict
 
 from .core import KupischSeries
 from .errors import DimensionCapExceeded, InternalInconsistency, NotAdmissible
@@ -84,6 +85,11 @@ def _summands(alg: KupischSeries, m) -> tuple[IntervalModule, ...]:
 
 def _dim(pieces) -> int:
     return sum(piece.length for piece in pieces)
+
+
+def _pairs(pieces) -> list[tuple[int, int]]:
+    """The (start, length) pairs that key the cross-check state."""
+    return [(piece.start, piece.length) for piece in pieces]
 
 
 def _check_dim(dim: int, dim_cap: int):
@@ -173,21 +179,22 @@ def realize(
     _check_prime(p)
     pieces = _summands(alg, m)
     _check_dim(_dim(pieces), dim_cap)
-    return _realize(alg, pieces, p)
+    return _realize(alg, _pairs(pieces), p)
 
 
 def _realize(alg: KupischSeries, pieces, p: int) -> MatrixRep:
+    """The realization of the sum of the (start, length) pairs `pieces`."""
     rep = MatrixRep(alg, p)
-    for s_idx, piece in enumerate(pieces):
-        for r in range(piece.length):
-            w = alg.shift(piece.start, r)
+    for s_idx, (start, length) in enumerate(pieces):
+        for r in range(length):
+            w = alg.shift(start, r)
             rep.basis[w - 1].append((s_idx, r))
             rep.dims[w - 1] += 1
     index = {}
     for w0, items in enumerate(rep.basis):
         for loc, item in enumerate(items):
             index[item] = (w0, loc)
-    lengths = [piece.length for piece in pieces]
+    lengths = [length for _, length in pieces]
     for u in rep.arrow_sources():
         t = alg.shift(u, 1)
         mat = [[0] * rep.dims[u - 1] for _ in range(rep.dims[t - 1])]
@@ -220,19 +227,26 @@ def _hom_system(
         xt, xu, yt = x.dims[dt], x.dims[du], y.dims[dt]
         if not (xu and yt):
             continue  # both sides below are yt x xu matrices: no equations
-        # f_t @ ax == ay @ f_u, one equation per entry (a, b); only the
-        # nonzero entries of ax and ay contribute
-        eqs = defaultdict(lambda: [0] * nvars)
+        # f_t @ ax == ay @ f_u, one equation per entry (a, b), kept under
+        # a * xu + b; only the nonzero entries of ax and ay contribute
+        eqs: dict[int, list[int]] = {}
+        ot, ou = offs[dt], offs[du]
         for c, arow in enumerate(ax):
             for b, e in enumerate(arow):
                 if e:
                     for a in range(yt):
-                        eqs[a, b][offs[dt] + a * xt + c] += e
+                        eq = eqs.get(a * xu + b)
+                        if eq is None:
+                            eq = eqs[a * xu + b] = [0] * nvars
+                        eq[ot + a * xt + c] += e
         for a, arow in enumerate(y.maps[u]):
             for c, e in enumerate(arow):
                 if e:
                     for b in range(xu):
-                        eqs[a, b][offs[du] + c * xu + b] -= e
+                        eq = eqs.get(a * xu + b)
+                        if eq is None:
+                            eq = eqs[a * xu + b] = [0] * nvars
+                        eq[ou + c * xu + b] -= e
         rows.extend(eqs.values())
     return rows, offs, nvars
 
@@ -280,36 +294,50 @@ def _presentation_kernel(cover: MatrixRep, length: int):
 
 
 class _OracleState:
-    """Cross-check state of one algebra over F_p, keyed by intervals that
-    are modules over it.  Each table entry is built on first use from the
-    entries before it, and stored only once it is complete."""
+    """Cross-check state of one algebra over F_p, keyed by the (start,
+    length) pairs of intervals that are modules over it.  It keeps the
+    dimension of Hom of each pair, and a hom basis only from a cover P_i,
+    for Ext^1.  Each table entry is built on first use from the entries
+    before it, and stored only once it is complete."""
 
     def __init__(self, alg: KupischSeries, p: int):
         self.alg = alg
         self.p = p
-        self.reps: dict = {}  # interval -> MatrixRep
-        self.homs: dict = {}  # (x, y) -> hom basis, as per-vertex blocks
+        self.reps: dict = {}  # x -> MatrixRep
+        self.homs: dict = {}  # (x, y) -> dim Hom(x, y)
+        self.bases: dict = {}  # (i, y) -> basis of Hom(P_i, y), per-vertex blocks
         self.kernels: dict = {}  # x -> (kernel of P(x) ->> x, kept coordinates)
         self.ext1s: dict = {}  # (x, y) -> dim Ext^1(x, y)
 
-    def rep(self, m: IntervalModule) -> MatrixRep:
-        if m not in self.reps:
-            self.reps[m] = _realize(self.alg, (m,), self.p)
-        return self.reps[m]
+    def rep(self, m: tuple[int, int]) -> MatrixRep:
+        rep = self.reps.get(m)
+        if rep is None:
+            rep = self.reps[m] = _realize(self.alg, (m,), self.p)
+        return rep
 
-    def hom(self, x: IntervalModule, y: IntervalModule) -> list:
-        if (x, y) not in self.homs:
-            self.homs[x, y] = _hom_basis(self.rep(x), self.rep(y))
-        return self.homs[x, y]
+    def hom(self, x: tuple[int, int], y: tuple[int, int]) -> int:
+        dim = self.homs.get((x, y))
+        if dim is None:
+            system, _, nvars = _hom_system(self.rep(x), self.rep(y))
+            dim = self.homs[x, y] = nvars - _rank(system, self.p)
+        return dim
 
-    def kernel(self, x: IntervalModule):
-        if x not in self.kernels:
-            cover = self.rep(self.cover(x))
-            self.kernels[x] = _presentation_kernel(cover, x.length)
-        return self.kernels[x]
+    def basis(self, i: int, y: tuple[int, int]) -> list:
+        """A basis of Hom(P_i, y); its length fills the Hom table too."""
+        basis = self.bases.get((i, y))
+        if basis is None:
+            cover = (i, self.alg.lengths[i - 1])
+            basis = self.bases[i, y] = _hom_basis(self.rep(cover), self.rep(y))
+            self.homs[cover, y] = len(basis)
+        return basis
 
-    def cover(self, x: IntervalModule) -> IntervalModule:
-        return IntervalModule(x.start, self.alg.loewy_length(x.start))
+    def kernel(self, x: tuple[int, int]):
+        kernel = self.kernels.get(x)
+        if kernel is None:
+            start, length = x
+            cover = self.rep((start, self.alg.lengths[start - 1]))
+            kernel = self.kernels[x] = _presentation_kernel(cover, length)
+        return kernel
 
 
 @functools.lru_cache(maxsize=1)
@@ -332,7 +360,12 @@ def oracle_hom_dim(
     _check_dim(_dim(xs), dim_cap)
     _check_dim(_dim(ys), dim_cap)
     st = _state(alg, p)
-    return sum(len(st.hom(a, b)) for a in xs for b in ys)
+    ys = _pairs(ys)
+    total = 0
+    for a in _pairs(xs):
+        for b in ys:
+            total += st.hom(a, b)
+    return total
 
 
 def oracle_ext1_dim(
@@ -347,21 +380,27 @@ def oracle_ext1_dim(
         _check_dim(alg.loewy_length(piece.start), dim_cap)  # the cover
     _check_dim(_dim(ys), dim_cap)
     st = _state(alg, p)
-    return sum(_ext1(st, a, b) for a in xs for b in ys)
+    ys = _pairs(ys)
+    total = 0
+    for a in _pairs(xs):
+        for b in ys:
+            total += _ext1(st, a, b)
+    return total
 
 
-def _ext1(st: _OracleState, x: IntervalModule, y: IntervalModule) -> int:
+def _ext1(st: _OracleState, x: tuple[int, int], y: tuple[int, int]) -> int:
     """dim Ext^1(x, y) from the state's table, filled on first use.  A hom
     P(x) -> y restricts to the kernel K by keeping K's coordinates."""
-    if (x, y) in st.ext1s:
-        return st.ext1s[x, y]
+    dim = st.ext1s.get((x, y))
+    if dim is not None:
+        return dim
     kernel, keep = st.kernel(x)
     ksys, _, knvars = _hom_system(kernel, st.rep(y))
     dim = knvars - _rank(ksys, st.p)
     if dim:
         restricted = [
             [row[k] for blk, cols in zip(g, keep) for row in blk for k in cols]
-            for g in st.hom(st.cover(x), y)
+            for g in st.basis(x[0], y)
         ]
         dim -= _rank(restricted, st.p)
     st.ext1s[x, y] = dim
@@ -379,11 +418,12 @@ def oracle_is_injective(
     _check_dim(_dim(pieces), dim_cap)
     _check_dim(max(alg.lengths), dim_cap)  # the covers of the simples
     st = _state(alg, p)
-    return not any(
-        _ext1(st, IntervalModule(i, 1), piece)
-        for i in alg.vertices()
-        for piece in pieces
-    )
+    pieces = _pairs(pieces)
+    for i in alg.vertices():
+        for piece in pieces:
+            if _ext1(st, (i, 1), piece):
+                return False
+    return True
 
 
 def oracle_socle_vector(

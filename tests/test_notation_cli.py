@@ -588,6 +588,26 @@ class TestSweepCommand:
         assert summary["resumed"] == 3
         assert out.read_bytes() == expected
 
+    def test_enumerated_algebras_keep_no_tables(self, capsys, tmp_path, monkeypatch):
+        # every record classifies a fresh algebra built from its payload, so
+        # the list the sweep holds for the whole run keeps no _memo
+        import nakayama.cli as cli
+
+        held = []
+
+        def recorded(*args):
+            held.append(enumerate_admissible(*args))
+            return held[-1]
+
+        monkeypatch.setattr(cli, "enumerate_admissible", recorded)
+        out = tmp_path / "sweep.jsonl"
+        args = ["sweep", "--max-vertices", "5", "--max-length", "6", "--n-range", "auto"]
+        code, summary = run_cli(capsys, *args, "--out", str(out))
+        assert code == 0
+        [algs] = held
+        assert summary["computed"] == len(algs) == 166
+        assert [a for a in algs if "_memo" in a.__dict__] == []
+
     def test_torn_final_record_is_recomputed(self, capsys, tmp_path):
         out = tmp_path / "sweep.jsonl"
         args = [*self.SWEEP_3_4, "--out", str(out)]

@@ -33,6 +33,7 @@ from nakayama import (
     projective,
     realize,
     socle,
+    syzygy,
 )
 from nakayama import oracle
 
@@ -334,18 +335,63 @@ class TestState:
 
     def test_ext1_table_is_shared_with_injectivity(self, monkeypatch):
         oracle._state.cache_clear()
-        simples = [M(i, 1) for i in CYCLIC.vertices()]
+        simples = [(i, 1) for i in CYCLIC.vertices()]
         assert not oracle_is_injective(CYCLIC, M(1, 2))
         state = oracle._state(CYCLIC, 2)
-        assert set(state.ext1s) == {(s, M(1, 2)) for s in simples}
+        assert set(state.ext1s) == {(s, (1, 2)) for s in simples}
 
         def recompute(*args):
             raise AssertionError("Ext^1 recomputed")
 
         monkeypatch.setattr(oracle, "_hom_system", recompute)
-        for s in simples:
-            assert oracle_ext1_dim(CYCLIC, s, M(1, 2)) == ext_dim(CYCLIC, s, M(1, 2), 1)
+        for i, _ in simples:
+            assert oracle_ext1_dim(CYCLIC, M(i, 1), M(1, 2)) == ext_dim(
+                CYCLIC, M(i, 1), M(1, 2), 1
+            )
         assert not oracle_is_injective(CYCLIC, M(1, 2))
+
+    def test_hom_dims_are_nullities_and_bases_only_for_covers(self, monkeypatch):
+        ind = indecomposables(CYCLIC)
+        pairs = [(x, y) for x in ind for y in ind]
+        calls = []
+        system = oracle._hom_system
+
+        def counted(x, y):
+            calls.append((x, y))
+            return system(x, y)
+
+        def nullspace(*args):
+            raise AssertionError("a Hom dimension built a basis")
+
+        monkeypatch.setattr(oracle, "_hom_system", counted)
+        oracle._state.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_nullspace", nullspace)
+            for x, y in pairs:
+                assert oracle_hom_dim(CYCLIC, x, y) == hom_dim(CYCLIC, x, y)
+        state = oracle._state(CYCLIC, 2)
+        assert (len(calls), len(state.homs), state.bases) == (len(pairs), len(pairs), {})
+
+        # Ext^1 builds a basis of Hom(P_i, y) only where Hom(K, y) != 0 for
+        # the kernel K = syzygy(x) of P_i ->> x, and the basis fills the
+        # Hom table, so a later Hom query eliminates no pair a second time
+        oracle._state.cache_clear()
+        calls.clear()
+        for x, y in pairs:
+            assert oracle_ext1_dim(CYCLIC, x, y) == ext_dim(CYCLIC, x, y, 1)
+        state = oracle._state(CYCLIC, 2)
+        restricted = {
+            (x.start, (y.start, y.length))
+            for x, y in pairs
+            if hom_dim(CYCLIC, syzygy(CYCLIC, x), y)
+        }
+        assert set(state.bases) == restricted
+        assert all((i, CYCLIC.lengths[i - 1]) in state.reps for i, _ in state.bases)
+        assert set(state.homs) == {((i, CYCLIC.lengths[i - 1]), y) for i, y in restricted}
+        assert len(calls) == len(state.ext1s) + len(state.bases) == len(pairs) + len(restricted)
+        for x, y in pairs:
+            assert oracle_hom_dim(CYCLIC, x, y) == hom_dim(CYCLIC, x, y)
+        assert len(calls) == len(state.ext1s) + len(state.homs) == 2 * len(pairs)
 
     def test_one_algebra_held(self):
         oracle_hom_dim(CYCLIC, M(1, 1), M(1, 1))
