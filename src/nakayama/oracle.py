@@ -16,9 +16,13 @@ keyed by (start, length) pairs and filled on first use: the realization
 of each indecomposable, the dimension of Hom of each ordered pair, a hom
 basis only from a projective cover P_i to a target (the maps that Ext^1
 restricts to the presentation kernel), each interval's presentation
-kernel and the dimension of Ext^1 of each ordered pair.  None of it
-depends on a call's caps, which every call checks before reading the
-state.  Hom and Ext^1 are additive in each argument, so a sum is
+kernel and the dimension of Ext^1 of each ordered pair.  Each ordered
+pair's intertwiner system is eliminated once: a cover pair's Hom is the
+length of its basis, every other pair's is the nullity.  The kernel table
+holds the kernel's name, checked against its realization, and the cover
+coordinates it keeps, so Ext^1 reads Hom(K, y) from the Hom table.  None
+of it depends on a call's caps, which every call checks before reading
+the state.  Hom and Ext^1 are additive in each argument, so a sum is
 answered from its summand pairs.  Injectivity is Baer's criterion on the
 same Ext^1 table: over a finite-dimensional algebra m is injective
 exactly when Ext^1(S, m) = 0 for every simple S.  `_state` holds one
@@ -295,10 +299,12 @@ def _presentation_kernel(cover: MatrixRep, length: int):
 
 class _OracleState:
     """Cross-check state of one algebra over F_p, keyed by the (start,
-    length) pairs of intervals that are modules over it.  It keeps the
-    dimension of Hom of each pair, and a hom basis only from a cover P_i,
-    for Ext^1.  Each table entry is built on first use from the entries
-    before it, and stored only once it is complete."""
+    length) pairs of intervals that are modules over it.  Each ordered
+    pair's intertwiner system is eliminated once: a pair from a cover P_i
+    keeps its Hom basis, for Ext^1, and its Hom dimension is the basis
+    length; every other pair keeps only its nullity.  Each table entry is
+    built on first use from the entries before it, and stored only once
+    it is complete."""
 
     def __init__(self, alg: KupischSeries, p: int):
         self.alg = alg
@@ -306,7 +312,7 @@ class _OracleState:
         self.reps: dict = {}  # x -> MatrixRep
         self.homs: dict = {}  # (x, y) -> dim Hom(x, y)
         self.bases: dict = {}  # (i, y) -> basis of Hom(P_i, y), per-vertex blocks
-        self.kernels: dict = {}  # x -> (kernel of P(x) ->> x, kept coordinates)
+        self.kernels: dict = {}  # x -> (name of K or None, K's coordinates in P(x))
         self.ext1s: dict = {}  # (x, y) -> dim Ext^1(x, y)
 
     def rep(self, m: tuple[int, int]) -> MatrixRep:
@@ -318,6 +324,8 @@ class _OracleState:
     def hom(self, x: tuple[int, int], y: tuple[int, int]) -> int:
         dim = self.homs.get((x, y))
         if dim is None:
+            if x[1] == self.alg.lengths[x[0] - 1]:
+                return len(self.basis(x[0], y))  # fills homs
             system, _, nvars = _hom_system(self.rep(x), self.rep(y))
             dim = self.homs[x, y] = nvars - _rank(system, self.p)
         return dim
@@ -332,11 +340,30 @@ class _OracleState:
         return basis
 
     def kernel(self, x: tuple[int, int]):
+        """(name, keep) for the kernel K of P(x) ->> x, name None when x
+        is projective.  The name (top, length) is read off the
+        sub-representation itself: the vertex of its first basis vector
+        and its total dimension.  The realization under that name must
+        have exactly K's dimensions and arrow matrices, so the Hom table's
+        entries for the name are K's."""
         kernel = self.kernels.get(x)
         if kernel is None:
             start, length = x
             cover = self.rep((start, self.alg.lengths[start - 1]))
-            kernel = self.kernels[x] = _presentation_kernel(cover, length)
+            sub, keep = _presentation_kernel(cover, length)
+            name = None
+            size = sum(sub.dims)
+            if size:
+                top = next(w for w, items in enumerate(sub.basis, 1) if (0, 0) in items)
+                name = (top, size)
+                named = self.rep(name)
+                if (named.dims, named.maps) != (sub.dims, sub.maps):
+                    raise InternalInconsistency(
+                        f"presentation kernel of M({start},{length}) over "
+                        f"{self.alg.lengths} is not the realization of "
+                        f"M({top},{size})"
+                    )
+            kernel = self.kernels[x] = (name, keep)
         return kernel
 
 
@@ -389,14 +416,14 @@ def oracle_ext1_dim(
 
 
 def _ext1(st: _OracleState, x: tuple[int, int], y: tuple[int, int]) -> int:
-    """dim Ext^1(x, y) from the state's table, filled on first use.  A hom
-    P(x) -> y restricts to the kernel K by keeping K's coordinates."""
+    """dim Ext^1(x, y) from the state's table, filled on first use.
+    Hom(K, y) is the Hom table's entry for K's checked name, and a hom
+    P(x) -> y restricts to K by keeping K's coordinates."""
     dim = st.ext1s.get((x, y))
     if dim is not None:
         return dim
-    kernel, keep = st.kernel(x)
-    ksys, _, knvars = _hom_system(kernel, st.rep(y))
-    dim = knvars - _rank(ksys, st.p)
+    name, keep = st.kernel(x)
+    dim = st.hom(name, y) if name else 0
     if dim:
         restricted = [
             [row[k] for blk, cols in zip(g, keep) for row in blk for k in cols]
