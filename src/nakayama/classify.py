@@ -23,7 +23,7 @@ from .homology import (
     regular_id,
     regular_id_left,
 )
-from .modules import _index, _injectives, _interval_at, _torsionless
+from .modules import _index, _interval_at, _torsionless
 
 # The verifiers read the per-algebra position tables directly.  These
 # names stay bound here because perfbench/workloads.py traces them in
@@ -97,7 +97,7 @@ def prinj_vertices(alg: KupischSeries) -> tuple[int, ...]:
     """Vertices whose indecomposable projective is also injective, that
     is, has zero cosyzygy."""
     idx = _index(alg)
-    return tuple(i for i, p in enumerate(idx.offset[1:], 1) if idx.coomega[p - 1] < 0)
+    return tuple(i for i, p in enumerate(idx.projective, 1) if idx.coomega[p] < 0)
 
 
 # -- verifier verdicts ----------------------------------------------------------
@@ -150,17 +150,17 @@ def verify_thm_prinj(alg: KupischSeries, n: int) -> VerifierResult:
             f"self-injective algebra; {alg.lengths} has degree {g}"
         )
     gpd_of = _gpd_table(alg)
-    idx, inj = _index(alg), _injectives(alg)
+    idx = _index(alg)
     witnesses = []
-    for j in alg.vertices():
-        lhs = idx.omega[inj[j]] < 0  # I(j) is projective: zero syzygy
-        socle_gpd = gpd_of[idx.simple_at(j)]
+    for j, (q, s) in enumerate(zip(idx.injective, idx.simple), 1):
+        lhs = idx.omega[q] < 0  # I(j) is projective: zero syzygy
+        socle_gpd = gpd_of[s]
         rhs = socle_gpd <= n
         if lhs != rhs:
             witnesses.append(
                 {
                     "vertex": j,
-                    "injective": interval_text(*_interval_at(idx.offset, inj[j])),
+                    "injective": interval_text(*_interval_at(idx.offset, q)),
                     "injective_is_projective": lhs,
                     "socle_gpd": socle_gpd,
                 }
@@ -201,13 +201,13 @@ def verify_thm_gp_socle_sub(
     idx = _index(alg)
     offset, socle_at = idx.offset, idx.socle
     sub = _torsionless(alg)
-    socle_gpd = [0] + [gpd_of[p] for p in offset[:-1]]
+    socle_gpd = [0] + [gpd_of[p] for p in idx.simple]
     code = [
         (g <= n) | (socle_gpd[j] <= n) << 1 | sub[j] << 2
         for g, j in zip(gpd_of, socle_at)
     ]
     witnesses = []
-    for i, (base, c) in enumerate(zip(offset, alg.lengths), 1):
+    for i, (base, c) in enumerate(zip(idx.simple, alg.lengths), 1):
         for l, p in enumerate(range(base, base + c), 1):
             if code[p] not in (0, 7):
                 witnesses.append(
@@ -258,8 +258,8 @@ def verify_thm31_count(alg: KupischSeries, n: int) -> VerifierResult:
     idx = _index(alg)
     low = []
     witnesses = []
-    for i in alg.vertices():
-        val = gpd_of[idx.simple_at(i)]
+    for i, p in enumerate(idx.simple, 1):
+        val = gpd_of[p]
         if val <= n:
             low.append(i)
         elif val != n + 1:
@@ -289,20 +289,20 @@ def verify_ses_gpd_bounds(alg: KupischSeries) -> VerifierResult:
     0 -> X -> Y -> Z -> 0 (X = rad^s Y, Z = Y/rad^s Y), check:
     Gpd Y <= max(Gpd X, Gpd Z), Gpd X <= max(Gpd Y, Gpd Z - 1),
     Gpd Z <= max(Gpd Y, Gpd X + 1).  The walk takes (base, c) off the
-    index's offsets and the Kupisch lengths, base the position of S(i),
+    index's simples and the Kupisch lengths, base the position of S(i),
     and Y = M(i, l) at py = base + l - 1.  A witness's text comes from
     the positions of its three terms."""
     gpd_of = _gpd_table(alg)
     idx = _index(alg)
-    offset, socle_at = idx.offset, idx.socle
+    offset, simple, socle_at = idx.offset, idx.simple, idx.socle
     checked = 0
     witnesses = []
-    for base, c in zip(offset, alg.lengths):
+    for base, c in zip(simple, alg.lengths):
         for py in range(base + 1, base + c):
             gy = gpd_of[py]
             for s in range(1, py - base + 1):
                 # X = rad^s Y starts at the socle vertex of M(i, s + 1)
-                px = offset[socle_at[base + s] - 1] + py - base - s
+                px = simple[socle_at[base + s] - 1] + py - base - s
                 pz = base + s - 1
                 gx, gz = gpd_of[px], gpd_of[pz]
                 bad = []
@@ -388,7 +388,7 @@ class ClassificationReport:
 def classify(alg: KupischSeries, seed: int = 0) -> ClassificationReport:
     """Compute every headline invariant plus theorem verdicts for one algebra."""
     g = gorenstein_degree(alg)
-    simples = _index(alg).offset[:-1]
+    simples = _index(alg).simple
     if g.is_finite:
         gpd_of = _gpd_table(alg)
         simple_gpd = tuple(gpd_of[p] for p in simples)

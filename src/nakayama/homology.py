@@ -26,7 +26,6 @@ from .modules import (
     ModuleSum,
     _hom,
     _index,
-    _injectives,
     _interval_at,
     _position,
     _positions,
@@ -129,21 +128,21 @@ def idim(alg: KupischSeries, m) -> ExtendedNat:
 @per_algebra
 def gldim(alg: KupischSeries) -> ExtendedNat:
     """The largest pd at the simples."""
-    return _max_depth(_pd_table(alg), _index(alg).offset[:-1])
+    return _max_depth(_pd_table(alg), _index(alg).simple)
 
 
 @per_algebra
 def regular_id(alg: KupischSeries) -> ExtendedNat:
     """Injective dimension of the algebra as a right module over itself:
     the largest id at the projectives."""
-    return _max_depth(_id_table(alg), (p - 1 for p in _index(alg).offset[1:]))
+    return _max_depth(_id_table(alg), _index(alg).projective)
 
 
 @per_algebra
 def regular_id_left(alg: KupischSeries) -> ExtendedNat:
     """Injective dimension as a left module: by the duality D, id(_A A) =
     pd(D(A)_A), the largest pd at the injectives (zero cosyzygy)."""
-    return _max_depth(_pd_table(alg), _injectives(alg).values())
+    return _max_depth(_pd_table(alg), _index(alg).injective)
 
 
 @per_algebra
@@ -160,7 +159,7 @@ def domdim(alg: KupischSeries) -> ExtendedNat:
         for p, (z, j) in enumerate(zip(idx.coomega, idx.socle))
     ]
     depths = _depths(succ)
-    lead = [depths[p - 1] for p in idx.offset[1:]]
+    lead = [depths[p] for p in idx.projective]
     return min((ExtendedNat(k) for k in lead if k is not None), default=INFINITY)
 
 

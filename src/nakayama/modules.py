@@ -134,16 +134,19 @@ class _Index:
     order.  socle[p] is the socle vertex of the interval at p; omega[p]
     and coomega[p] are the positions of its syzygy and cosyzygy, -1 for
     zero.  These two lists are the package's only definition of the
-    Omega and Omega^- steps.
+    Omega and Omega^- steps.  Indexed by vertex - 1, simple holds the
+    position of S_i = M(i, 1), projective that of P_i, the zero Omega
+    step with top i, and injective that of I(j), the zero Omega^- step
+    with socle j: the one definition of each.
     """
 
     offset: list[int]
     socle: list[int]
     omega: list[int]
     coomega: list[int]
-
-    def simple_at(self, i: int) -> int:
-        return self.offset[i - 1]
+    simple: list[int]
+    projective: list[int]
+    injective: list[int]
 
 
 @per_algebra
@@ -153,6 +156,9 @@ def _index(alg: KupischSeries) -> _Index:
     v = len(alg.lengths)
     offset = [0, *accumulate(alg.lengths)]
     d = alg.injective_lengths()
+    # I(j) = M(j - d_j + 1, d_j) and P_i = M(i, c_i), with 0-based i and j
+    injective = [offset[(j - dj + 1) % v] + dj - 1 for j, dj in enumerate(d)]
+    projective = [p - 1 for p in offset[1:]]
     socle, omega, coomega = [], [], []
     for i, c in enumerate(alg.lengths):
         for l in range(1, c + 1):
@@ -161,9 +167,8 @@ def _index(alg: KupischSeries) -> _Index:
             # Omega M(i, l) = rad^l P_i = M(i + l, c - l)
             omega.append(offset[(i + l) % v] + c - l - 1 if l < c else -1)
             # Omega^- M(i, l) = I(j) / M(i, l), the top d_j - l of I(j)
-            dj = d[j]
-            coomega.append(offset[(j - dj + 1) % v] + dj - l - 1 if l < dj else -1)
-    return _Index(offset, socle, omega, coomega)
+            coomega.append(injective[j] - l if l < d[j] else -1)
+    return _Index(offset, socle, omega, coomega, offset[:-1], projective, injective)
 
 
 def _position(alg: KupischSeries, m: IntervalModule) -> int:
@@ -197,13 +202,6 @@ def _sum_at(offset: list[int], positions) -> ModuleSum:
     """The sum of the intervals at the positions; -1 stands for zero."""
     pieces = (IntervalModule(*_interval_at(offset, p)) for p in positions if p >= 0)
     return ModuleSum.of(*pieces)
-
-
-@per_algebra
-def _injectives(alg: KupischSeries) -> dict[int, int]:
-    """Position of I(j) by socle vertex j: the zero cosyzygy with socle j."""
-    idx = _index(alg)
-    return {j: p for p, (j, z) in enumerate(zip(idx.socle, idx.coomega)) if z < 0}
 
 
 # -- distinguished modules -------------------------------------------------
@@ -356,8 +354,8 @@ def _torsionless(alg: KupischSeries) -> list[bool]:
     """
     idx = _index(alg)
     longest = [0] * (alg.num_vertices + 1)
-    for c, p in zip(alg.lengths, idx.offset[1:]):
-        j = idx.socle[p - 1]  # the socle of P_i, at position p - 1
+    for c, p in zip(alg.lengths, idx.projective):
+        j = idx.socle[p]  # the socle of P_i
         longest[j] = max(longest[j], c)
     d, v = alg.injective_lengths(), alg.num_vertices
     verdict = [False]

@@ -12,7 +12,6 @@ from .modules import (
     ModuleSum,
     _Index,
     _index,
-    _injectives,
     _interval_at,
     _position,
     _positions,
@@ -51,7 +50,7 @@ def _tau_at(idx: _Index, p: int, n: int, forward: bool) -> int:
         return -1
     start, length = _interval_at(idx.offset, q)
     i = start if forward else start - 2  # 0-based vertex of the image
-    return idx.offset[i % (len(idx.offset) - 1)] + length - 1
+    return idx.simple[i % len(idx.simple)] + length - 1
 
 
 def _tau_n(alg: KupischSeries, m, n: int, forward: bool) -> ModuleSum:
@@ -94,22 +93,23 @@ def is_precluster(alg: KupischSeries, members, n: int) -> PreclusterVerdict:
     indecomposables), recorded in the note rather than re-checked.
     Members that are not modules over `alg` raise NotAdmissible.  They
     are validated once, and the rest, failure text included, is read off
-    the index: P_i at offset[i] - 1, I(i) by _injectives, tau_n and
-    tau_n^- by _tau_at, Ext^k by _ext1 from the member's _source.  The
-    verdict's members are the given intervals, sorted, each once.
+    the index: P_i and I(i) from its projective and injective lists,
+    tau_n and tau_n^- by _tau_at, Ext^k by _ext1 from the member's
+    _source.  The verdict's members are the given intervals, sorted,
+    each once.
     """
     if n < 1:
         raise ValueError("is_precluster wants n >= 1")
     by_position = {_position(alg, m): m for m in members}
     held = sorted(by_position)
-    idx, inj, mset = _index(alg), _injectives(alg), set(held)
+    idx, mset = _index(alg), set(held)
 
     def text(p: int) -> str:
         return interval_text(*_interval_at(idx.offset, p))
 
     failures: list[dict] = []
-    for i in alg.vertices():
-        for label, p in (("generator", idx.offset[i] - 1), ("cogenerator", inj[i])):
+    for pair in zip(idx.projective, idx.injective):
+        for label, p in zip(("generator", "cogenerator"), pair):
             if p not in mset:
                 failures.append({"condition": label, "missing": text(p)})
     for p in held:
@@ -175,9 +175,9 @@ def _member_masks(alg: KupischSeries, n: int) -> tuple[list[int], list[int]]:
 
 
 def _forced(alg: KupischSeries) -> list[int]:
-    """Positions of the projectives and injectives: zero (co)syzygy."""
+    """Positions of the projectives and injectives, sorted."""
     idx = _index(alg)
-    return [p for p, (z, w) in enumerate(zip(idx.omega, idx.coomega)) if z < 0 or w < 0]
+    return sorted({*idx.projective, *idx.injective})
 
 
 def search_precluster(

@@ -39,7 +39,7 @@ from nakayama import (
     verify_thm_prinj,
 )
 from nakayama.classify import REPORT_KEYS, VerifierResult, _sample_positions
-from nakayama.modules import _interval_at
+from nakayama.modules import _Index, _interval_at
 from nakayama.notation import format_interval, interval_text
 from nakayama.cli import _sweep_violations
 
@@ -477,7 +477,7 @@ def reference_verify_gp_socle_sub(alg, n, seed=0):
     gpd_of = classify_tables._gpd_table(alg)
     idx = classify_tables._index(alg)
     sub = classify_tables._torsionless(alg)
-    socle_gpd = [0] + [gpd_of[idx.simple_at(j)] for j in alg.vertices()]
+    socle_gpd = [0] + [gpd_of[idx.simple[j - 1]] for j in alg.vertices()]
     code = [
         (g <= n) | (socle_gpd[j] <= n) << 1 | sub[j] << 2
         for g, j in zip(gpd_of, idx.socle)
@@ -514,9 +514,9 @@ def reference_verify_ses_gpd_bounds(alg):
     checked = 0
     witnesses = []
     for py, y in enumerate(indecs):
-        base = idx.simple_at(y.start)
+        base = idx.simple[y.start - 1]
         for s in range(1, y.length):
-            px = idx.simple_at(idx.socle[base + s]) + y.length - s - 1
+            px = idx.simple[idx.socle[base + s] - 1] + y.length - s - 1
             pz = base + s - 1
             gx, gy, gz = gpd_of[px], gpd_of[py], gpd_of[pz]
             checked += 1
@@ -618,3 +618,15 @@ def test_classify_builds_no_interval_table(monkeypatch, seed):
         verdicts = dict(classify(alg, seed).theorem_verdicts)
         prinj_witnesses += len(verdicts["prinj"]["witnesses"])
     assert prinj_witnesses > 0
+
+
+def test_classify_keeps_one_table_of_distinguished_positions():
+    """S_i, P_i and I(j) live on the index alone: after classify the memo
+    holds no separate injective table, and the index has no simple_at."""
+    for lengths, cyclic in (([3, 3, 4], True), ([3, 3, 3, 3, 2, 1], False)):
+        alg = KupischSeries.validate(lengths, cyclic)
+        classify(alg)
+        memo = alg.__dict__["_memo"]
+        assert "nakayama.modules._index" in memo
+        assert "nakayama.modules._injectives" not in memo
+    assert not hasattr(_Index, "simple_at")

@@ -34,6 +34,7 @@ from nakayama import (
     idim,
     in_sub_lambda,
     indecomposables,
+    injective,
     injective_coresolution,
     injective_envelope,
     is_gorenstein_projective,
@@ -49,6 +50,7 @@ from nakayama import (
     regular_id,
     regular_id_left,
     regular_module,
+    simple,
     socle,
     socle_part,
     socle_vertex,
@@ -485,10 +487,35 @@ def assert_index_matches_reference(alg):
     return len(indecs)
 
 
+def assert_distinguished_positions(alg):
+    """The index's simple, projective and injective lists against the
+    public S_i, P_i and I(j), and their projective and injective entries
+    against the zero steps.  I(j) is built on the injective_lengths +
+    shift route, so it is a cross-check on the index's I(j) and on that
+    route both."""
+    idx = _index(alg)
+    lists = (idx.simple, idx.projective, idx.injective)
+    assert [len(x) for x in lists] == [alg.num_vertices] * 3
+    for i in alg.vertices():
+        assert idx.simple[i - 1] == _position(alg, simple(alg, i))
+        assert idx.projective[i - 1] == _position(alg, projective(alg, i))
+        assert idx.injective[i - 1] == _position(alg, injective(alg, i))
+    zero_steps = {
+        p for p, (z, w) in enumerate(zip(idx.omega, idx.coomega)) if z < 0 or w < 0
+    }
+    assert {*idx.projective, *idx.injective} == zero_steps
+
+
 class TestIndex:
     def test_matches_reference_steps(self):
         checked = sum(map(assert_index_matches_reference, enumerate_admissible(6, 8)))
         assert checked == 16833
+
+    def test_distinguished_positions_match_public_modules_cross_check(self):
+        pool = enumerate_admissible(6, 8)
+        for alg in pool:
+            assert_distinguished_positions(alg)
+        assert len(pool) == 664
 
 
 @st.composite
@@ -514,6 +541,7 @@ def admissible_series(draw, max_vertices=10, max_length=10):
 @given(admissible_series())
 def test_engine_matches_references_on_random_series(alg):
     assert_index_matches_reference(alg)
+    assert_distinguished_positions(alg)
     pds, ids = {}, {}
     for m in indecomposables(alg):
         pds[m] = resolution_length(projective_resolution(alg, m))
