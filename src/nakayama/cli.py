@@ -67,6 +67,7 @@ from .oracle import (
 from .precluster import search_precluster, tau_n
 
 __all__ = ["main"]
+_encode = json.JSONEncoder(separators=(",", ":")).encode  # compact, built once
 
 
 def _parse_lengths(text: str) -> list[int]:
@@ -212,7 +213,7 @@ def _sweep_record(payload) -> tuple[str, tuple[bool, ...]]:
     """One algebra's JSONL line and its summary tally."""
     lengths, cyclic, seed = payload
     rec = classify(KupischSeries(tuple(lengths), cyclic), seed).to_json()
-    return json.dumps(rec, separators=(",", ":")), _tally(rec)
+    return _encode(rec), _tally(rec)
 
 
 def _sweep_violations(rec: dict) -> list[str]:
@@ -493,10 +494,10 @@ def cmd_reproduce(args) -> int:
         name = f"{'cyclic' if cyclic else 'linear'}({','.join(map(str, lengths))})"
         for label, expected, fn, *raw in rows:
             total += 1
-            want = json.dumps(expected, separators=(",", ":"))
+            want = _encode(expected)
             try:
                 fn_args = [parse_module(alg, x) if isinstance(x, str) else x for x in raw]
-                got = json.dumps(_jsonable(fn(alg, *fn_args)), separators=(",", ":"))
+                got = _encode(_jsonable(fn(alg, *fn_args)))
             except Exception as exc:
                 got = f"error:{type(exc).__name__}: {exc}"
             if got == want:

@@ -4,15 +4,15 @@ Syzygies and cosyzygies of interval modules are interval modules, so
 Omega and Omega^- are functional graphs on the indecomposables.  The
 algebra's integer index (`modules._index`) holds both as successor lists
 over positions and is their one definition: `syzygy`, `cosyzygy`, Ext and
-the AR translates walk its positions.  pd, id, Gpd and domdim are depths
-in these graphs, steps to a sink, and one breadth-first solver
-(`_depths`) decides all four exactly as plain lists over positions, None
-for a walk into a cycle, which never ends.  The sinks are zero for pd and
-id; for Gpd the Gorenstein projectives, over an Iwanaga-Gorenstein
-algebra of degree g the projectives and the nonzero g-th syzygies; for
-domdim the intervals whose injective envelope is not projective.  Ext
-dimensions come from the long exact sequence of the minimal presentation,
-one dimension shift at a time.
+the AR translates walk its positions.  pd, id and Gpd are depths in
+these graphs, steps to a sink, and one breadth-first solver (`_depths`)
+decides all three as plain lists over positions, None for a walk into a
+cycle.  The sinks are zero for pd and id; for Gpd the Gorenstein
+projectives, over an Iwanaga-Gorenstein algebra of degree g the
+projectives and the nonzero g-th syzygies.  domdim walks Omega^- from
+each P_i to the first interval whose injective envelope is not
+projective.  Ext dimensions come from the long exact sequence of the
+minimal presentation, one dimension shift at a time.
 """
 
 from __future__ import annotations
@@ -149,18 +149,18 @@ def regular_id_left(alg: KupischSeries) -> ExtendedNat:
 def domdim(alg: KupischSeries) -> ExtendedNat:
     """Least number of leading projective terms in the minimal injective
     coresolution of a P_i; infinite when all of one (possibly periodic)
-    consists of projectives.  On the Omega^- graph an interval whose
-    injective envelope is not projective (one that is not torsionless)
-    is a sink, and a projective-injective one loops on itself."""
-    idx = _index(alg)
-    sub = _torsionless(alg)
-    succ = [
-        (z if z >= 0 else p) if sub[j] else -1
-        for p, (z, j) in enumerate(zip(idx.coomega, idx.socle))
-    ]
-    depths = _depths(succ)
-    lead = [depths[p] for p in idx.projective]
-    return min((ExtendedNat(k) for k in lead if k is not None), default=INFINITY)
+    consists of projectives.  The walk from P_i follows Omega^- while the
+    socle is torsionless; one that reaches a projective-injective, or
+    outlasts the positions and so cycles, never ends."""
+    idx, sub, lead = _index(alg), _torsionless(alg), []
+    for p in idx.projective:
+        for k in range(len(idx.coomega)):
+            if not sub[idx.socle[p]]:
+                lead.append(k)
+                break
+            if (p := idx.coomega[p]) < 0:
+                break
+    return ExtendedNat(min(lead)) if lead else INFINITY
 
 
 # -- Ext dimensions -----------------------------------------------------------

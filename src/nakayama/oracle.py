@@ -30,8 +30,8 @@ algebra at a time (a one-slot lru_cache): a batch that cycles through
 many algebras keeps only the current one.  The state lives outside the
 algebra's `_memo` (`core.per_algebra`) so the oracle shares no
 per-algebra state with the engine it checks, and so algebras held by a
-caller do not keep their matrices alive.  The AR translate reads no
-state and is answered summand by summand.
+caller do not keep their matrices alive.  The AR translate reads the
+state's paths, listed once, and is answered summand by summand.
 """
 
 from __future__ import annotations
@@ -75,25 +75,20 @@ def _check_int_prime(p: int):
         raise ValueError(f"field order must be prime, got {p}")
 
 
-def _summands(alg: KupischSeries, m) -> tuple[IntervalModule, ...]:
-    """The summands of m, each checked against the Kupisch lengths
-    directly (not through the engine's index, which is under test): an
-    interval that is not a module over alg raises NotAdmissible."""
-    pieces = _split(m)
-    for piece in pieces:
-        inside = 1 <= piece.start <= alg.num_vertices
-        if not (inside and 1 <= piece.length <= alg.lengths[piece.start - 1]):
-            raise NotAdmissible(f"{piece} is not a module over {alg.lengths}")
-    return pieces
-
-
-def _dim(pieces) -> int:
-    return sum(piece.length for piece in pieces)
-
-
-def _pairs(pieces) -> list[tuple[int, int]]:
-    """The (start, length) pairs that key the cross-check state."""
-    return [(piece.start, piece.length) for piece in pieces]
+def _checked(alg: KupischSeries, m) -> tuple[list[tuple[int, int]], int]:
+    """m's (start, length) pairs, which key the cross-check state, and its
+    dimension, in one pass.  Each summand is checked against the Kupisch
+    lengths directly (not through the engine's index, which is under
+    test): an interval that is not a module over alg raises NotAdmissible."""
+    lengths = alg.lengths
+    pairs, dim = [], 0
+    for piece in _split(m):
+        start, length = piece.start, piece.length
+        if not (0 < start <= len(lengths) and 0 < length <= lengths[start - 1]):
+            raise NotAdmissible(f"{piece} is not a module over {lengths}")
+        pairs.append((start, length))
+        dim += length
+    return pairs, dim
 
 
 def _check_dim(dim: int, dim_cap: int):
@@ -181,9 +176,9 @@ def realize(
     every length-c_i path from i acts as zero.  Each call builds a fresh
     representation."""
     _check_prime(p)
-    pieces = _summands(alg, m)
-    _check_dim(_dim(pieces), dim_cap)
-    return _realize(alg, _pairs(pieces), p)
+    pieces, dim = _checked(alg, m)
+    _check_dim(dim, dim_cap)
+    return _realize(alg, pieces, p)
 
 
 def _realize(alg: KupischSeries, pieces, p: int) -> MatrixRep:
@@ -218,17 +213,18 @@ def _hom_system(
     Unknowns are the entries of the per-vertex blocks f_w, stacked in
     vertex order (row-major per block).  Returns (rows, offsets, nvars).
     """
-    v = x.alg.num_vertices
-    offs = [0] * (v + 1)
-    for w in range(v):
-        offs[w + 1] = offs[w] + y.dims[w] * x.dims[w]
-    nvars = offs[v]
+    xdims, ydims = x.dims, y.dims
+    offs = [0]
+    for xd, yd in zip(xdims, ydims):
+        offs.append(offs[-1] + yd * xd)
+    nvars = offs[-1]
     if nvars == 0:
         return [], offs, 0
+    v = len(xdims)
     rows = []
     for u, ax in x.maps.items():
         du, dt = u - 1, u % v  # 0-based u and shift(u, 1)
-        xt, xu, yt = x.dims[dt], x.dims[du], y.dims[dt]
+        xt, xu, yt = xdims[dt], xdims[du], ydims[dt]
         if not (xu and yt):
             continue  # both sides below are yt x xu matrices: no equations
         # f_t @ ax == ay @ f_u, one equation per entry (a, b), kept under
@@ -302,9 +298,9 @@ class _OracleState:
     length) pairs of intervals that are modules over it.  Each ordered
     pair's intertwiner system is eliminated once: a pair from a cover P_i
     keeps its Hom basis, for Ext^1, and its Hom dimension is the basis
-    length; every other pair keeps only its nullity.  Each table entry is
-    built on first use from the entries before it, and stored only once
-    it is complete."""
+    length; every other pair keeps only its nullity (nvars if it has no
+    equations).  tau reads `ends`.  Each table is built on first use from
+    the ones before it, and stored only once it is complete."""
 
     def __init__(self, alg: KupischSeries, p: int):
         self.alg = alg
@@ -314,6 +310,16 @@ class _OracleState:
         self.bases: dict = {}  # (i, y) -> basis of Hom(P_i, y), per-vertex blocks
         self.kernels: dict = {}  # x -> (name of K or None, K's coordinates in P(x))
         self.ext1s: dict = {}  # (x, y) -> dim Ext^1(x, y)
+
+    @functools.cached_property
+    def ends(self) -> list[list[tuple[int, int]]]:
+        """The algebra's paths (j, t), from j of length t, listed once and
+        grouped by end vertex w under w - 1."""
+        ends: list[list[tuple[int, int]]] = [[] for _ in self.alg.lengths]
+        for j, c in enumerate(self.alg.lengths, 1):
+            for t in range(c):
+                ends[self.alg.shift(j, t) - 1].append((j, t))
+        return ends
 
     def rep(self, m: tuple[int, int]) -> MatrixRep:
         rep = self.reps.get(m)
@@ -327,7 +333,7 @@ class _OracleState:
             if x[1] == self.alg.lengths[x[0] - 1]:
                 return len(self.basis(x[0], y))  # fills homs
             system, _, nvars = _hom_system(self.rep(x), self.rep(y))
-            dim = self.homs[x, y] = nvars - _rank(system, self.p)
+            dim = self.homs[x, y] = nvars - _rank(system, self.p) if system else nvars
         return dim
 
     def basis(self, i: int, y: tuple[int, int]) -> list:
@@ -383,13 +389,12 @@ def oracle_hom_dim(
     """dim Hom(x, y) as the nullity of the intertwiner system, summed
     over summand pairs."""
     _check_prime(p)
-    xs, ys = _summands(alg, x), _summands(alg, y)
-    _check_dim(_dim(xs), dim_cap)
-    _check_dim(_dim(ys), dim_cap)
+    (xs, xdim), (ys, ydim) = _checked(alg, x), _checked(alg, y)
+    _check_dim(xdim, dim_cap)
+    _check_dim(ydim, dim_cap)
     st = _state(alg, p)
-    ys = _pairs(ys)
     total = 0
-    for a in _pairs(xs):
+    for a in xs:
         for b in ys:
             total += st.hom(a, b)
     return total
@@ -402,14 +407,13 @@ def oracle_ext1_dim(
     0 -> K -> P(x) -> x -> 0 is the explicit minimal presentation,
     summed over summand pairs; each pair is computed once per state."""
     _check_prime(p)
-    xs, ys = _summands(alg, x), _summands(alg, y)
-    for piece in xs:
-        _check_dim(alg.loewy_length(piece.start), dim_cap)  # the cover
-    _check_dim(_dim(ys), dim_cap)
+    (xs, _), (ys, ydim) = _checked(alg, x), _checked(alg, y)
+    for start, _ in xs:
+        _check_dim(alg.lengths[start - 1], dim_cap)  # the cover
+    _check_dim(ydim, dim_cap)
     st = _state(alg, p)
-    ys = _pairs(ys)
     total = 0
-    for a in _pairs(xs):
+    for a in xs:
         for b in ys:
             total += _ext1(st, a, b)
     return total
@@ -441,11 +445,10 @@ def oracle_is_injective(
     for every simple S.  Ext^1 is additive in m, so a sum is injective
     when each summand is."""
     _check_prime(p)
-    pieces = _summands(alg, m)
-    _check_dim(_dim(pieces), dim_cap)
+    pieces, dim = _checked(alg, m)
+    _check_dim(dim, dim_cap)
     _check_dim(max(alg.lengths), dim_cap)  # the covers of the simples
     st = _state(alg, p)
-    pieces = _pairs(pieces)
     for i in alg.vertices():
         for piece in pieces:
             if _ext1(st, (i, 1), piece):
@@ -477,37 +480,33 @@ def oracle_tau(
     a projective summand adds zero.  The algebra's dimension is checked
     against dim_cap before a non-projective summand is translated."""
     _check_prime(p)
-    out = []
-    for piece in _summands(alg, m):
-        if piece.length == alg.loewy_length(piece.start):
-            continue
-        if alg.total_dim > dim_cap:
-            raise DimensionCapExceeded(
-                f"algebra dimension {alg.total_dim} exceeds cap {dim_cap}"
-            )
-        out.append(_tau1(alg, piece, p))
-    return ModuleSum(tuple(out))
+    pieces, _ = _checked(alg, m)
+    pieces = [(i, l) for i, l in pieces if l < alg.lengths[i - 1]]
+    if not pieces:
+        return ModuleSum(())
+    if alg.total_dim > dim_cap:
+        raise DimensionCapExceeded(
+            f"algebra dimension {alg.total_dim} exceeds cap {dim_cap}"
+        )
+    st = _state(alg, p)
+    return ModuleSum(tuple(_tau1(st, i, l) for i, l in pieces))
 
 
-def _tau1(alg: KupischSeries, m: IntervalModule, p: int) -> IntervalModule:
-    """tau of a non-projective interval via the transpose-dual of its
-    minimal presentation.
+def _tau1(st: _OracleState, i: int, l: int) -> IntervalModule:
+    """tau of the non-projective interval m = M(i, l) via the
+    transpose-dual of its minimal presentation.
 
     Hom(-, algebra) turns the presentation map between projectives into
     right multiplication between spaces of paths with fixed endpoint; the
     transpose is the cokernel presentation of Tr m, and dualizing that
     left module componentwise gives tau m.  All steps are explicit basis
     bookkeeping plus one rank computation for the top."""
-    i, l = m.start, m.length
-    # paths as (start vertex, length), grouped by their end vertex
-    items = [(j, t) for j in alg.vertices() for t in range(alg.loewy_length(j))]
-    end_i = [b for b in items if alg.shift(*b) == i]
-    end_il = [b for b in items if alg.shift(*b) == alg.shift(i, l)]
-    image = {(j, t + l) for (j, t) in end_i if t + l <= alg.loewy_length(j) - 1}
-    coker = [b for b in end_il if b not in image]
+    alg, lengths, ends = st.alg, st.alg.lengths, st.ends
+    image = {(j, t + l) for (j, t) in ends[i - 1] if t + l < lengths[j - 1]}
+    coker = [b for b in ends[alg.shift(i, l) - 1] if b not in image]
     if len(coker) != l:
         raise InternalInconsistency(
-            f"transpose of {m} over {alg.lengths} has dimension "
+            f"transpose of M({i},{l}) over {lengths} has dimension "
             f"{len(coker)}, expected {l}"
         )
     comp = {w: [b for b in coker if b[0] == w] for w in alg.vertices()}
@@ -525,11 +524,11 @@ def _tau1(alg: KupischSeries, m: IntervalModule, p: int) -> IntervalModule:
                 lifted = (pred, b[1] + 1)
                 if lifted in pos[pred]:
                     mat[pos[pred][lifted]][pos[w][b]] = 1
-            incoming_rank = _rank(mat, p)
+            incoming_rank = _rank(mat, st.p)
         tops.append(len(comp[w]) - incoming_rank)
     if sum(tops) != 1:
         raise InternalInconsistency(
-            f"transpose-dual of {m} over {alg.lengths} is not uniserial: "
+            f"transpose-dual of M({i},{l}) over {lengths} is not uniserial: "
             f"top vector {tuple(tops)}"
         )
     return IntervalModule(tops.index(1) + 1, l)

@@ -60,7 +60,7 @@ from nakayama import (
 )
 import nakayama.homology as homology_module
 from nakayama.homology import _depths, _gpd1, _source
-from nakayama.modules import _index, _position
+from nakayama.modules import _index, _position, _torsionless
 
 CYCLIC = KupischSeries.validate([3, 3, 4], True)
 LINEAR = KupischSeries.validate([3, 3, 3, 3, 2, 1], False)
@@ -448,6 +448,32 @@ class TestDepthSolver:
             )
             checked += len(pds)
         assert checked == 3766
+
+
+def reference_domdim(alg):
+    """Cross-check route for domdim: depths over every position of the
+    Omega^- graph in which a non-torsionless socle is a sink and a
+    torsionless projective-injective loops on itself, read at the
+    projectives by the breadth-first solver."""
+    idx = _index(alg)
+    sub = _torsionless(alg)
+    succ = [
+        (z if z >= 0 else p) if sub[j] else -1
+        for p, (z, j) in enumerate(zip(idx.coomega, idx.socle))
+    ]
+    depths = _depths(succ)
+    lead = [depths[p] for p in idx.projective]
+    return min((ExtendedNat(k) for k in lead if k is not None), default=INFINITY)
+
+
+def test_domdim_walks_match_the_depth_route_cross_check():
+    # the walks from the v projectives against the depth route over every
+    # position, on every algebra of the 7/9 pool
+    algs = list(enumerate_admissible(7, 9))
+    for alg in algs:
+        assert domdim(alg) == reference_domdim(alg), alg
+    finite = sum(domdim(alg).is_finite for alg in algs)
+    assert (len(algs), finite) == (2207, 2150)
 
 
 def reference_syzygy(alg, m):

@@ -233,16 +233,17 @@ class TestTau:
 
 
 FOREIGN_ALG = KupischSeries.validate([2, 3], True)
-# ORACLE_CALLS[name](alg, m) puts m in the named argument of one public call
+# ORACLE_CALLS[name](alg, m, **kw) puts m in the named argument of one
+# public call, with the keyword arguments p and dim_cap in kw
 ORACLE_CALLS = {
-    "realize": lambda alg, m: realize(alg, m),
-    "hom_dim source": lambda alg, m: oracle_hom_dim(alg, m, M(1, 1)),
-    "hom_dim target": lambda alg, m: oracle_hom_dim(alg, M(1, 1), m),
-    "ext1_dim source": lambda alg, m: oracle_ext1_dim(alg, m, M(1, 1)),
-    "ext1_dim target": lambda alg, m: oracle_ext1_dim(alg, M(1, 1), m),
-    "is_injective": lambda alg, m: oracle_is_injective(alg, m),
-    "tau": lambda alg, m: oracle_tau(alg, m),
-    "socle_vector": lambda alg, m: oracle_socle_vector(alg, m),
+    "realize": lambda alg, m, **kw: realize(alg, m, **kw),
+    "hom_dim source": lambda alg, m, **kw: oracle_hom_dim(alg, m, M(1, 1), **kw),
+    "hom_dim target": lambda alg, m, **kw: oracle_hom_dim(alg, M(1, 1), m, **kw),
+    "ext1_dim source": lambda alg, m, **kw: oracle_ext1_dim(alg, m, M(1, 1), **kw),
+    "ext1_dim target": lambda alg, m, **kw: oracle_ext1_dim(alg, M(1, 1), m, **kw),
+    "is_injective": lambda alg, m, **kw: oracle_is_injective(alg, m, **kw),
+    "tau": lambda alg, m, **kw: oracle_tau(alg, m, **kw),
+    "socle_vector": lambda alg, m, **kw: oracle_socle_vector(alg, m, **kw),
 }
 
 
@@ -260,6 +261,104 @@ def test_shares_no_state_with_the_engine(call):
     alg = KupischSeries.validate([3, 3, 4], True)
     ORACLE_CALLS[call](alg, M(1, 2))
     assert "_memo" not in alg.__dict__
+
+
+# REFUSALS[kind] = (m, keyword arguments, error): a query over CYCLIC
+# that one of the checks must refuse
+REFUSALS = {
+    "foreign interval": (M(7, 1), {}, NotAdmissible),
+    "non-prime p": (M(1, 1), {"p": 4}, ValueError),
+    "cap breach": (M(1, 1), {"dim_cap": 0}, DimensionCapExceeded),
+}
+
+
+@pytest.mark.parametrize("call", sorted(ORACLE_CALLS))
+@pytest.mark.parametrize("kind", sorted(REFUSALS))
+def test_a_refused_query_reads_no_state(call, kind):
+    # every check runs before the state is read: a refused query neither
+    # looks the state up nor replaces the warm one
+    oracle._state.cache_clear()
+    ind = indecomposables(CYCLIC)
+    for x in ind:
+        oracle_is_injective(CYCLIC, x)
+        oracle_tau(CYCLIC, x)
+        for y in ind:
+            oracle_hom_dim(CYCLIC, x, y)
+            oracle_ext1_dim(CYCLIC, x, y)
+    warm = oracle._state(CYCLIC, 2)
+    before = oracle._state.cache_info()
+    m, kw, error = REFUSALS[kind]
+    with pytest.raises(error):
+        ORACLE_CALLS[call](CYCLIC, m, **kw)
+    assert oracle._state.cache_info() == before
+    assert oracle._state(CYCLIC, 2) is warm
+
+
+def reference_tau1(alg, m, p):
+    """Cross-check of the state's path table: tau of the non-projective
+    interval m by the same transpose-dual, listing every path of the
+    algebra again on each call."""
+    i, l = m.start, m.length
+    items = [(j, t) for j in alg.vertices() for t in range(alg.loewy_length(j))]
+    end_i = [b for b in items if alg.shift(*b) == i]
+    end_il = [b for b in items if alg.shift(*b) == alg.shift(i, l)]
+    image = {(j, t + l) for (j, t) in end_i if t + l <= alg.loewy_length(j) - 1}
+    coker = [b for b in end_il if b not in image]
+    assert len(coker) == l
+    comp = {w: [b for b in coker if b[0] == w] for w in alg.vertices()}
+    pos = {w: {b: k for k, b in enumerate(comp[w])} for w in alg.vertices()}
+    tops = []
+    for w in alg.vertices():
+        incoming_rank = 0
+        if alg.cyclic or w > 1:
+            pred = alg.shift(w, -1)
+            mat = [[0] * len(comp[w]) for _ in comp[pred]]
+            for b in comp[w]:
+                lifted = (pred, b[1] + 1)
+                if lifted in pos[pred]:
+                    mat[pos[pred][lifted]][pos[w][b]] = 1
+            incoming_rank = oracle._rank(mat, p)
+        tops.append(len(comp[w]) - incoming_rank)
+    assert sum(tops) == 1
+    return IntervalModule(tops.index(1) + 1, l)
+
+
+class TestTauPathTable:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_matches_the_per_call_listing_cross_check(self, p):
+        translated = 0
+        for alg in enumerate_admissible(5, 7):
+            for m in indecomposables(alg):
+                if m.length == alg.loewy_length(m.start):
+                    assert oracle_tau(alg, m, p).is_zero
+                    continue
+                assert oracle_tau(alg, m, p) == ModuleSum.of(reference_tau1(alg, m, p))
+                translated += 1
+        assert translated == 3766 - 887
+
+    def test_paths_are_listed_once(self, monkeypatch):
+        # the table costs one shift per path, on the first call only; each
+        # call then shifts at most once per vertex and once for its socle
+        ind = indecomposables(CYCLIC)
+        translated = sum(m.length < CYCLIC.lengths[m.start - 1] for m in ind)
+        shift = KupischSeries.shift
+        calls = []
+
+        def counted(alg, i, steps=1):
+            calls.append((i, steps))
+            return shift(alg, i, steps)
+
+        def tau_pass():
+            calls.clear()
+            for m in ind:
+                oracle_tau(CYCLIC, m)
+            return len(calls)
+
+        monkeypatch.setattr(KupischSeries, "shift", counted)
+        oracle._state.cache_clear()
+        first, second = tau_pass(), tau_pass()
+        assert first - second == CYCLIC.total_dim
+        assert second <= translated * (CYCLIC.num_vertices + 1)
 
 
 def nullity(xr, yr, p):
