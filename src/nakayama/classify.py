@@ -364,7 +364,7 @@ class ClassificationReport:
     theorem_verdicts: tuple = field(default=())
 
     def to_json(self) -> dict:
-        vals = {
+        return {  # in REPORT_KEYS order
             "kupisch": list(self.algebra.lengths),
             "cyclic": self.algebra.cyclic,
             "regular_id": self.regular_id.to_json(),
@@ -382,7 +382,6 @@ class ClassificationReport:
             ],
             "theorem_verdicts": {name: dict(v) for name, v in self.theorem_verdicts},
         }
-        return {k: vals[k] for k in REPORT_KEYS}
 
 
 def classify(alg: KupischSeries, seed: int = 0) -> ClassificationReport:

@@ -169,7 +169,17 @@ def domdim(alg: KupischSeries) -> ExtendedNat:
 def _source(succ: list[int], p: int, k: int) -> int:
     """succ^(k-1)(p) when succ^k(p) is nonzero, else -1 (k >= 1).  Over
     omega its Ext^1 is Ext^k of p and its tau is tau_k of p; over coomega
-    its tau^- is tau_k^- of p."""
+    its tau^- is tau_k^- of p.  A walk still alive after len(succ) steps
+    has repeated a node, so it is on its cycle: the steps past len(succ)
+    are taken modulo the cycle's length, and any k costs O(len(succ))."""
+    if k > 2 and k - 1 > len(succ):  # k <= 2, the usual case, skips len()
+        p = _source(succ, p, len(succ) + 1)
+        if p < 0:
+            return -1
+        cycle, q = 1, succ[p]
+        while q != p:
+            cycle, q = cycle + 1, succ[q]
+        k = (k - 1 - len(succ)) % cycle + 1
     for _ in range(k - 1):
         p = succ[p]
         if p < 0:
@@ -300,13 +310,16 @@ class Resolution:
     periodic_from: int | None
 
 
-def _resolve(alg, m, term_of, step, kind, max_steps) -> Resolution:
+def _resolve(alg, m, term_of, step, kind) -> Resolution:
+    """Walk the (co)kernels of m until one is zero or repeats.  The walk
+    always ends: each summand has at most one successor, so every state
+    is a multiset of at most len(m) positions, there are finitely many,
+    and `seen` catches the first repeat."""
     msum = check_module(alg, m)
     terms: list[ModuleSum] = []
     kernels: list[ModuleSum] = []
     seen: dict[ModuleSum, int] = {}
     cur = msum
-    step_no = 0
     while True:
         if cur.is_zero:
             return Resolution(kind, msum, tuple(terms), tuple(kernels), True, None)
@@ -314,18 +327,15 @@ def _resolve(alg, m, term_of, step, kind, max_steps) -> Resolution:
             return Resolution(
                 kind, msum, tuple(terms), tuple(kernels), False, seen[cur]
             )
-        if max_steps is not None and step_no >= max_steps:
-            raise ValueError(f"resolution of {msum} exceeded {max_steps} steps")
-        seen[cur] = step_no
+        seen[cur] = len(terms)
         terms.append(term_of(alg, cur))
         cur = step(alg, cur)
         kernels.append(cur)
-        step_no += 1
 
 
-def projective_resolution(alg: KupischSeries, m, max_steps: int | None = None) -> Resolution:
-    return _resolve(alg, m, projective_cover, syzygy, "projective", max_steps)
+def projective_resolution(alg: KupischSeries, m) -> Resolution:
+    return _resolve(alg, m, projective_cover, syzygy, "projective")
 
 
-def injective_coresolution(alg: KupischSeries, m, max_steps: int | None = None) -> Resolution:
-    return _resolve(alg, m, injective_envelope, cosyzygy, "injective", max_steps)
+def injective_coresolution(alg: KupischSeries, m) -> Resolution:
+    return _resolve(alg, m, injective_envelope, cosyzygy, "injective")

@@ -12,6 +12,7 @@ import random
 import time
 
 import pytest
+import references
 
 from nakayama import (
     INFINITY,
@@ -20,7 +21,6 @@ from nakayama import (
     ModuleSum,
     ar_translate,
     classify,
-    enumerate_admissible,
     ext_dim,
     gldim,
     gorenstein_degree,
@@ -55,7 +55,7 @@ SWEEP_LENGTH = 8
 
 @pytest.fixture(scope="session")
 def pool():
-    return enumerate_admissible(SWEEP_VERTICES, SWEEP_LENGTH)
+    return references.pool(SWEEP_VERTICES, SWEEP_LENGTH)
 
 
 @pytest.fixture(scope="session")

@@ -2,25 +2,23 @@
 
 from __future__ import annotations
 
-import random
 import sys
-import zlib
 from itertools import product
 
 import pytest
-from test_homology import ext_gpd
+from references import (
+    CYCLIC, LINEAR, SELFINJ, WILD, pool, pool_of, reference_ext_gpd, reference_gp_socle_sub,
+    reference_sample_positions, reference_ses_gpd_bounds, reference_verify_gp_socle_sub,
+    reference_verify_ses_gpd_bounds,
+)
 
 from nakayama import (
     INFINITY,
     IntervalModule,
     KupischSeries,
-    ModuleSum,
     NotGorenstein,
     PreconditionFailed,
     classify,
-    embeds_in,
-    enumerate_admissible,
-    format_module,
     gorenstein_degree,
     indecomposables,
     is_minimal_ag,
@@ -29,16 +27,12 @@ from nakayama import (
     minimal_ag_parameter,
     n_auslander_parameter,
     prinj_vertices,
-    projective,
-    radical_power,
-    radical_quotient,
-    socle,
     verify_ses_gpd_bounds,
     verify_thm31_count,
     verify_thm_gp_socle_sub,
     verify_thm_prinj,
 )
-from nakayama.classify import REPORT_KEYS, VerifierResult, _sample_positions
+from nakayama.classify import REPORT_KEYS, _sample_positions
 from nakayama.modules import _Index, _interval_at
 from nakayama.notation import format_interval, interval_text
 from nakayama.cli import _sweep_violations
@@ -46,10 +40,6 @@ from nakayama.cli import _sweep_violations
 # the package attribute `classify` is the function, not the module
 classify_tables = sys.modules["nakayama.classify"]
 
-CYCLIC = KupischSeries.validate([3, 3, 4], True)
-LINEAR = KupischSeries.validate([3, 3, 3, 3, 2, 1], False)
-SELFINJ = KupischSeries.validate([2, 2, 2], True)
-WILD = KupischSeries.validate([3, 4], True)
 BAD = KupischSeries.validate([2, 3, 2, 1], False)  # Gorenstein, not minimal AG
 POINT = KupischSeries.validate([1], False)
 
@@ -279,7 +269,7 @@ class TestClassify:
             raise AssertionError(f"opposite() called on {alg.lengths}")
 
         monkeypatch.setattr(KupischSeries, "opposite", refuse)
-        algs = list(enumerate_admissible(5, 7))
+        algs = list(pool(5, 7))
         assert len(algs) == 209
         for alg in algs:
             report = classify(alg)
@@ -289,88 +279,16 @@ class TestClassify:
 # -- the verifiers against a test-side recomputation ------------------------------
 
 
-def reference_gp_socle_sub(alg, n, seed, gpd_of):
-    """verify_thm_gp_socle_sub(...).to_json() recomputed from a Gpd table
-    and a direct embedding search over the projectives."""
-    projectives = [projective(alg, i) for i in alg.vertices()]
-    indecs = indecomposables(alg)
-    mods = [ModuleSum.of(m) for m in indecs]
-    mods += [
-        ModuleSum(tuple(indecs[p] for p in pieces))
-        for pieces in _sample_positions(alg, seed, "gp-socle-sub")
-    ]
-    witnesses = []
-    for nmod in mods:
-        g = max(gpd_of[p] for p in nmod)
-        sg = max(gpd_of[p] for p in socle(alg, nmod))
-        sub = all(any(embeds_in(alg, p, q) for q in projectives) for p in nmod)
-        if not ((g <= n) == (sg <= n) == sub):
-            witnesses.append(
-                {
-                    "module": format_module(nmod),
-                    "gpd": g,
-                    "socle_gpd": sg,
-                    "in_sub_lambda": sub,
-                }
-            )
-    status = "fail" if witnesses else "pass"
-    return {
-        "status": status,
-        "n": n,
-        "checked": len(mods),
-        "witnesses": witnesses,
-        "note": "",
-    }
-
-
-def reference_ses_gpd_bounds(alg, gpd_of):
-    """verify_ses_gpd_bounds(...).to_json() recomputed from a Gpd table."""
-    witnesses, checked = [], 0
-    for y in indecomposables(alg):
-        for s in range(1, y.length):
-            (x,) = radical_power(alg, y, s)
-            (z,) = radical_quotient(alg, y, s)
-            gx, gy, gz = gpd_of[x], gpd_of[y], gpd_of[z]
-            checked += 1
-            bad = [
-                name
-                for name, breached in (
-                    ("middle", gy > max(gx, gz)),
-                    ("sub", gx > max(gy, gz - 1)),
-                    ("quotient", gz > max(gy, gx + 1)),
-                )
-                if breached
-            ]
-            if bad:
-                witnesses.append(
-                    {
-                        "sub": format_module(x),
-                        "middle": format_module(y),
-                        "quotient": format_module(z),
-                        "gpd": [gx, gy, gz],
-                        "violates": bad,
-                    }
-                )
-    status = "fail" if witnesses else "pass"
-    return {
-        "status": status,
-        "n": None,
-        "checked": checked,
-        "witnesses": witnesses,
-        "note": "",
-    }
-
-
 def test_verifiers_match_ext_and_embedding_reference():
     """Every Gorenstein algebra of the 5/7 pool at every level: the
     table-driven verifiers give the same verdicts and witnesses as a
     recomputation with Gpd from Ext and embeddings searched directly."""
     levels = failing = 0
-    for alg in enumerate_admissible(5, 7):
+    for alg in pool_of(reference_gp_socle_sub):
         g = gorenstein_degree(alg)
         if not g.is_finite:
             continue
-        gpd_of = {m: ext_gpd(alg, m) for m in indecomposables(alg)}
+        gpd_of = {m: reference_ext_gpd(alg, m) for m in indecomposables(alg)}
         for n in range(max(g.value, 1)):
             got = verify_thm_gp_socle_sub(alg, n, 0).to_json()
             assert got == reference_gp_socle_sub(alg, n, 0, gpd_of), (alg, n)
@@ -418,18 +336,9 @@ def test_breached_theorems_report_witnesses_and_sweep_flags(monkeypatch):
     ]
 
 
-def reference_sample_positions(alg, seed, tag):
-    """The seeded sums drawn as 24 separate choices() calls, 12 pairs and
-    then 12 triples."""
-    key = repr((alg.lengths, alg.cyclic, seed, tag)).encode()
-    rng = random.Random(zlib.crc32(key))
-    size = range(alg.total_dim)
-    return [rng.choices(size, k=width) for width in (2, 3) for _ in range(12)]
-
-
 @pytest.mark.parametrize("seed", [0, 1, 1802])
 def test_one_draw_sample_matches_separate_draws(seed):
-    for alg in enumerate_admissible(6, 8):
+    for alg in pool_of(reference_sample_positions):
         assert _sample_positions(alg, seed, "gp-socle-sub") == (
             reference_sample_positions(alg, seed, "gp-socle-sub")
         ), alg
@@ -471,78 +380,7 @@ def test_lemma22_conditions_match_max_forms(monkeypatch):
 # -- the sweep path on positions ---------------------------------------------------
 
 
-def reference_verify_gp_socle_sub(alg, n, seed=0):
-    """The former verify_thm_gp_socle_sub: the same position codes, with
-    the witness text written from indecomposables(alg)."""
-    gpd_of = classify_tables._gpd_table(alg)
-    idx = classify_tables._index(alg)
-    sub = classify_tables._torsionless(alg)
-    socle_gpd = [0] + [gpd_of[idx.simple[j - 1]] for j in alg.vertices()]
-    code = [
-        (g <= n) | (socle_gpd[j] <= n) << 1 | sub[j] << 2
-        for g, j in zip(gpd_of, idx.socle)
-    ]
-    mods = [(p,) for p in range(len(code))]
-    mods.extend(_sample_positions(alg, seed, "gp-socle-sub"))
-    witnesses = []
-    for pieces in mods:
-        bits = 7
-        for p in pieces:
-            bits &= code[p]
-        if bits not in (0, 7):
-            indecs = indecomposables(alg)
-            witnesses.append(
-                {
-                    "module": "+".join(
-                        format_interval(indecs[p]) for p in sorted(pieces)
-                    ),
-                    "gpd": max(gpd_of[p] for p in pieces),
-                    "socle_gpd": max(socle_gpd[idx.socle[p]] for p in pieces),
-                    "in_sub_lambda": bool(bits & 4),
-                }
-            )
-    return VerifierResult(
-        "gp-socle-sub", n, not witnesses, len(mods), tuple(witnesses)
-    )
-
-
-def reference_verify_ses_gpd_bounds(alg):
-    """The former verify_ses_gpd_bounds: Y read off indecomposables(alg)."""
-    gpd_of = classify_tables._gpd_table(alg)
-    idx = classify_tables._index(alg)
-    indecs = indecomposables(alg)
-    checked = 0
-    witnesses = []
-    for py, y in enumerate(indecs):
-        base = idx.simple[y.start - 1]
-        for s in range(1, y.length):
-            px = idx.simple[idx.socle[base + s] - 1] + y.length - s - 1
-            pz = base + s - 1
-            gx, gy, gz = gpd_of[px], gpd_of[py], gpd_of[pz]
-            checked += 1
-            bad = []
-            if gy > gx and gy > gz:
-                bad.append("middle")
-            if gx > gy and gx >= gz:
-                bad.append("sub")
-            if gz > gy and gz > gx + 1:
-                bad.append("quotient")
-            if bad:
-                witnesses.append(
-                    {
-                        "sub": format_module(indecs[px]),
-                        "middle": format_module(y),
-                        "quotient": format_module(indecs[pz]),
-                        "gpd": [gx, gy, gz],
-                        "violates": bad,
-                    }
-                )
-    return VerifierResult(
-        "lemma22", None, not witnesses, checked, tuple(witnesses)
-    )
-
-
-POOL_6_8 = enumerate_admissible(6, 8)
+POOL_6_8 = pool_of(reference_verify_gp_socle_sub)
 
 
 def test_position_verifiers_match_former_bodies():
@@ -611,10 +449,10 @@ def test_classify_builds_no_interval_table(monkeypatch, seed):
     for name in ("nakayama.classify", "nakayama.modules", "nakayama.homology"):
         monkeypatch.setattr(sys.modules[name], "indecomposables", refuse, raising=False)
     monkeypatch.setattr(IntervalModule, "__init__", refuse_interval)
-    pool = enumerate_admissible(6, 8)
-    assert len(pool) == 664
+    algs = pool(6, 8)
+    assert len(algs) == 664
     prinj_witnesses = 0
-    for alg in pool:
+    for alg in algs:
         verdicts = dict(classify(alg, seed).theorem_verdicts)
         prinj_witnesses += len(verdicts["prinj"]["witnesses"])
     assert prinj_witnesses > 0

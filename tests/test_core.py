@@ -7,7 +7,9 @@ import pickle
 
 import pytest
 from hypothesis import given, settings
-from test_homology import admissible_series
+from references import (
+    admissible_series, pool, pool_of, reference_injective_lengths, reference_series,
+)
 
 from nakayama import (
     INFINITY,
@@ -21,62 +23,6 @@ from nakayama import (
 )
 from nakayama.core import _series, per_algebra
 from nakayama.modules import _index
-
-
-def reference_injective_lengths(alg):
-    """The vertex walk that the one-pass injective lengths replaced: grow
-    an interval with socle j upwards, one top vertex at a time, while the
-    projective at the new top is long enough to hold it."""
-    out = []
-    for j in alg.vertices():
-        d = 1
-        while True:
-            m = d + 1
-            if not alg.cyclic and j - m + 1 < 1:
-                break
-            start = alg.shift(j, 1 - m)
-            if m <= alg.lengths[start - 1]:
-                d = m
-            else:
-                break
-        out.append(d)
-    return tuple(out)
-
-
-def reference_series(v, max_length, cyclic):
-    """The generators that the necklace walk replaced, sorted: every
-    admissible sequence, each cyclic one reduced to its least rotation
-    and deduplicated."""
-    if not cyclic:
-        if v == 1:
-            return [(1,)] if max_length >= 1 else []
-
-        def rec(prefix):
-            i = len(prefix)
-            if i == v - 1:
-                if prefix[-1] <= 2:
-                    yield prefix + (1,)
-                return
-            lo = max(2, prefix[-1] - 1) if prefix else 2
-            for c in range(lo, min(max_length, v - i) + 1):
-                yield from rec(prefix + (c,))
-
-        return sorted(rec(()))
-
-    seen = set()
-
-    def rec(prefix):
-        i = len(prefix)
-        if i == v:
-            if prefix[0] >= prefix[-1] - 1:
-                seen.add(min(prefix[k:] + prefix[:k] for k in range(v)))
-            return
-        lo = max(2, prefix[-1] - 1) if prefix else 2
-        for c in range(lo, max_length + 1):
-            rec(prefix + (c,))
-
-    rec(())
-    return sorted(seen)
 
 
 class TestValidation:
@@ -183,7 +129,7 @@ class TestInjectiveLengths:
         assert KupischSeries.validate([3, 2, 1], False).injective_lengths() == (1, 2, 3)
 
     def test_one_pass_matches_reference_walk(self):
-        algs = enumerate_admissible(6, 8)
+        algs = pool_of(reference_injective_lengths)
         for alg in algs:
             assert alg.injective_lengths() == reference_injective_lengths(alg)
         assert len(algs) == 664
@@ -218,7 +164,7 @@ class TestOpposite:
         assert alg.opposite().lengths == (3, 2, 2, 1)
 
     def test_involution_and_dimension_over_family(self):
-        for alg in enumerate_admissible(4, 5):
+        for alg in pool(4, 5):
             opp = alg.opposite()
             assert opp.opposite() == alg
             assert opp.total_dim == alg.total_dim

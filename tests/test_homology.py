@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import math
 import re
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
+from references import (
+    CYCLIC, LINEAR, SELFINJ, WILD, M, admissible_series, pool, pool_of,
+    reference_basis_lengths, reference_coresolution_domdim, reference_cosyzygy,
+    reference_domdim, reference_ext_gpd, reference_regular_id_left, reference_socle_vertex,
+    reference_source, reference_stable_hom_dim, reference_syzygy, resolution_length,
+)
 
 from nakayama import (
     INFINITY,
     ExtendedNat,
     GorensteinAsymmetry,
     InternalInconsistency,
-    IntervalModule,
     KupischSeries,
     ModuleSum,
     NotAdmissible,
@@ -24,7 +29,6 @@ from nakayama import (
     dim_vector,
     domdim,
     embeds_in,
-    enumerate_admissible,
     ext_dim,
     gldim,
     gorenstein_degree,
@@ -56,20 +60,12 @@ from nakayama import (
     socle_vertex,
     syzygy,
     tau_n,
+    tau_n_inverse,
     top,
 )
 import nakayama.homology as homology_module
 from nakayama.homology import _depths, _gpd1, _source
-from nakayama.modules import _index, _position, _torsionless
-
-CYCLIC = KupischSeries.validate([3, 3, 4], True)
-LINEAR = KupischSeries.validate([3, 3, 3, 3, 2, 1], False)
-SELFINJ = KupischSeries.validate([2, 2, 2], True)
-WILD = KupischSeries.validate([3, 4], True)  # not Gorenstein
-
-
-def M(i, l):
-    return IntervalModule(i, l)
+from nakayama.modules import _index, _position
 
 
 class TestSyzygy:
@@ -179,7 +175,7 @@ class TestGlobalInvariants:
 
     def test_finite_gldim_forces_symmetry(self):
         # whenever gldim is finite all four invariants coincide
-        for alg in enumerate_admissible(4, 5):
+        for alg in pool(4, 5):
             g = gldim(alg)
             if g.is_finite:
                 assert regular_id(alg) == g
@@ -190,10 +186,10 @@ class TestGlobalInvariants:
         # Cross-check: the left self-injective dimension, read off the pd
         # table at the injectives, equals the right one of the opposite
         # algebra, which builds its own index and id table.
-        algs = list(enumerate_admissible(6, 8))
+        algs = list(pool_of(reference_regular_id_left))
         assert len(algs) == 664
         for alg in algs:
-            assert regular_id_left(alg) == regular_id(alg.opposite()), alg
+            assert regular_id_left(alg) == reference_regular_id_left(alg), alg
 
 
 class TestExt:
@@ -229,28 +225,6 @@ class TestExt:
             ext_dim(CYCLIC, M(1, 1), M(1, 1), -1)
 
 
-def basis_lengths(alg, a, b):
-    """T(a, b): the image lengths t of the basis maps a -> b.  The image of
-    such a map is the length-t top part of a and the length-t bottom part
-    of b, so that part of b must start at the top vertex of a."""
-    return [
-        t
-        for t in range(1, min(a.length, b.length) + 1)
-        if alg.shift(b.start, b.length - t) == a.start
-    ]
-
-
-def stable_hom_dim(alg, y, b):
-    """dim Hom(y, b) modulo the maps that factor through an injective.
-    Such a map factors through the envelope y in I(y), and restricting the
-    basis map of I(y) -> b with image length t to y gives the one with
-    image length t - (|I(y)| - |y|), or zero when that is not positive."""
-    (iy,) = injective_envelope(alg, y)
-    cut = iy.length - y.length
-    factored = sum(t > cut for t in basis_lengths(alg, iy, b))
-    return len(basis_lengths(alg, y, b)) - factored
-
-
 def test_ext1_matches_auslander_reiten_formula_cross_check():
     """Labelled cross-check of _ext1: the Auslander-Reiten formula
     Ext^1(X, Y) = D Hom~(Y, tau X), Hom~ being Hom modulo the maps that
@@ -260,7 +234,7 @@ def test_ext1_matches_auslander_reiten_formula_cross_check():
     with the engine, but not Omega, P(z) or the presentation.  Dropping
     the injective-factoring term must miss somewhere."""
     pairs = nonzero = misses = 0
-    for alg in enumerate_admissible(5, 7):
+    for alg in pool_of(reference_stable_hom_dim):
         indecs = indecomposables(alg)
         for x in indecs:
             if is_projective(alg, x):
@@ -268,29 +242,21 @@ def test_ext1_matches_auslander_reiten_formula_cross_check():
             (tx,) = ar_translate(alg, x)
             for y in indecs:
                 want = ext_dim(alg, x, y, 1)
-                assert stable_hom_dim(alg, y, tx) == want, (alg, x, y)
+                assert reference_stable_hom_dim(alg, y, tx) == want, (alg, x, y)
                 pairs += 1
                 nonzero += want > 0
-                misses += len(basis_lengths(alg, y, tx)) != want
+                misses += len(reference_basis_lengths(alg, y, tx)) != want
     assert (pairs, nonzero) == (62_906, 15_326)
     assert misses > 0
-
-
-def ext_gpd(alg, m):
-    """Reference Gpd by the Ext characterization: the largest k in 1..g
-    with Ext^k(m, algebra) nonzero, else 0."""
-    reg = regular_module(alg)
-    g = gorenstein_degree(alg).value
-    return max((k for k in range(1, g + 1) if ext_dim(alg, m, reg, k)), default=0)
 
 
 class TestGorensteinProjectives:
     def test_syzygy_walk_matches_ext_reference(self):
         checked = 0
-        for alg in enumerate_admissible(6, 8):
+        for alg in pool_of(reference_ext_gpd):
             if not gorenstein_degree(alg).is_finite:
                 continue
-            ref = {m: ext_gpd(alg, m) for m in indecomposables(alg)}
+            ref = {m: reference_ext_gpd(alg, m) for m in indecomposables(alg)}
             assert {m: gpd(alg, m) for m in ref} == ref
             assert set(gp_census(alg)) == {m for m, k in ref.items() if k == 0}
             checked += len(ref)
@@ -402,18 +368,6 @@ class TestGorensteinProjectives:
             query(alg, M(1, 9))
 
 
-def resolution_length(res):
-    return ExtendedNat(len(res.terms) - 1) if res.terminated else INFINITY
-
-
-def coresolution_domdim(alg, i):
-    """Leading projective terms of the minimal injective coresolution of
-    P_i, read off the explicit ModuleSum walk."""
-    terms = injective_coresolution(alg, projective(alg, i)).terms
-    lead = [is_projective(alg, t) for t in terms]
-    return INFINITY if all(lead) else ExtendedNat(lead.index(False))
-
-
 class TestDepthSolver:
     def test_sink_self_loop_and_cycle(self):
         # 0 -> 1 -> 2 (sink); 3 -> 3; 4 -> 5 -> 6 -> 5
@@ -430,9 +384,49 @@ class TestDepthSolver:
         assert [_source(succ, 3, k) for k in (1, 2, 7)] == [3, 3, 3]  # self-loop
         assert [_source(succ, 4, k) for k in (1, 2, 3, 4)] == [4, 5, 6, 5]
 
+    def test_source_matches_the_step_by_step_walk_cross_check(self):
+        # every position of Omega and Omega^-, every k up to 3 positions + 2
+        checked = 0
+        for alg in pool_of(reference_source):
+            idx = _index(alg)
+            for succ in (idx.omega, idx.coomega):
+                ks = range(1, 3 * len(succ) + 3)
+                for p in range(len(succ)):
+                    got = [_source(succ, p, k) for k in ks]
+                    assert got == [reference_source(succ, p, k) for k in ks], (alg, p)
+                    checked += len(ks)
+        assert checked == 83_098
+
+    def test_source_of_a_huge_k_reads_each_entry_a_few_times(self):
+        # Over (3, 4), which is not Gorenstein, Omega and Omega^- have cycles.
+        # A walk is periodic from len(succ) steps on, with a period dividing
+        # lcm(1..len(succ)), so k and `small` have the same answer.
+        k = 10**12
+
+        class Budget(list):  # refuses its 10 * len(self)-th read
+            reads = 0
+
+            def __getitem__(self, p):
+                self.reads += 1
+                assert self.reads < 10 * len(self), "_source walks k steps"
+                return super().__getitem__(p)
+
+        idx = _index(WILD)
+        period = math.lcm(*range(1, len(idx.omega) + 1))
+        small = k % period + period
+        for succ in (idx.omega, idx.coomega):
+            for p in range(len(succ)):
+                want = reference_source(succ, p, small)
+                assert _source(Budget(succ), p, k) == want, (succ, p)
+        reg = regular_module(WILD)
+        for m in indecomposables(WILD):
+            assert tau_n(WILD, m, k) == tau_n(WILD, m, small), m
+            assert tau_n_inverse(WILD, m, k) == tau_n_inverse(WILD, m, small), m
+            assert ext_dim(WILD, m, reg, k) == ext_dim(WILD, m, reg, small), m
+
     def test_matches_explicit_resolutions(self):
         checked = 0
-        for alg in enumerate_admissible(5, 7):
+        for alg in pool_of(reference_coresolution_domdim):
             pds, ids = {}, {}
             for m in indecomposables(alg):
                 pds[m] = resolution_length(projective_resolution(alg, m))
@@ -444,57 +438,20 @@ class TestDepthSolver:
             projs = [projective(alg, i) for i in alg.vertices()]
             assert regular_id(alg) == max(ids[p] for p in projs)
             assert domdim(alg) == min(
-                coresolution_domdim(alg, i) for i in alg.vertices()
+                reference_coresolution_domdim(alg, i) for i in alg.vertices()
             )
             checked += len(pds)
         assert checked == 3766
 
 
-def reference_domdim(alg):
-    """Cross-check route for domdim: depths over every position of the
-    Omega^- graph in which a non-torsionless socle is a sink and a
-    torsionless projective-injective loops on itself, read at the
-    projectives by the breadth-first solver."""
-    idx = _index(alg)
-    sub = _torsionless(alg)
-    succ = [
-        (z if z >= 0 else p) if sub[j] else -1
-        for p, (z, j) in enumerate(zip(idx.coomega, idx.socle))
-    ]
-    depths = _depths(succ)
-    lead = [depths[p] for p in idx.projective]
-    return min((ExtendedNat(k) for k in lead if k is not None), default=INFINITY)
-
-
 def test_domdim_walks_match_the_depth_route_cross_check():
     # the walks from the v projectives against the depth route over every
     # position, on every algebra of the 7/9 pool
-    algs = list(enumerate_admissible(7, 9))
+    algs = list(pool_of(reference_domdim))
     for alg in algs:
         assert domdim(alg) == reference_domdim(alg), alg
     finite = sum(domdim(alg).is_finite for alg in algs)
     assert (len(algs), finite) == (2207, 2150)
-
-
-def reference_syzygy(alg, m):
-    """Kernel of the projective cover P_start ->> m, or None when projective."""
-    c = alg.loewy_length(m.start)
-    if m.length == c:
-        return None
-    return IntervalModule(alg.shift(m.start, m.length), c - m.length)
-
-
-def reference_socle_vertex(alg, m):
-    """The socle vertex by walking l - 1 arrows down from the top."""
-    return alg.shift(m.start, m.length - 1)
-
-
-def reference_cosyzygy(alg, m):
-    """Cokernel of m into its injective envelope, or None when injective."""
-    d = alg.injective_lengths()[reference_socle_vertex(alg, m) - 1]
-    if m.length == d:
-        return None
-    return IntervalModule(alg.shift(m.start, m.length - d), d - m.length)
 
 
 def assert_index_matches_reference(alg):
@@ -534,33 +491,14 @@ def assert_distinguished_positions(alg):
 
 class TestIndex:
     def test_matches_reference_steps(self):
-        checked = sum(map(assert_index_matches_reference, enumerate_admissible(6, 8)))
+        checked = sum(map(assert_index_matches_reference, pool_of(reference_syzygy)))
         assert checked == 16833
 
     def test_distinguished_positions_match_public_modules_cross_check(self):
-        pool = enumerate_admissible(6, 8)
-        for alg in pool:
+        algs = pool(6, 8)
+        for alg in algs:
             assert_distinguished_positions(alg)
-        assert len(pool) == 664
-
-
-@st.composite
-def admissible_series(draw, max_vertices=10, max_length=10):
-    """Any admissible Kupisch series within the bounds.  Entries drop by
-    at most 1 from one vertex to the next; a linear series is drawn from
-    its last entry 1 backwards, and a cyclic one stays low enough that it
-    can drop back to at most c_1 + 1 at the last vertex."""
-    v = draw(st.integers(1, max_vertices))
-    if not draw(st.booleans()):
-        lengths = [1]
-        for _ in range(v - 1):
-            lengths.insert(0, draw(st.integers(2, min(max_length, lengths[0] + 1))))
-        return KupischSeries.validate(lengths, False)
-    lengths = [draw(st.integers(2, max_length))]
-    for k in range(1, v):
-        hi = min(max_length, lengths[0] + v - k)
-        lengths.append(draw(st.integers(max(2, lengths[-1] - 1), hi)))
-    return KupischSeries.validate(lengths, True)
+        assert len(algs) == 664
 
 
 @settings(max_examples=60, deadline=None)
@@ -577,7 +515,9 @@ def test_engine_matches_references_on_random_series(alg):
     assert gldim(alg) == max(pds[M(i, 1)] for i in alg.vertices())
     projs = [projective(alg, i) for i in alg.vertices()]
     assert regular_id(alg) == max(ids[p] for p in projs)
-    assert domdim(alg) == min(coresolution_domdim(alg, i) for i in alg.vertices())
+    assert domdim(alg) == min(
+        reference_coresolution_domdim(alg, i) for i in alg.vertices()
+    )
     opp = alg.opposite()
     assert regular_id_left(alg) == max(
         resolution_length(injective_coresolution(opp, projective(opp, i)))
@@ -585,7 +525,7 @@ def test_engine_matches_references_on_random_series(alg):
     )
     if gorenstein_degree(alg).is_finite:
         for m in indecomposables(alg):
-            assert gpd(alg, m) == ext_gpd(alg, m)
+            assert gpd(alg, m) == reference_ext_gpd(alg, m)
 
 
 class TestResolutions:
@@ -626,11 +566,15 @@ class TestResolutions:
                 assert term.dim == state.dim + kernel.dim
                 state = kernel
 
-    def test_max_steps_exhausted(self):
-        # pd of S(1) over the linear algebra is 3, so 2 terms cannot suffice
-        with pytest.raises(ValueError):
-            projective_resolution(LINEAR, M(1, 1), max_steps=2)
+    def test_walk_ends_at_pd_without_a_step_cap(self):
+        # pd of S(1) over the linear algebra is 3: four terms, then zero
+        res = projective_resolution(LINEAR, M(1, 1))
+        assert len(res.terms) == 4 and res.terminated
 
-    def test_periodicity_detected_before_cap(self):
-        res = projective_resolution(CYCLIC, M(1, 1), max_steps=2)
-        assert res.periodic_from == 0
+    def test_every_walk_ends_in_zero_or_a_repeat(self):
+        # the walk needs no cap: it reaches zero or revisits a state
+        for alg in (CYCLIC, LINEAR, WILD):
+            for m in indecomposables(alg):
+                for walk in (projective_resolution, injective_coresolution):
+                    res = walk(alg, ModuleSum.of(m, M(1, 1)))
+                    assert res.terminated != (res.periodic_from is not None)

@@ -5,16 +5,15 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import CYCLIC, LINEAR, M, pool, pool_of, reference_hom_dim
 
 from nakayama import (
     InternalInconsistency,
-    IntervalModule,
     KupischSeries,
     ModuleSum,
     NotAdmissible,
     dim_vector,
     embeds_in,
-    enumerate_admissible,
     hom_dim,
     in_sub_lambda,
     indecomposables,
@@ -34,13 +33,6 @@ from nakayama import (
     top,
 )
 from nakayama.modules import _torsionless, check_module
-
-CYCLIC = KupischSeries.validate([3, 3, 4], True)
-LINEAR = KupischSeries.validate([3, 3, 3, 3, 2, 1], False)
-
-
-def M(i, l):
-    return IntervalModule(i, l)
 
 
 class TestModuleSum:
@@ -141,7 +133,7 @@ class TestProjectivesInjectives:
     def test_predicates_match_length_formulas(self):
         # projective: l = c_i; injective: l = d_j at the socle j of M(i, l)
         checked = 0
-        for alg in enumerate_admissible(6, 8):
+        for alg in pool(6, 8):
             d, v = alg.injective_lengths(), alg.num_vertices
             for m in indecomposables(alg):
                 proj = m.length == alg.lengths[m.start - 1]
@@ -191,7 +183,7 @@ class TestEmbedding:
     def test_torsionless_matches_projective_envelope(self):
         """The arithmetic envelope leg of _torsionless against building
         I(j) and asking is_projective, on the 6/8 pool."""
-        for alg in enumerate_admissible(6, 8):
+        for alg in pool(6, 8):
             envelope = [is_projective(alg, injective(alg, j)) for j in alg.vertices()]
             assert _torsionless(alg)[1:] == envelope, alg
 
@@ -251,7 +243,7 @@ class TestHom:
 
     def test_closed_form_matches_loop(self):
         checked = 0
-        for alg in enumerate_admissible(5, 7):
+        for alg in pool_of(reference_hom_dim):
             indecs = indecomposables(alg)
             for x in indecs:
                 for y in indecs:
@@ -260,23 +252,13 @@ class TestHom:
         assert checked == 79904
 
 
-def reference_hom_dim(alg, x, y):
-    """dim Hom(x, y) by the loop over t: a length-t top part of x that
-    matches the length-t bottom part of y gives one dimension."""
-    n = 0
-    for t in range(1, min(x.length, y.length) + 1):
-        if alg.shift(y.start, y.length - t) == x.start:
-            n += 1
-    return n
-
-
 class TestDimVector:
     def test_golden(self):
         assert dim_vector(CYCLIC, M(3, 4)) == (1, 1, 2)
         assert dim_vector(LINEAR, M(3, 2)) == (0, 0, 1, 1, 0, 0)
 
 
-POOL = enumerate_admissible(4, 5)
+POOL = pool(4, 5)
 
 
 @st.composite

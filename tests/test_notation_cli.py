@@ -6,10 +6,9 @@ import hashlib
 import json
 
 import pytest
+from references import CYCLIC, LINEAR, M, pool
 
 from nakayama import (
-    IntervalModule,
-    KupischSeries,
     ModuleSum,
     ParseError,
     enumerate_admissible,
@@ -20,13 +19,6 @@ from nakayama import (
 )
 from nakayama.cli import main
 from nakayama.notation import format_module, parse_module
-
-CYCLIC = KupischSeries.validate([3, 3, 4], True)
-LINEAR = KupischSeries.validate([3, 3, 3, 3, 2, 1], False)
-
-
-def M(i, l):
-    return IntervalModule(i, l)
 
 
 class TestNotation:
@@ -721,7 +713,7 @@ class TestSweepCommand:
     def test_n_range_window(self, capsys, tmp_path):
         # one check per level of 1..2 below each Gorenstein degree
         expected = 0
-        for alg in enumerate_admissible(4, 5):
+        for alg in pool(4, 5):
             g = gorenstein_degree(alg)
             if g.is_finite:
                 expected += len(range(1, min(2, max(g.value - 1, 0)) + 1))

@@ -11,17 +11,19 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_homology import admissible_series, basis_lengths, stable_hom_dim
+from references import (
+    CYCLIC, LINEAR, M, admissible_series, nullity, pool, pool_of, reference_basis_lengths,
+    reference_stable_hom_dim, reference_tau1, reference_whole_sum_ext1_dim,
+    reference_whole_sum_hom_dim,
+)
 
 from nakayama import (
     DimensionCapExceeded,
-    IntervalModule,
     InternalInconsistency,
     KupischSeries,
     ModuleSum,
     NotAdmissible,
     ar_translate,
-    enumerate_admissible,
     ext_dim,
     hom_dim,
     indecomposables,
@@ -39,13 +41,6 @@ from nakayama import (
     socle,
 )
 from nakayama import oracle
-
-CYCLIC = KupischSeries.validate([3, 3, 4], True)
-LINEAR = KupischSeries.validate([3, 3, 3, 3, 2, 1], False)
-
-
-def M(i, l):
-    return IntervalModule(i, l)
 
 
 class TestRealize:
@@ -294,40 +289,11 @@ def test_a_refused_query_reads_no_state(call, kind):
     assert oracle._state(CYCLIC, 2) is warm
 
 
-def reference_tau1(alg, m, p):
-    """Cross-check of the state's path table: tau of the non-projective
-    interval m by the same transpose-dual, listing every path of the
-    algebra again on each call."""
-    i, l = m.start, m.length
-    items = [(j, t) for j in alg.vertices() for t in range(alg.loewy_length(j))]
-    end_i = [b for b in items if alg.shift(*b) == i]
-    end_il = [b for b in items if alg.shift(*b) == alg.shift(i, l)]
-    image = {(j, t + l) for (j, t) in end_i if t + l <= alg.loewy_length(j) - 1}
-    coker = [b for b in end_il if b not in image]
-    assert len(coker) == l
-    comp = {w: [b for b in coker if b[0] == w] for w in alg.vertices()}
-    pos = {w: {b: k for k, b in enumerate(comp[w])} for w in alg.vertices()}
-    tops = []
-    for w in alg.vertices():
-        incoming_rank = 0
-        if alg.cyclic or w > 1:
-            pred = alg.shift(w, -1)
-            mat = [[0] * len(comp[w]) for _ in comp[pred]]
-            for b in comp[w]:
-                lifted = (pred, b[1] + 1)
-                if lifted in pos[pred]:
-                    mat[pos[pred][lifted]][pos[w][b]] = 1
-            incoming_rank = oracle._rank(mat, p)
-        tops.append(len(comp[w]) - incoming_rank)
-    assert sum(tops) == 1
-    return IntervalModule(tops.index(1) + 1, l)
-
-
 class TestTauPathTable:
     @pytest.mark.parametrize("p", [2, 3])
     def test_matches_the_per_call_listing_cross_check(self, p):
         translated = 0
-        for alg in enumerate_admissible(5, 7):
+        for alg in pool_of(reference_tau1):
             for m in indecomposables(alg):
                 if m.length == alg.loewy_length(m.start):
                     assert oracle_tau(alg, m, p).is_zero
@@ -359,43 +325,6 @@ class TestTauPathTable:
         first, second = tau_pass(), tau_pass()
         assert first - second == CYCLIC.total_dim
         assert second <= translated * (CYCLIC.num_vertices + 1)
-
-
-def nullity(xr, yr, p):
-    system, _, nvars = oracle._hom_system(xr, yr)
-    return nvars - oracle._rank(system, p)
-
-
-def whole_sum_hom_dim(alg, x, y, p):
-    """Reference: the nullity of one intertwiner system between the
-    realizations of the whole sums."""
-    return nullity(realize(alg, x, p), realize(alg, y, p), p)
-
-
-def matmul(a, b, p):
-    """a @ b mod p for list matrices; b's column count is len(b[0])."""
-    cols = len(b[0]) if b else 0
-    return [
-        [sum(row[k] * b[k][j] for k in range(len(b))) % p for j in range(cols)]
-        for row in a
-    ]
-
-
-def whole_sum_ext1_dim(alg, x: IntervalModule, y, p):
-    """Reference: coker(Hom(P(x), y) -> Hom(K, y)) with y realized whole,
-    each hom composed with the inclusion K -> P(x) as a matrix product."""
-    cover = realize(alg, projective(alg, x.start), p)
-    kernel, keep = oracle._presentation_kernel(cover, x.length)
-    inclusion = [
-        [[int(ploc == kept) for kept in keep[w]] for ploc in range(cover.dims[w])]
-        for w in range(alg.num_vertices)
-    ]
-    yr = realize(alg, y, p)
-    rows = [
-        [e for w, blk in enumerate(g) for row in matmul(blk, inclusion[w], p) for e in row]
-        for g in oracle._hom_basis(cover, yr)
-    ]
-    return nullity(kernel, yr, p) - (oracle._rank(rows, p) if rows else 0)
 
 
 class TestState:
@@ -532,26 +461,32 @@ class TestState:
             for s in sums:
                 for t in [*sums, *ind[::2]]:
                     for p in (2, 3):
-                        assert oracle_hom_dim(alg, s, t, p) == whole_sum_hom_dim(alg, s, t, p)
-                        assert oracle_hom_dim(alg, t, s, p) == whole_sum_hom_dim(alg, t, s, p)
+                        assert oracle_hom_dim(alg, s, t, p) == reference_whole_sum_hom_dim(
+                            alg, s, t, p
+                        )
+                        assert oracle_hom_dim(alg, t, s, p) == reference_whole_sum_hom_dim(
+                            alg, t, s, p
+                        )
                         assert oracle_ext1_dim(alg, s, t, p) == sum(
-                            whole_sum_ext1_dim(alg, x, t, p) for x in s
+                            reference_whole_sum_ext1_dim(alg, x, t, p) for x in s
                         )
             for x in ind:
                 for s in sums:
-                    assert oracle_ext1_dim(alg, x, s) == whole_sum_ext1_dim(alg, x, s, 2)
+                    assert oracle_ext1_dim(alg, x, s) == reference_whole_sum_ext1_dim(
+                        alg, x, s, 2
+                    )
 
 
 def test_stable_hom_matches_oracle_restriction_cross_check():
-    """Labelled cross-check of the stable-Hom kernel of the
-    Auslander-Reiten formula test in test_homology: Hom(y, b) modulo the
+    """Labelled cross-check of reference_stable_hom_dim, the stable-Hom
+    kernel of the Auslander-Reiten formula test: Hom(y, b) modulo the
     maps that factor through an injective is the nullity of y against b
     minus the rank of Hom(I(y), b) restricted to y, with y realized as
     the bottom part of I(y) by the oracle's presentation kernel.  On the
     4/6 pool up to total dimension 20.  Dropping the injective-factoring
     term must miss somewhere."""
     pairs = nonzero = misses = 0
-    for alg in enumerate_admissible(4, 6):
+    for alg in pool(4, 6):
         if alg.total_dim > 20:
             continue
         ind = indecomposables(alg)
@@ -567,11 +502,11 @@ def test_stable_hom_matches_oracle_restriction_cross_check():
                     for g in oracle._hom_basis(env, reps[b])
                 ]
                 dim = nullity(sub, reps[b], 2) - (oracle._rank(rows, 2) if rows else 0)
-                want = stable_hom_dim(alg, y, b)
+                want = reference_stable_hom_dim(alg, y, b)
                 assert dim == want, (alg, y, b)
                 pairs += 1
                 nonzero += want > 0
-                misses += len(basis_lengths(alg, y, b)) != want
+                misses += len(reference_basis_lengths(alg, y, b)) != want
     assert (pairs, nonzero, misses) == (10_294, 2_119, 3_461)
 
 

@@ -7,7 +7,6 @@ Getting the direction wrong here silently flips every downstream verdict.
 
 from __future__ import annotations
 
-import itertools
 import random
 import re
 import sys
@@ -16,20 +15,20 @@ import time
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_homology import admissible_series, reference_cosyzygy, reference_syzygy
+from references import (
+    CYCLIC, LINEAR, SELFINJ, M, _extras, admissible_series, pool, pool_of,
+    reference_cosyzygy, reference_is_precluster, reference_mask_search,
+    reference_member_masks, reference_search, reference_syzygy, reference_walk,
+)
 
 from nakayama import (
     InternalInconsistency,
-    IntervalModule,
     KupischSeries,
     ModuleSum,
     NotAdmissible,
-    PreclusterVerdict,
     SearchSpaceTooLarge,
     ar_translate,
     ar_translate_inverse,
-    enumerate_admissible,
-    ext_dim,
     format_module,
     indecomposables,
     injective,
@@ -43,16 +42,7 @@ from nakayama import (
     tau_n_inverse,
 )
 import nakayama.precluster as precluster_module
-from nakayama.modules import _position, check_module
 from nakayama.precluster import _forced, _member_masks
-
-CYCLIC = KupischSeries.validate([3, 3, 4], True)
-LINEAR = KupischSeries.validate([3, 3, 3, 3, 2, 1], False)
-SELFINJ = KupischSeries.validate([2, 2, 2], True)
-
-
-def M(i, l):
-    return IntervalModule(i, l)
 
 
 class TestTranslateCalibration:
@@ -77,7 +67,7 @@ class TestTranslateCalibration:
 
 class TestTranslateBijection:
     def test_inverse_on_non_projectives(self):
-        for alg in enumerate_admissible(4, 5):
+        for alg in pool(4, 5):
             for m in indecomposables(alg):
                 if not is_projective(alg, m):
                     t = ar_translate(alg, m)
@@ -86,7 +76,7 @@ class TestTranslateBijection:
                     assert back == ModuleSum.of(m)
 
     def test_inverse_on_non_injectives(self):
-        for alg in enumerate_admissible(4, 5):
+        for alg in pool(4, 5):
             for m in indecomposables(alg):
                 if not is_injective(alg, m):
                     t = ar_translate_inverse(alg, m)
@@ -95,24 +85,15 @@ class TestTranslateBijection:
                     assert back == ModuleSum.of(m)
 
     def test_length_preserved(self):
-        for alg in enumerate_admissible(4, 5):
+        for alg in pool(4, 5):
             for m in indecomposables(alg):
                 t = ar_translate(alg, m)
                 for piece in t:
                     assert piece.length == m.length
 
 
-def reference_walk(step, alg, m, k):
-    """k steps of a reference (co)syzygy from an interval, None for zero."""
-    for _ in range(k):
-        if m is None:
-            return None
-        m = step(alg, m)
-    return m
-
-
 class TestHigherTranslate:
-    POOL = enumerate_admissible(5, 7)
+    POOL = pool_of(reference_walk)
 
     def test_is_oracle_tau_of_syzygy(self):
         checked = 0
@@ -214,64 +195,13 @@ class TestIsPrecluster:
             search_precluster(CYCLIC, 0)
 
 
-def reference_is_precluster(alg, members, n):
-    """is_precluster from the public, validating routes: projective and
-    injective from the length formulas, tau_n and tau_n_inverse per
-    member, and ext_dim per ordered pair of members and degree."""
-    mset = frozenset(check_module(alg, ModuleSum.of(*members)))
-    ordered = tuple(sorted(mset))
-    failures = []
-    for i in alg.vertices():
-        p = projective(alg, i)
-        if p not in mset:
-            failures.append({"condition": "generator", "missing": format_module(p)})
-        inj = injective(alg, i)
-        if inj not in mset:
-            failures.append({"condition": "cogenerator", "missing": format_module(inj)})
-    for m in ordered:
-        for label, image in (
-            ("tau_n", tau_n(alg, m, n)),
-            ("tau_n_inverse", tau_n_inverse(alg, m, n)),
-        ):
-            stray = [piece for piece in image if piece not in mset]
-            if stray:
-                failures.append(
-                    {
-                        "condition": label,
-                        "member": format_module(m),
-                        "escapes_to": format_module(ModuleSum.of(*stray)),
-                    }
-                )
-    for x in ordered:
-        for y in ordered:
-            for k in range(1, n):
-                val = ext_dim(alg, x, y, k)
-                if val:
-                    failures.append(
-                        {
-                            "condition": "ext-vanishing",
-                            "source": format_module(x),
-                            "target": format_module(y),
-                            "degree": k,
-                            "dim": val,
-                        }
-                    )
-    return PreclusterVerdict(
-        ok=not failures,
-        n=n,
-        members=ordered,
-        failures=tuple(failures),
-        note="functorial finiteness automatic: finitely many indecomposables",
-    )
-
-
 class TestIsPreclusterDifferential:
     def test_matches_public_routes_on_random_sets(self):
         # Half the draws hold the projectives and injectives, so that the
         # tau_n and Ext conditions also decide some verdicts alone; members
         # come shuffled, some twice.
         checked, passed, conditions = 0, 0, set()
-        for alg in enumerate_admissible(4, 6):
+        for alg in pool_of(reference_is_precluster):
             indecs = indecomposables(alg)
             forced = [indecs[p] for p in _forced(alg)]
             for n in (1, 2, 3):
@@ -338,30 +268,10 @@ class TestSearch:
         ]
 
 
-def _extras(alg):
-    seed = {projective(alg, i) for i in alg.vertices()}
-    seed.update(injective(alg, j) for j in alg.vertices())
-    return [m for m in indecomposables(alg) if m not in seed]
-
-
-def reference_search(alg, n, max_extra=None):
-    """The search as a plain loop: is_precluster on every subset of the
-    extras, in combinations order."""
-    extras = _extras(alg)
-    kmax = len(extras) if max_extra is None else min(max_extra, len(extras))
-    base = tuple(sorted(set(indecomposables(alg)) - set(extras)))
-    return tuple(
-        v.members
-        for k in range(kmax + 1)
-        for combo in itertools.combinations(extras, k)
-        if (v := is_precluster(alg, base + combo, n)).ok
-    )
-
-
 @pytest.fixture
 def no_interval_table(monkeypatch):
     """indecomposables refused wherever the precluster engine and the Ext
-    rows could call it; the references read this module's own binding."""
+    rows could call it; the references read their own module's binding."""
 
     def refuse(alg):
         raise AssertionError(f"indecomposables({alg.lengths}) in the engine")
@@ -372,7 +282,7 @@ def no_interval_table(monkeypatch):
 
 @pytest.mark.usefixtures("no_interval_table")
 class TestSearchDifferential:
-    POOL = enumerate_admissible(4, 5)
+    POOL = pool_of(reference_search)
 
     def test_matches_subset_loop(self):
         # On the one-vertex cyclic algebras tau_n and tau_n^- of an
@@ -389,30 +299,9 @@ class TestSearchDifferential:
                 ), (alg, n)
 
 
-def reference_member_masks(alg, n):
-    """_member_masks from the public, validating routes: the tau_n and
-    tau_n^- pieces of every interval, and ext_dim both ways on every pair
-    and degree 1..n-1."""
-    indecs = indecomposables(alg)
-    need = []
-    for m in indecs:
-        mask = 0
-        for piece in (*tau_n(alg, m, n), *tau_n_inverse(alg, m, n)):
-            mask |= 1 << _position(alg, piece)
-        need.append(mask)
-    clash = [0] * len(indecs)
-    for i, x in enumerate(indecs):
-        for j in range(i, len(indecs)):
-            y = indecs[j]
-            if any(ext_dim(alg, x, y, k) or ext_dim(alg, y, x, k) for k in range(1, n)):
-                clash[i] |= 1 << j
-                clash[j] |= 1 << i
-    return need, clash
-
-
 @pytest.mark.usefixtures("no_interval_table")
 class TestMemberMasks:
-    POOL = enumerate_admissible(4, 6)
+    POOL = pool_of(reference_member_masks)
 
     def test_match_public_routes(self):
         for alg in self.POOL:
@@ -427,32 +316,6 @@ class TestMemberMasks:
             assert [indecs[p] for p in _forced(alg)] == sorted(forced), alg
 
 
-def reference_mask_search(alg, n, max_extra=None):
-    """The search without backtracking: the member masks tested on every
-    subset of the extras, in combinations order."""
-    forced = _forced(alg)
-    indecs = indecomposables(alg)
-    extras = [p for p in range(len(indecs)) if p not in forced]
-    kmax = len(extras) if max_extra is None else min(max_extra, len(extras))
-    need, clash = _member_masks(alg, n)
-    base_mask = base_need = base_clash = 0
-    for p in forced:
-        base_mask |= 1 << p
-        base_need |= need[p]
-        base_clash |= clash[p]
-    found = []
-    for k in range(kmax + 1):
-        for combo in itertools.combinations(extras, k):
-            mask, needs, clashes = base_mask, base_need, base_clash
-            for i in combo:
-                mask |= 1 << i
-                needs |= need[i]
-                clashes |= clash[i]
-            if not (needs & ~mask or clashes & mask):
-                found.append(tuple(indecs[p] for p in sorted(forced + list(combo))))
-    return tuple(found)
-
-
 class TestBacktracking:
     def test_matches_mask_loop_on_pool(self):
         # Cyclic (6,6,6,6) has 20 extras, so the reference tests 2^20
@@ -460,7 +323,7 @@ class TestBacktracking:
         # level whose masks carry Ext rows; every other algebra at
         # n = 1, 2, 3.
         big = KupischSeries.validate([6, 6, 6, 6], True)
-        for alg in enumerate_admissible(4, 6):
+        for alg in pool_of(reference_mask_search):
             for n in (2,) if alg == big else (1, 2, 3):
                 assert search_precluster(alg, n) == reference_mask_search(alg, n), (alg, n)
 
