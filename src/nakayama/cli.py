@@ -265,14 +265,14 @@ def _tally(rec: dict) -> tuple[bool, ...]:
     )
 
 
-def _range_check(keys, window: tuple[int, int] | None, seed: int) -> tuple[int, int]:
+def _range_check(algs, window: tuple[int, int] | None, seed: int) -> tuple[int, int]:
     """Re-verify the socle characterization across a whole range of
     levels: at each n the verdict must agree with the classifier, pass
     and fail alike.  The levels are the inclusive window (lo, hi), or
     from 0 when it is None, clipped to the Gorenstein degree minus one."""
     checked = violations = 0
-    for lengths, cyclic in keys:
-        alg = KupischSeries(lengths, cyclic)
+    for a in algs:
+        alg = KupischSeries(a.lengths, a.cyclic)  # a fresh copy: algs keeps no tables
         g = gorenstein_degree(alg)
         if not g.is_finite:
             continue
@@ -305,39 +305,39 @@ def _read_jsonl(path: str) -> tuple[list[dict], int]:
     return records, torn
 
 
-def _resumed(path: str) -> dict:
+def _resumed(path: str, algs) -> dict:
     """The algebras already in a sweep file, in file order, each with its
-    summary tally.  Every record must be a whole report of an admissible
-    series in canonical form with a boolean cyclic flag, and no algebra
-    may appear twice; anything else is a damaged file, refused before any
-    work.  A torn final record, left by a killed run, is cut off so that
-    its algebra is computed again."""
+    summary tally.  Each record must be a whole report of one of algs, this
+    run's algebras, and none may appear twice; any other file is refused
+    before any work.  A torn final record, left by a killed run, is cut off
+    so that its algebra is computed again."""
     records, torn = _read_jsonl(path)
     existing = {}
     for rec in records:
         missing = [k for k in REPORT_KEYS if not isinstance(rec, dict) or k not in rec]
         if missing:
             raise IoError(f"{path}: malformed record: lacks {', '.join(missing)}")
-        if type(rec["cyclic"]) is not bool:
-            raise IoError(
-                f"{path}: malformed record: cyclic flag {rec['cyclic']!r} "
-                "is not a boolean"
-            )
         verdicts = rec["theorem_verdicts"]
         for name in _VERDICTS:
             verdict = verdicts.get(name) if isinstance(verdicts, dict) else None
             if not isinstance(verdict, dict) or "status" not in verdict:
                 raise IoError(f"{path}: malformed record: {name} verdict {verdict!r}")
-        try:
-            alg = KupischSeries.validate(rec["kupisch"], rec["cyclic"])
-        except (TypeError, NakayamaError) as exc:
-            raise IoError(f"{path}: malformed record: {exc}") from exc
-        if list(alg.lengths) != rec["kupisch"]:
-            raise IoError(f"{path}: {rec['kupisch']} is not a canonical series")
-        key = (alg.lengths, alg.cyclic)
+        series, cyclic = rec["kupisch"], rec["cyclic"]
+        plain = type(series) is list and all(type(c) is int for c in series)
+        if not plain or type(cyclic) is not bool:  # JSON true == 1 and 2.0 == 2
+            raise IoError(f"{path}: malformed record: {series!r}, cyclic {cyclic!r}")
+        key = (tuple(series), cyclic)
         if key in existing:
-            raise IoError(f"{path}: {rec['kupisch']} appears twice")
+            raise IoError(f"{path}: {series} appears twice")
         existing[key] = _tally(rec)
+    # an enumerated key is admissible, canonical and within the bounds
+    if sum((a.lengths, a.cyclic) in existing for a in algs) < len(existing):
+        known = {(a.lengths, a.cyclic) for a in algs}
+        lengths, cyclic = next(k for k in existing if k not in known)
+        raise IoError(
+            f"{path}: {('linear', 'cyclic')[cyclic]} {list(lengths)} is not a canonical "
+            "series within this sweep's bounds and shapes; start afresh with another --out"
+        )
     if torn:
         print(f"warning: {path}: dropping a torn final record", file=sys.stderr)
         try:
@@ -382,10 +382,10 @@ def cmd_sweep(args) -> int:
                 f"--n-range wants 'auto' or 'A:B' with A <= B, got {args.n_range!r}"
             )
         window = (int(match[1]), int(match[2]))
-    existing = _resumed(args.out) if os.path.exists(args.out) else {}
     shapes = ("linear", "cyclic") if args.shapes == "both" else (args.shapes,)
     algs = enumerate_admissible(args.max_vertices, args.max_length, shapes)
-    todo = [a for a in algs if (a.lengths, a.cyclic) not in existing]
+    existing = _resumed(args.out, algs) if os.path.exists(args.out) else {}
+    todo = (a for a in algs if (a.lengths, a.cyclic) not in existing)
     payloads = [(a.lengths, a.cyclic, args.seed) for a in todo]
     computed = []
     # the pool forks every worker at the first submit, so never ask for
@@ -409,8 +409,7 @@ def cmd_sweep(args) -> int:
         summary[name] = sum(t[i] for t in tallies)
     violations = summary["violations"]
     if args.n_range is not None:
-        keys = [*existing, *((a.lengths, a.cyclic) for a in todo)]
-        checked, range_violations = _range_check(keys, window, args.seed)
+        checked, range_violations = _range_check(algs, window, args.seed)
         summary["range_checked"] = checked
         summary["range_violations"] = range_violations
         violations += range_violations

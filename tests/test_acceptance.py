@@ -7,7 +7,6 @@ and the line never appears.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 
@@ -18,17 +17,13 @@ from nakayama import (
     INFINITY,
     IntervalModule,
     KupischSeries,
-    ModuleSum,
     ar_translate,
-    classify,
     ext_dim,
     gldim,
     gorenstein_degree,
-    gp_census,
     gpd,
     hom_dim,
     indecomposables,
-    injective,
     is_injective,
     is_minimal_ag,
     is_n_auslander,

@@ -129,10 +129,8 @@ class TestInjectiveLengths:
         assert KupischSeries.validate([3, 2, 1], False).injective_lengths() == (1, 2, 3)
 
     def test_one_pass_matches_reference_walk(self):
-        algs = pool_of(reference_injective_lengths)
-        for alg in algs:
+        for alg in pool_of(reference_injective_lengths):
             assert alg.injective_lengths() == reference_injective_lengths(alg)
-        assert len(algs) == 664
 
     @pytest.mark.parametrize(
         "call",

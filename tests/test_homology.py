@@ -186,9 +186,7 @@ class TestGlobalInvariants:
         # Cross-check: the left self-injective dimension, read off the pd
         # table at the injectives, equals the right one of the opposite
         # algebra, which builds its own index and id table.
-        algs = list(pool_of(reference_regular_id_left))
-        assert len(algs) == 664
-        for alg in algs:
+        for alg in pool_of(reference_regular_id_left):
             assert regular_id_left(alg) == reference_regular_id_left(alg), alg
 
 
@@ -495,10 +493,8 @@ class TestIndex:
         assert checked == 16833
 
     def test_distinguished_positions_match_public_modules_cross_check(self):
-        algs = pool(6, 8)
-        for alg in algs:
+        for alg in pool(6, 8):
             assert_distinguished_positions(alg)
-        assert len(algs) == 664
 
 
 @settings(max_examples=60, deadline=None)

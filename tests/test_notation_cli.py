@@ -739,6 +739,49 @@ class TestSweepCommand:
         assert "[4, 3, 3] is not a canonical series" in payload["detail"]
         assert out.read_text() == before
 
+    @pytest.mark.parametrize(
+        "first, then, torn",
+        [
+            ((4, 5, "both"), (2, 2, "both"), False),
+            ((3, 4, "cyclic"), (3, 4, "linear"), False),
+            ((4, 5, "both"), (2, 2, "both"), True),
+        ],
+        ids=["narrower-bounds", "other-shape", "narrower-bounds-torn-tail"],
+    )
+    def test_resume_outside_bounds_or_shapes_rejected(
+        self, capsys, tmp_path, first, then, torn
+    ):
+        # the summary counts only mean something for the file's own bounds,
+        # so a record of another run is refused and its torn tail kept
+        out = tmp_path / "sweep.jsonl"
+
+        def sweep(v, length, shapes):
+            argv = ["sweep", "--max-vertices", str(v), "--max-length", str(length)]
+            return run_cli(capsys, *argv, "--shapes", shapes, "--out", str(out))
+
+        assert sweep(*first)[0] == 0
+        before = out.read_bytes()
+        if torn:
+            before += before.splitlines(True)[-1][:40]
+            out.write_bytes(before)
+        code, payload = sweep(*then)
+        assert code == 2
+        assert payload["error"] == "IoError"
+        assert "is not a canonical series within this sweep's bounds" in payload["detail"]
+        assert out.read_bytes() == before
+
+    def test_linear_file_widened_to_both_shapes_matches_fresh(self, capsys, tmp_path):
+        # linear algebras come first in the enumeration, so resuming them
+        # with the cyclic ones appends exactly what a fresh run writes after
+        fresh = tmp_path / "fresh.jsonl"
+        assert run_cli(capsys, *self.SWEEP_3_4, "--out", str(fresh))[0] == 0
+        out = tmp_path / "widened.jsonl"
+        linear = [*self.SWEEP_3_4, "--shapes", "linear"]
+        assert run_cli(capsys, *linear, "--out", str(out))[0] == 0
+        code, summary = run_cli(capsys, *self.SWEEP_3_4, "--out", str(out))
+        assert code == 0 and summary["resumed"] > 0 and summary["computed"] > 0
+        assert out.read_bytes() == fresh.read_bytes()
+
 
 class TestReproduceCommand:
     def test_all_rows_match(self, capsys):

@@ -1,6 +1,7 @@
 """The cross-check registry: references.py is the one home of the second
 routes, every ROUTES row names an engine function and a known pool, and
-every route runs in some test."""
+every route runs in some test.  Also the tests' own import lint: no test
+module imports a name it never uses."""
 
 from __future__ import annotations
 
@@ -44,3 +45,14 @@ def test_every_route_runs_in_a_test():
     pooled = {id(arg) for c in calls for arg in c.args}
     named = {node.id for _, node in nodes(ast.Name, TESTS) if id(node) not in pooled}
     assert sorted(route.__name__ for route in ROUTES if route.__name__ not in named) == []
+
+
+def test_no_test_module_imports_a_name_it_never_uses():
+    used = {(name, node.id) for name, node in nodes(ast.Name)}
+    bound = [
+        (name, (alias.asname or alias.name).split(".")[0])
+        for name, node in nodes((ast.Import, ast.ImportFrom))
+        if getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    assert [b for b in bound if b not in used] == []
