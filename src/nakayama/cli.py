@@ -253,6 +253,20 @@ _TALLIED = (
 )
 
 
+def _level(value) -> bool:
+    return type(value) is int and value >= 0  # JSON true == 1 and 2.0 == 2
+
+
+# The JSON values _tally can count, per field it reads, and per verdict status.
+_TALLY_FIELDS = {
+    "self_injective": lambda value: type(value) is bool,
+    "gorenstein_degree": lambda value: value == "infinity" or _level(value),
+    "minimal_ag_n": lambda value: value is None or _level(value),
+    "n_auslander_n": lambda value: value is None or _level(value),
+}
+_STATUSES = ("pass", "fail", "error", "skipped")
+
+
 def _tally(rec: dict) -> tuple[bool, ...]:
     """Which of the _TALLIED counts one record adds to."""
     return (
@@ -308,8 +322,9 @@ def _read_jsonl(path: str) -> tuple[list[dict], int]:
 def _resumed(path: str, algs) -> dict:
     """The algebras already in a sweep file, in file order, each with its
     summary tally.  Each record must be a whole report of one of algs, this
-    run's algebras, and none may appear twice; any other file is refused
-    before any work.  A torn final record, left by a killed run, is cut off
+    run's algebras, each value the summary counts of a type a report
+    writes, and none may appear twice; any other file is refused before
+    any work.  A torn final record, left by a killed run, is cut off
     so that its algebra is computed again."""
     records, torn = _read_jsonl(path)
     existing = {}
@@ -320,8 +335,11 @@ def _resumed(path: str, algs) -> dict:
         verdicts = rec["theorem_verdicts"]
         for name in _VERDICTS:
             verdict = verdicts.get(name) if isinstance(verdicts, dict) else None
-            if not isinstance(verdict, dict) or "status" not in verdict:
+            if not isinstance(verdict, dict) or verdict.get("status") not in _STATUSES:
                 raise IoError(f"{path}: malformed record: {name} verdict {verdict!r}")
+        for name, countable in _TALLY_FIELDS.items():
+            if not countable(rec[name]):
+                raise IoError(f"{path}: malformed record: {name} {rec[name]!r}")
         series, cyclic = rec["kupisch"], rec["cyclic"]
         plain = type(series) is list and all(type(c) is int for c in series)
         if not plain or type(cyclic) is not bool:  # JSON true == 1 and 2.0 == 2

@@ -11,27 +11,34 @@ matrix is a list of rows, reduced mod p by row elimination.  p = 2 by
 default and the answers must not depend on p (monomial relations), which
 the tests check.
 
-Cross-check state.  Hom and Ext^1 read one private state per (alg, p),
-keyed by (start, length) pairs and filled on first use: the realization
-of each indecomposable, the dimension of Hom of each ordered pair, a hom
-basis only from a projective cover P_i to a target (the maps that Ext^1
-restricts to the presentation kernel), each interval's presentation
-kernel and the dimension of Ext^1 of each ordered pair.  Each ordered
-pair's intertwiner system is eliminated once: a cover pair's Hom is the
-length of its basis, every other pair's is the nullity.  The kernel table
-holds the kernel's name, checked against its realization, and the cover
-coordinates it keeps, so Ext^1 reads Hom(K, y) from the Hom table.  None
-of it depends on a call's caps, which every call checks before reading
-the state.  Hom and Ext^1 are additive in each argument, so a sum is
-answered from its summand pairs.  Injectivity is Baer's criterion on the
-same Ext^1 table: over a finite-dimensional algebra m is injective
-exactly when Ext^1(S, m) = 0 for every simple S.  `_state` holds one
-algebra at a time (a one-slot lru_cache): a batch that cycles through
-many algebras keeps only the current one.  The state lives outside the
-algebra's `_memo` (`core.per_algebra`) so the oracle shares no
-per-algebra state with the engine it checks, and so algebras held by a
-caller do not keep their matrices alive.  The AR translate reads the
-state's paths, listed once, and is answered summand by summand.
+Cross-check state.  Hom and Ext^1 read one private state per quiver
+(v vertices, cyclic or linear) over the field held, filled on first use
+and shared by every algebra on that quiver.  For A = kQ/I and A-modules
+x, y, Hom_A(x, y) = Hom_kQ(x, y) (Assem-Simson-Skowronski, Elements of
+the Representation Theory of Associative Algebras 1, Ch. III), and a
+realization reads only the quiver's vertex walk; so realizations, Hom
+dimensions and Hom bases are keyed by the interval codes of x and y
+alone.  Ext^1(x, y) reads A only through c = c_{x.start}, the length of
+the cover P(x): the presentation kernel is keyed by (x, c) and Ext^1 by
+(x, c, y).  Each ordered pair's intertwiner system is eliminated once,
+with one exception (see `_OracleState`): a cover pair's Hom is the
+length of its basis, every other pair's is the nullity.  The kernel
+table holds the kernel's name, checked against its realization, and
+the cover coordinates it keeps, so Ext^1 reads Hom(K, y) from the Hom
+table.  None of it depends on a call's caps, which every call checks
+before reading the state.  Hom and Ext^1 are additive in each argument,
+so a sum is answered from its summand pairs.  Injectivity is Baer's
+criterion on the same Ext^1 table, with each simple S_i under its own
+c_i: over a finite-dimensional algebra m is injective exactly when
+Ext^1(S, m) = 0 for every simple S.  One field is held at a time (a
+one-slot lru_cache over p): a query over another field drops every
+state.  Memory grows with the quivers and intervals queried, not with
+the number of algebras.  The states keep no algebra and live outside
+the algebra's `_memo` (`core.per_algebra`), so the oracle shares no
+per-algebra state with the engine it checks.  The AR translate reads
+the algebra's paths, listed once per algebra and kept for one algebra
+at a time, since they read every Kupisch length; it is answered
+summand by summand.
 """
 
 from __future__ import annotations
@@ -76,10 +83,11 @@ def _check_int_prime(p: int):
 
 
 def _checked(alg: KupischSeries, m) -> tuple[list[tuple[int, int]], int]:
-    """m's (start, length) pairs, which key the cross-check state, and its
-    dimension, in one pass.  Each summand is checked against the Kupisch
-    lengths directly (not through the engine's index, which is under
-    test): an interval that is not a module over alg raises NotAdmissible."""
+    """m's (start, length) pairs, from which the cross-check state's keys
+    are made, and its dimension, in one pass.  Each summand is checked
+    against the Kupisch lengths directly (not through the engine's index,
+    which is under test): an interval that is not a module over alg
+    raises NotAdmissible."""
     lengths = alg.lengths
     pairs, dim = [], 0
     for piece in _split(m):
@@ -123,13 +131,15 @@ def _rref(mat: list[list[int]], p: int):
 
 
 def _rank(mat: list[list[int]], p: int) -> int:
-    return len(_rref(mat, p)[1])
+    """Rank mod p; a matrix with no rows or no columns has rank 0 without
+    any elimination."""
+    return len(_rref(mat, p)[1]) if mat and mat[0] else 0
 
 
 def _nullspace(mat: list[list[int]], cols: int, p: int) -> list[list[int]]:
     """Basis of the right kernel of a matrix with `cols` columns, one
-    vector per free column."""
-    red, pivots = _rref(mat, p)
+    vector per free column; with no equations every column is free."""
+    red, pivots = _rref(mat, p) if mat and cols else ([], [])
     bound = set(pivots)
     basis = []
     for fc in range(cols):
@@ -147,7 +157,8 @@ def _nullspace(mat: list[list[int]], cols: int, p: int) -> list[list[int]]:
 
 
 class MatrixRep:
-    """A finite-dimensional representation of the algebra's quiver.
+    """A finite-dimensional representation of a Nakayama quiver with v
+    vertices, cyclic or linear; it reads no Kupisch length.
 
     dims[w-1] is the dimension at vertex w; maps[u] is the action of the
     arrow out of u (toward shift(u, 1)) as a (target x source) matrix,
@@ -155,17 +166,17 @@ class MatrixRep:
     vertex, which (summand, position) pair each local coordinate came from.
     """
 
-    def __init__(self, alg: KupischSeries, p: int):
-        self.alg = alg
+    def __init__(self, v: int, cyclic: bool, p: int):
+        self.num_vertices = v
+        self.cyclic = cyclic
         self.p = p
-        v = alg.num_vertices
         self.basis: list[list[tuple[int, int]]] = [[] for _ in range(v)]
         self.dims = [0] * v
         self.maps: dict[int, list[list[int]]] = {}
 
-    def arrow_sources(self) -> list[int]:
-        v = self.alg.num_vertices
-        return list(range(1, v + 1)) if self.alg.cyclic else list(range(1, v))
+    def arrow_sources(self) -> range:
+        v = self.num_vertices
+        return range(1, v + 1) if self.cyclic else range(1, v)
 
 
 def realize(
@@ -182,8 +193,9 @@ def realize(
 
 
 def _realize(alg: KupischSeries, pieces, p: int) -> MatrixRep:
-    """The realization of the sum of the (start, length) pairs `pieces`."""
-    rep = MatrixRep(alg, p)
+    """The realization of the sum of the (start, length) pairs `pieces`,
+    walked by alg.shift; it depends only on alg's quiver."""
+    rep = MatrixRep(alg.num_vertices, alg.cyclic, p)
     for s_idx, (start, length) in enumerate(pieces):
         for r in range(length):
             w = alg.shift(start, r)
@@ -251,17 +263,15 @@ def _hom_system(
     return rows, offs, nvars
 
 
-def _hom_basis(x: MatrixRep, y: MatrixRep) -> list[list[list[list[int]]]]:
-    """A basis of Hom(x, y), each map as its per-vertex blocks (rows of
-    ints mod p)."""
-    system, offs, nvars = _hom_system(x, y)
-    return [
-        [
-            [vec[o + a * dx : o + (a + 1) * dx] for a in range(dy)]
-            for o, dx, dy in zip(offs, x.dims, y.dims)
-        ]
-        for vec in _nullspace(system, nvars, x.p)
-    ]
+def _restriction(cover: MatrixRep, y: MatrixRep, keep: list[list[int]]) -> list[int]:
+    """The unknowns of the system cover -> y, in `_hom_system`'s order,
+    that a hom keeps when it is restricted to a subrepresentation: per
+    vertex w, the columns keep[w-1] of every row of the block f_w."""
+    kept, o = [], 0
+    for dx, dy, cols in zip(cover.dims, y.dims, keep):
+        kept += [o + a * dx + k for a in range(dy) for k in cols]
+        o += dx * dy
+    return kept
 
 
 def _presentation_kernel(cover: MatrixRep, length: int):
@@ -272,9 +282,8 @@ def _presentation_kernel(cover: MatrixRep, length: int):
     by the tail positions length..c-1; the arrow action restricts to the
     tail.  Returns (kernel rep, keep) where keep[w-1] lists the cover's
     coordinates at w that span the kernel, in the kernel's order."""
-    alg = cover.alg
-    v = alg.num_vertices
-    kernel = MatrixRep(alg, cover.p)
+    v = cover.num_vertices
+    kernel = MatrixRep(v, cover.cyclic, cover.p)
     keep: list[list[int]] = [[] for _ in range(v)]
     for w0 in range(v):
         for loc, (_, r) in enumerate(cover.basis[w0]):
@@ -285,7 +294,7 @@ def _presentation_kernel(cover: MatrixRep, length: int):
     for u in kernel.arrow_sources():
         full = cover.maps[u]
         cols = keep[u - 1]
-        rows = keep[alg.shift(u, 1) - 1]
+        rows = keep[u % v]  # shift(u, 1) - 1
         kernel.maps[u] = [[full[i][j] for j in cols] for i in rows]
     return kernel, keep
 
@@ -294,90 +303,119 @@ def _presentation_kernel(cover: MatrixRep, length: int):
 
 
 class _OracleState:
-    """Cross-check state of one algebra over F_p, keyed by the (start,
-    length) pairs of intervals that are modules over it.  Each ordered
-    pair's intertwiner system is eliminated once: a pair from a cover P_i
-    keeps its Hom basis, for Ext^1, and its Hom dimension is the basis
-    length; every other pair keeps only its nullity (nvars if it has no
-    equations).  tau reads `ends`.  Each table is built on first use from
-    the ones before it, and stored only once it is complete."""
+    """Cross-check state of one quiver with v vertices over F_p, shared by
+    every algebra on it (see "Cross-check state" above).  The tables are
+    keyed by interval codes (length - 1) * v + start - 1, small ints that
+    need no tuple per entry; kernels and Ext^1 also by the calling
+    algebra's cover length c.  A pair (x, y) first asked for by an algebra
+    over which x is not a cover keeps only its nullity, and is eliminated
+    once more for its basis if an algebra over which x is a cover then
+    needs it for Ext^1.  Each table is built on first use from the ones
+    before it, and stored only once it is complete.  The methods take the
+    calling algebra for its cover lengths and its vertex walk, and keep no
+    reference to it."""
 
-    def __init__(self, alg: KupischSeries, p: int):
-        self.alg = alg
+    def __init__(self, v: int, p: int):
+        self.v = v
         self.p = p
         self.reps: dict = {}  # x -> MatrixRep
-        self.homs: dict = {}  # (x, y) -> dim Hom(x, y)
-        self.bases: dict = {}  # (i, y) -> basis of Hom(P_i, y), per-vertex blocks
-        self.kernels: dict = {}  # x -> (name of K or None, K's coordinates in P(x))
-        self.ext1s: dict = {}  # (x, y) -> dim Ext^1(x, y)
+        self.homs: dict = {}  # x -> {y: dim Hom(x, y)}
+        self.bases: dict = {}  # P -> {y: basis of Hom(P, y), solutions of its system}
+        self.kernels: dict = {}  # (x, c) -> (code of K or None, K's coordinates in P)
+        self.ext1s: dict = {}  # (x, c) -> {y: dim Ext^1(x, y)}
 
-    @functools.cached_property
-    def ends(self) -> list[list[tuple[int, int]]]:
-        """The algebra's paths (j, t), from j of length t, listed once and
-        grouped by end vertex w under w - 1."""
-        ends: list[list[tuple[int, int]]] = [[] for _ in self.alg.lengths]
-        for j, c in enumerate(self.alg.lengths, 1):
-            for t in range(c):
-                ends[self.alg.shift(j, t) - 1].append((j, t))
-        return ends
+    def code(self, start: int, length: int) -> int:
+        return (length - 1) * self.v + start - 1
 
-    def rep(self, m: tuple[int, int]) -> MatrixRep:
-        rep = self.reps.get(m)
+    def interval(self, x: int) -> tuple[int, int]:
+        """The (start, length) pair of the code x."""
+        length, start = divmod(x, self.v)
+        return start + 1, length + 1
+
+    def rep(self, alg: KupischSeries, x: int) -> MatrixRep:
+        rep = self.reps.get(x)
         if rep is None:
-            rep = self.reps[m] = _realize(self.alg, (m,), self.p)
+            rep = self.reps[x] = _realize(alg, (self.interval(x),), self.p)
         return rep
 
-    def hom(self, x: tuple[int, int], y: tuple[int, int]) -> int:
-        dim = self.homs.get((x, y))
+    def hom(self, alg: KupischSeries, x: int, y: int) -> int:
+        """dim Hom(x, y): the length of the basis when x is a cover over
+        alg, else the nullity of the pair's system."""
+        row = self.homs.get(x)
+        dim = row.get(y) if row else None
         if dim is None:
-            if x[1] == self.alg.lengths[x[0] - 1]:
-                return len(self.basis(x[0], y))  # fills homs
-            system, _, nvars = _hom_system(self.rep(x), self.rep(y))
-            dim = self.homs[x, y] = nvars - _rank(system, self.p) if system else nvars
+            start, length = self.interval(x)
+            if length == alg.lengths[start - 1]:
+                return len(self.basis(alg, x, y))  # fills homs
+            system, _, nvars = _hom_system(self.rep(alg, x), self.rep(alg, y))
+            dim = self.homs.setdefault(x, {})[y] = nvars - _rank(system, self.p)
         return dim
 
-    def basis(self, i: int, y: tuple[int, int]) -> list:
-        """A basis of Hom(P_i, y); its length fills the Hom table too."""
-        basis = self.bases.get((i, y))
+    def basis(self, alg: KupischSeries, cover: int, y: int) -> list:
+        """A basis of Hom(P, y) for the cover code P; its length fills the
+        Hom table too."""
+        row = self.bases.setdefault(cover, {})
+        basis = row.get(y)
         if basis is None:
-            cover = (i, self.alg.lengths[i - 1])
-            basis = self.bases[i, y] = _hom_basis(self.rep(cover), self.rep(y))
-            self.homs[cover, y] = len(basis)
+            system, _, nvars = _hom_system(self.rep(alg, cover), self.rep(alg, y))
+            basis = row[y] = _nullspace(system, nvars, self.p)
+            self.homs.setdefault(cover, {})[y] = len(basis)
         return basis
 
-    def kernel(self, x: tuple[int, int]):
-        """(name, keep) for the kernel K of P(x) ->> x, name None when x
-        is projective.  The name (top, length) is read off the
-        sub-representation itself: the vertex of its first basis vector
-        and its total dimension.  The realization under that name must
-        have exactly K's dimensions and arrow matrices, so the Hom table's
-        entries for the name are K's."""
-        kernel = self.kernels.get(x)
+    def kernel(self, alg: KupischSeries, x: int, c: int):
+        """(name, keep) for the kernel K of P(x) ->> x with P(x) of length
+        c, name None when x is projective.  The name, K's code, is read
+        off the sub-representation itself: the vertex of its first basis
+        vector and its total dimension.  The realization under that name
+        must have exactly K's dimensions and arrow matrices, so the Hom
+        table's entries for the name are K's."""
+        kernel = self.kernels.get((x, c))
         if kernel is None:
-            start, length = x
-            cover = self.rep((start, self.alg.lengths[start - 1]))
+            start, length = self.interval(x)
+            cover = self.rep(alg, self.code(start, c))
             sub, keep = _presentation_kernel(cover, length)
             name = None
             size = sum(sub.dims)
             if size:
                 top = next(w for w, items in enumerate(sub.basis, 1) if (0, 0) in items)
-                name = (top, size)
-                named = self.rep(name)
+                name = self.code(top, size)
+                named = self.rep(alg, name)
                 if (named.dims, named.maps) != (sub.dims, sub.maps):
                     raise InternalInconsistency(
                         f"presentation kernel of M({start},{length}) over "
-                        f"{self.alg.lengths} is not the realization of "
-                        f"M({top},{size})"
+                        f"{alg.lengths} is not the realization of M({top},{size})"
                     )
-            kernel = self.kernels[x] = (name, keep)
+            kernel = self.kernels[x, c] = (name, keep)
         return kernel
 
 
 @functools.lru_cache(maxsize=1)
+def _fields(p: int) -> dict:
+    """The cross-check states over F_p, one per quiver (v, cyclic); one
+    slot, so switching field drops every state of the previous one."""
+    return {}
+
+
 def _state(alg: KupischSeries, p: int) -> _OracleState:
-    """The cross-check state of (alg, p); one slot, so switching algebra
-    or field drops the previous state."""
-    return _OracleState(alg, p)
+    """The cross-check state of alg's quiver over F_p."""
+    states = _fields(p)
+    quiver = (len(alg.lengths), alg.cyclic)
+    st = states.get(quiver)
+    if st is None:
+        st = states[quiver] = _OracleState(quiver[0], p)
+    return st
+
+
+@functools.lru_cache(maxsize=1)
+def _paths(alg: KupischSeries) -> list[list[tuple[int, int]]]:
+    """The algebra's paths (j, t), from j of length t, listed once and
+    grouped by end vertex w under w - 1; tau reads them.  They read every
+    Kupisch length, so they are kept for one algebra at a time."""
+    ends: list[list[tuple[int, int]]] = [[] for _ in alg.lengths]
+    for j, c in enumerate(alg.lengths, 1):
+        for t in range(c):
+            ends[alg.shift(j, t) - 1].append((j, t))
+    return ends
 
 
 # -- queries -----------------------------------------------------------------
@@ -393,10 +431,12 @@ def oracle_hom_dim(
     _check_dim(xdim, dim_cap)
     _check_dim(ydim, dim_cap)
     st = _state(alg, p)
+    ys = [st.code(*b) for b in ys]
     total = 0
     for a in xs:
+        a = st.code(*a)
         for b in ys:
-            total += st.hom(a, b)
+            total += st.hom(alg, a, b)
     return total
 
 
@@ -412,29 +452,31 @@ def oracle_ext1_dim(
         _check_dim(alg.lengths[start - 1], dim_cap)  # the cover
     _check_dim(ydim, dim_cap)
     st = _state(alg, p)
+    ys = [st.code(*b) for b in ys]
     total = 0
-    for a in xs:
+    for start, length in xs:
+        a, c = st.code(start, length), alg.lengths[start - 1]
         for b in ys:
-            total += _ext1(st, a, b)
+            total += _ext1(st, alg, a, c, b)
     return total
 
 
-def _ext1(st: _OracleState, x: tuple[int, int], y: tuple[int, int]) -> int:
-    """dim Ext^1(x, y) from the state's table, filled on first use.
-    Hom(K, y) is the Hom table's entry for K's checked name, and a hom
-    P(x) -> y restricts to K by keeping K's coordinates."""
-    dim = st.ext1s.get((x, y))
+def _ext1(st: _OracleState, alg: KupischSeries, x: int, c: int, y: int) -> int:
+    """dim Ext^1(x, y) over the algebras whose cover P(x) has length c,
+    from the state's table, filled on first use.  Hom(K, y) is the Hom
+    table's entry for K's checked name, and a hom P(x) -> y restricts to
+    K by keeping K's coordinates."""
+    row = st.ext1s.get((x, c))
+    dim = row.get(y) if row else None
     if dim is not None:
         return dim
-    name, keep = st.kernel(x)
-    dim = st.hom(name, y) if name else 0
+    name, keep = st.kernel(alg, x, c)
+    dim = st.hom(alg, name, y) if name is not None else 0
     if dim:
-        restricted = [
-            [row[k] for blk, cols in zip(g, keep) for row in blk for k in cols]
-            for g in st.basis(x[0], y)
-        ]
-        dim -= _rank(restricted, st.p)
-    st.ext1s[x, y] = dim
+        cover = st.code(st.interval(x)[0], c)
+        kept = _restriction(st.rep(alg, cover), st.rep(alg, y), keep)
+        dim -= _rank([[g[k] for k in kept] for g in st.basis(alg, cover, y)], st.p)
+    st.ext1s.setdefault((x, c), {})[y] = dim
     return dim
 
 
@@ -449,9 +491,11 @@ def oracle_is_injective(
     _check_dim(dim, dim_cap)
     _check_dim(max(alg.lengths), dim_cap)  # the covers of the simples
     st = _state(alg, p)
-    for i in alg.vertices():
+    pieces = [st.code(*piece) for piece in pieces]
+    for i, c in enumerate(alg.lengths, 1):
+        simple = st.code(i, 1)
         for piece in pieces:
-            if _ext1(st, (i, 1), piece):
+            if _ext1(st, alg, simple, c, piece):
                 return False
     return True
 
@@ -488,11 +532,11 @@ def oracle_tau(
         raise DimensionCapExceeded(
             f"algebra dimension {alg.total_dim} exceeds cap {dim_cap}"
         )
-    st = _state(alg, p)
-    return ModuleSum(tuple(_tau1(st, i, l) for i, l in pieces))
+    ends = _paths(alg)
+    return ModuleSum(tuple(_tau1(alg, ends, p, i, l) for i, l in pieces))
 
 
-def _tau1(st: _OracleState, i: int, l: int) -> IntervalModule:
+def _tau1(alg: KupischSeries, ends, p: int, i: int, l: int) -> IntervalModule:
     """tau of the non-projective interval m = M(i, l) via the
     transpose-dual of its minimal presentation.
 
@@ -501,7 +545,7 @@ def _tau1(st: _OracleState, i: int, l: int) -> IntervalModule:
     transpose is the cokernel presentation of Tr m, and dualizing that
     left module componentwise gives tau m.  All steps are explicit basis
     bookkeeping plus one rank computation for the top."""
-    alg, lengths, ends = st.alg, st.alg.lengths, st.ends
+    lengths = alg.lengths
     image = {(j, t + l) for (j, t) in ends[i - 1] if t + l < lengths[j - 1]}
     coker = [b for b in ends[alg.shift(i, l) - 1] if b not in image]
     if len(coker) != l:
@@ -524,7 +568,7 @@ def _tau1(st: _OracleState, i: int, l: int) -> IntervalModule:
                 lifted = (pred, b[1] + 1)
                 if lifted in pos[pred]:
                     mat[pos[pred][lifted]][pos[w][b]] = 1
-            incoming_rank = _rank(mat, st.p)
+            incoming_rank = _rank(mat, p)
         tops.append(len(comp[w]) - incoming_rank)
     if sum(tops) != 1:
         raise InternalInconsistency(

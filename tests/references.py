@@ -551,6 +551,19 @@ def nullity(xr, yr, p):
     return nvars - oracle._rank(system, p)
 
 
+def hom_basis(xr, yr, p):
+    """A basis of Hom(xr, yr), each map as its per-vertex blocks (rows of
+    ints mod p)."""
+    system, offs, nvars = oracle._hom_system(xr, yr)
+    return [
+        [
+            [vec[o + a * dx : o + (a + 1) * dx] for a in range(dy)]
+            for o, dx, dy in zip(offs, xr.dims, yr.dims)
+        ]
+        for vec in oracle._nullspace(system, nvars, p)
+    ]
+
+
 def reference_whole_sum_hom_dim(alg, x, y, p):
     """Reference: the nullity of one intertwiner system between the
     realizations of the whole sums."""
@@ -578,7 +591,7 @@ def reference_whole_sum_ext1_dim(alg, x: IntervalModule, y, p):
     yr = realize(alg, y, p)
     rows = [
         [e for w, blk in enumerate(g) for row in matmul(blk, inclusion[w], p) for e in row]
-        for g in oracle._hom_basis(cover, yr)
+        for g in hom_basis(cover, yr, p)
     ]
     return nullity(kernel, yr, p) - (oracle._rank(rows, p) if rows else 0)
 

@@ -537,8 +537,20 @@ class TestSweepCommand:
             lambda rec: rec.update(kupisch=[0]),
             lambda rec: rec["theorem_verdicts"].pop("prinj"),
             lambda rec: rec["theorem_verdicts"].update(prinj="pass"),
+            lambda rec: rec["theorem_verdicts"]["prinj"].update(status="banana"),
+            lambda rec: rec["theorem_verdicts"]["lemma22"].update(status=["fail"]),
+            lambda rec: rec.update(self_injective="no"),
+            lambda rec: rec.update(self_injective=1),
+            lambda rec: rec.update(gorenstein_degree=2.0),
+            lambda rec: rec.update(gorenstein_degree="infinite"),
+            lambda rec: rec.update(minimal_ag_n=True),
+            lambda rec: rec.update(n_auslander_n=-1),
         ],
-        ids=["missing-key", "inadmissible-series", "missing-verdict", "bare-verdict"],
+        ids=[
+            "missing-key", "inadmissible-series", "missing-verdict", "bare-verdict",
+            "unknown-status", "list-status", "string-flag", "int-flag", "float-degree",
+            "misspelt-infinity", "bool-level", "negative-level",
+        ],
     )
     def test_malformed_resume_record_rejected(self, capsys, tmp_path, damage):
         out = tmp_path / "sweep.jsonl"
@@ -551,6 +563,23 @@ class TestSweepCommand:
         code, payload = run_cli(capsys, *args)
         assert code == 2
         assert payload["error"] == "IoError"
+        assert out.read_text() == before
+
+    def test_resume_refuses_values_it_cannot_count(self, capsys, tmp_path):
+        # every record rewritten with a string flag and an unknown status
+        # once resumed with exit 0 and counted 4 self-injective algebras
+        out = tmp_path / "sweep.jsonl"
+        args = ["sweep", "--max-vertices", "2", "--max-length", "2", "--out", str(out)]
+        assert run_cli(capsys, *args)[0] == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        for rec in records:
+            rec["self_injective"] = "no"
+            rec["theorem_verdicts"]["prinj"]["status"] = "banana"
+        before = "".join(json.dumps(r) + "\n" for r in records)
+        out.write_text(before)
+        code, payload = run_cli(capsys, *args)
+        assert (code, payload["error"]) == (2, "IoError")
+        assert "prinj verdict" in payload["detail"]
         assert out.read_text() == before
 
     SWEEP_3_4 = ["sweep", "--max-vertices", "3", "--max-length", "4"]

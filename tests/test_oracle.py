@@ -6,15 +6,16 @@ import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from references import (
-    CYCLIC, LINEAR, M, admissible_series, nullity, pool, pool_of, reference_basis_lengths,
-    reference_stable_hom_dim, reference_tau1, reference_whole_sum_ext1_dim,
-    reference_whole_sum_hom_dim,
+    CYCLIC, LINEAR, M, admissible_series, hom_basis, nullity, pool, pool_of,
+    reference_basis_lengths, reference_stable_hom_dim, reference_tau1,
+    reference_whole_sum_ext1_dim, reference_whole_sum_hom_dim,
 )
 
 from nakayama import (
@@ -249,10 +250,28 @@ def test_refuses_intervals_that_are_not_modules(call, bad):
         ORACLE_CALLS[call](FOREIGN_ALG, bad)
 
 
+def clear_states():
+    """Drop the oracle's cross-check states and tau's path table."""
+    oracle._fields.cache_clear()
+    oracle._paths.cache_clear()
+
+
+def held():
+    """The cross-check states alive, as sorted (v, p) pairs."""
+    gc.collect()
+    states = [o for o in gc.get_objects() if isinstance(o, oracle._OracleState)]
+    return sorted((st.v, st.p) for st in states)
+
+
+def entries(table):
+    """The (outer, inner) keys of a nested state table."""
+    return {(k, j) for k, row in table.items() for j in row}
+
+
 @pytest.mark.parametrize("call", sorted(ORACLE_CALLS))
 def test_shares_no_state_with_the_engine(call):
     # a warm state for an equal algebra would leave the fresh one untouched
-    oracle._state.cache_clear()
+    clear_states()
     alg = KupischSeries.validate([3, 3, 4], True)
     ORACLE_CALLS[call](alg, M(1, 2))
     assert "_memo" not in alg.__dict__
@@ -272,7 +291,7 @@ REFUSALS = {
 def test_a_refused_query_reads_no_state(call, kind):
     # every check runs before the state is read: a refused query neither
     # looks the state up nor replaces the warm one
-    oracle._state.cache_clear()
+    clear_states()
     ind = indecomposables(CYCLIC)
     for x in ind:
         oracle_is_injective(CYCLIC, x)
@@ -281,11 +300,11 @@ def test_a_refused_query_reads_no_state(call, kind):
             oracle_hom_dim(CYCLIC, x, y)
             oracle_ext1_dim(CYCLIC, x, y)
     warm = oracle._state(CYCLIC, 2)
-    before = oracle._state.cache_info()
+    before = oracle._fields.cache_info(), oracle._paths.cache_info()
     m, kw, error = REFUSALS[kind]
     with pytest.raises(error):
         ORACLE_CALLS[call](CYCLIC, m, **kw)
-    assert oracle._state.cache_info() == before
+    assert (oracle._fields.cache_info(), oracle._paths.cache_info()) == before
     assert oracle._state(CYCLIC, 2) is warm
 
 
@@ -321,7 +340,7 @@ class TestTauPathTable:
             return len(calls)
 
         monkeypatch.setattr(KupischSeries, "shift", counted)
-        oracle._state.cache_clear()
+        oracle._paths.cache_clear()
         first, second = tau_pass(), tau_pass()
         assert first - second == CYCLIC.total_dim
         assert second <= translated * (CYCLIC.num_vertices + 1)
@@ -365,11 +384,15 @@ class TestState:
         assert oracle_is_injective(CYCLIC, M(3, 4))
 
     def test_ext1_table_is_shared_with_injectivity(self, monkeypatch):
-        oracle._state.cache_clear()
+        clear_states()
         simples = [(i, 1) for i in CYCLIC.vertices()]
         assert not oracle_is_injective(CYCLIC, M(1, 2))
         state = oracle._state(CYCLIC, 2)
-        assert set(state.ext1s) == {(s, (1, 2)) for s in simples}
+        # Ext^1(S_i, M(1, 2)) under (S_i, c_i), c_i the length of P_i
+        target = state.code(1, 2)
+        assert entries(state.ext1s) == {
+            ((state.code(*s), c), target) for s, c in zip(simples, CYCLIC.lengths)
+        }
 
         def recompute(*args):
             raise AssertionError("Ext^1 recomputed")
@@ -391,7 +414,11 @@ class TestState:
         # Hom and Ext^1 on every ordered pair, in either order, eliminate
         # each pair's intertwiner system exactly once: Ext^1 reads Hom(K, y)
         # from the Hom table under the kernel's name, a cover pair's Hom
-        # is its basis length, and only cover pairs build a basis
+        # is its basis length, and only cover pairs build a basis.  The
+        # state is shared by the quiver's algebras: a pair whose x is a
+        # cover over one of them but not over another keeps the nullity
+        # it got first, and is eliminated once more, for its basis, only
+        # if an algebra over which x is a cover then asks for Ext^1
         ind = indecomposables(alg)
         pairs = [(x, y) for x in ind for y in ind]
         covers = {x for x in ind if is_projective(alg, x)}
@@ -417,13 +444,13 @@ class TestState:
                 assert oracle_ext1_dim(alg, x, y) == ext_dim(alg, x, y, 1)
 
         monkeypatch.setattr(oracle, "_hom_system", counted)
-        oracle._state.cache_clear()
+        clear_states()
         for run in (hom_pass, ext_pass) if hom_first else (ext_pass, hom_pass):
             run()
         state = oracle._state(alg, 2)
-        assert len(calls) == len(state.homs) == len(pairs) == npairs
-        cover_pairs = {(x.start, (y.start, y.length)) for x in covers for y in ind}
-        assert set(state.bases) == cover_pairs
+        assert len(calls) == len(entries(state.homs)) == len(pairs) == npairs
+        code = {m: state.code(m.start, m.length) for m in ind}
+        assert entries(state.bases) == {(code[x], code[y]) for x in covers for y in ind}
 
     @pytest.mark.parametrize("x", [M(1, 1), M(3, 1), M(3, 2)], ids=repr)
     def test_kernel_must_be_its_named_realization(self, monkeypatch, x):
@@ -440,17 +467,74 @@ class TestState:
             return kernel, keep
 
         monkeypatch.setattr(oracle, "_presentation_kernel", flipped)
-        oracle._state.cache_clear()
+        clear_states()
         with pytest.raises(InternalInconsistency, match="presentation kernel"):
             oracle_ext1_dim(CYCLIC, x, M(1, 3))
-        oracle._state.cache_clear()
+        clear_states()
 
-    def test_one_algebra_held(self):
+    def test_one_field_held_one_state_per_quiver(self):
+        clear_states()
         oracle_hom_dim(CYCLIC, M(1, 1), M(1, 1))
         oracle_is_injective(LINEAR, M(1, 3))
-        states = [o for o in gc.get_objects() if isinstance(o, oracle._OracleState)]
-        assert [(s.alg, s.p) for s in states] == [(LINEAR, 2)]
-        assert oracle._state.cache_info().currsize == 1
+        other = KupischSeries.validate([3, 4, 4], True)  # CYCLIC's quiver
+        oracle_ext1_dim(other, M(1, 1), M(2, 2))
+        assert held() == [(3, 2), (6, 2)]
+        assert sorted(oracle._fields(2)) == [(3, True), (6, False)]
+        oracle_is_injective(LINEAR, M(1, 3), p=3)
+        assert held() == [(6, 3)]
+        assert oracle._fields.cache_info().currsize == 1
+
+    def test_no_algebra_held(self):
+        # Hom, Ext^1 and injectivity keep no reference to the algebra
+        alg = KupischSeries.validate([3, 4, 4], True)
+        for m in indecomposables(alg):
+            oracle_is_injective(alg, m)
+            oracle_hom_dim(alg, m, M(1, 1))
+            oracle_ext1_dim(alg, m, M(1, 1))
+        gone = weakref.ref(alg)
+        del alg
+        gc.collect()
+        assert gone() is None
+
+    def test_ext1_keyed_by_the_cover_length(self):
+        # S(1) has cover M(1, 2) over A and M(1, 3) over B, on one quiver:
+        # Ext^1(S(1), M(2, 2)) is 0 over A and 1 over B
+        a = KupischSeries.validate([2, 2, 1], False)
+        b = KupischSeries.validate([3, 2, 1], False)
+        clear_states()
+        for alg, want in ((a, 0), (b, 1), (a, 0)):
+            assert oracle_ext1_dim(alg, M(1, 1), M(2, 2)) == want
+            assert ext_dim(alg, M(1, 1), M(2, 2), 1) == want
+        assert oracle._state(a, 2) is oracle._state(b, 2)
+
+    def test_second_algebra_on_a_quiver_eliminates_only_new_pairs(self, monkeypatch):
+        # every pair of cyclic (3,3,4), then of (3,4,4): the second pass
+        # eliminates exactly the pairs that the first pass did not
+        system = oracle._hom_system
+        calls = []
+
+        def counted(x, y):
+            calls.append((x, y))
+            return system(x, y)
+
+        monkeypatch.setattr(oracle, "_hom_system", counted)
+        clear_states()
+        tables = []
+        for lengths in ([3, 3, 4], [3, 4, 4]):
+            alg = KupischSeries.validate(lengths, True)
+            calls.clear()
+            ind = indecomposables(alg)
+            for x in ind:
+                for y in ind:
+                    assert oracle_hom_dim(alg, x, y) == hom_dim(alg, x, y)
+                    assert oracle_ext1_dim(alg, x, y) == ext_dim(alg, x, y, 1)
+            state = oracle._state(alg, 2)
+            code = {id(rep): x for x, rep in state.reps.items()}
+            eliminated = [(code[id(x)], code[id(y)]) for x, y in calls]
+            tables.append(entries(state.homs))
+        assert state is oracle._state(CYCLIC, 2)
+        assert sorted(eliminated) == sorted(tables[1] - tables[0])
+        assert len(tables[1]) > len(tables[0])
 
     def test_sums_match_whole_sum_realization(self):
         for alg in (CYCLIC, LINEAR):
@@ -499,7 +583,7 @@ def test_stable_hom_matches_oracle_restriction_cross_check():
             for b in ind:
                 rows = [
                     [row[k] for blk, cols in zip(g, keep) for row in blk for k in cols]
-                    for g in oracle._hom_basis(env, reps[b])
+                    for g in hom_basis(env, reps[b], 2)
                 ]
                 dim = nullity(sub, reps[b], 2) - (oracle._rank(rows, 2) if rows else 0)
                 want = reference_stable_hom_dim(alg, y, b)
