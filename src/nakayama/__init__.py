@@ -22,7 +22,14 @@ from .classify import (
     verify_thm_gp_socle_sub,
     verify_thm_prinj,
 )
-from .core import INFINITY, ExtendedNat, KupischSeries, enumerate_admissible
+from .core import (
+    INFINITY,
+    ExtendedNat,
+    KupischSeries,
+    count_admissible,
+    enumerate_admissible,
+    iter_admissible,
+)
 from .errors import (
     DimensionCapExceeded,
     EmptySeries,

@@ -12,10 +12,12 @@ unmet precondition.  Errors are reported as one JSON object on stdout.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import re
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 
 from .classify import (
@@ -32,7 +34,11 @@ from .classify import (
     verify_thm_gp_socle_sub,
     verify_thm_prinj,
 )
-from .core import ExtendedNat, KupischSeries, enumerate_admissible
+from .core import ExtendedNat, KupischSeries, count_admissible, iter_admissible
+
+# Unused here: the sweep streams its algebras, but perfbench/workloads.py
+# traces enumerate_admissible in this module.
+from .core import enumerate_admissible  # noqa: F401
 from .errors import IoError, NakayamaError, ParseError
 from .homology import (
     domdim,
@@ -67,7 +73,9 @@ from .oracle import (
 from .precluster import search_precluster, tau_n
 
 __all__ = ["main"]
-_encode = json.JSONEncoder(separators=(",", ":")).encode  # compact, built once
+# compact, built once; it encodes fresh trees of dicts and lists, which
+# hold no cycle, so it skips the cycle check
+_encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 def _parse_lengths(text: str) -> list[int]:
@@ -216,6 +224,36 @@ def _sweep_record(payload) -> tuple[str, tuple[bool, ...]]:
     return _encode(rec), _tally(rec)
 
 
+def _sweep_chunk(payloads) -> list[tuple[str, tuple[bool, ...]]]:
+    """A worker's task: the _sweep_record results of a few algebras."""
+    return [_sweep_record(payload) for payload in payloads]
+
+
+_CHUNK = 256  # algebras per pool task
+_WINDOW = 2  # pool tasks in flight per worker
+
+
+def _pooled(payloads, workers: int):
+    """The _sweep_record results of payloads, in order, from a pool of
+    workers.  The payloads are cut into _CHUNK-sized tasks, and at most
+    _WINDOW tasks per worker are in flight: a new one is submitted only
+    when the oldest one's results are taken.  So neither this process nor
+    a worker holds more than a window of records, whatever the bounds.  A
+    task that raises ends the results there, after every earlier task's."""
+    chunks = iter(lambda: list(itertools.islice(payloads, _CHUNK)), [])
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        window = deque(
+            pool.submit(_sweep_chunk, chunk)
+            for chunk in itertools.islice(chunks, _WINDOW * workers)
+        )
+        while window:
+            results = window.popleft().result()
+            chunk = next(chunks, None)
+            if chunk is not None:
+                window.append(pool.submit(_sweep_chunk, chunk))
+            yield from results
+
+
 def _sweep_violations(rec: dict) -> list[str]:
     """A verifier verdict is wrong when it disagrees with the classifier.
 
@@ -283,10 +321,11 @@ def _range_check(algs, window: tuple[int, int] | None, seed: int) -> tuple[int, 
     """Re-verify the socle characterization across a whole range of
     levels: at each n the verdict must agree with the classifier, pass
     and fail alike.  The levels are the inclusive window (lo, hi), or
-    from 0 when it is None, clipped to the Gorenstein degree minus one."""
+    from 0 when it is None, clipped to the Gorenstein degree minus one.
+    algs is walked once."""
     checked = violations = 0
     for a in algs:
-        alg = KupischSeries(a.lengths, a.cyclic)  # a fresh copy: algs keeps no tables
+        alg = KupischSeries(a.lengths, a.cyclic)  # a fresh copy: a keeps no tables
         g = gorenstein_degree(alg)
         if not g.is_finite:
             continue
@@ -300,57 +339,63 @@ def _range_check(algs, window: tuple[int, int] | None, seed: int) -> tuple[int, 
     return checked, violations
 
 
-def _read_jsonl(path: str) -> tuple[list[dict], int]:
-    """The records on the whole lines of a JSONL file, and the length of
-    an unterminated last line: a record whose write was cut short."""
-    records, torn = [], 0
+def _counted(path: str, rec) -> tuple[tuple[tuple[int, ...], bool], tuple[bool, ...]]:
+    """A resumed record's key (series, cyclic) and its summary tally.
+    IoError unless the record is a whole report, each value the summary
+    counts of a type a report writes."""
+    missing = [k for k in REPORT_KEYS if not isinstance(rec, dict) or k not in rec]
+    if missing:
+        raise IoError(f"{path}: malformed record: lacks {', '.join(missing)}")
+    verdicts = rec["theorem_verdicts"]
+    for name in _VERDICTS:
+        verdict = verdicts.get(name) if isinstance(verdicts, dict) else None
+        if not isinstance(verdict, dict) or verdict.get("status") not in _STATUSES:
+            raise IoError(f"{path}: malformed record: {name} verdict {verdict!r}")
+    for name, countable in _TALLY_FIELDS.items():
+        if not countable(rec[name]):
+            raise IoError(f"{path}: malformed record: {name} {rec[name]!r}")
+    series, cyclic = rec["kupisch"], rec["cyclic"]
+    plain = type(series) is list and all(type(c) is int for c in series)
+    if not plain or type(cyclic) is not bool:  # JSON true == 1 and 2.0 == 2
+        raise IoError(f"{path}: malformed record: {series!r}, cyclic {cyclic!r}")
+    return (tuple(series), cyclic), _tally(rec)
+
+
+def _resumed(path: str, fresh) -> tuple[dict, list[int]]:
+    """The keys of the algebras already in a sweep file, in file order
+    (as a dict with no values), and the sums of their summary tallies.
+    The file is read one line at a time and only the keys are kept; a
+    missing file holds none.  Each record must be one of this run's
+    algebras, which each call fresh() streams anew, and none may appear
+    twice; any other file is refused before any work.  A torn final
+    record, left by a killed run, is cut off so that its algebra is
+    computed again."""
+    existing, sums, torn = {}, [0] * len(_TALLIED), 0
+    if not os.path.exists(path):
+        return existing, sums
     try:
         with open(path, "rb") as fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.endswith(b"\n"):
-                    torn = len(line)
-                elif line.strip():
-                    try:
-                        records.append(json.loads(line))
-                    except ValueError as exc:
-                        raise IoError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+                    torn = len(line)  # the last line, whose write was cut short
+                    continue
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                except ValueError as exc:
+                    raise IoError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+                key, tally = _counted(path, rec)
+                if key in existing:
+                    raise IoError(f"{path}: {list(key[0])} appears twice")
+                existing[key] = None
+                for i, hit in enumerate(tally):
+                    sums[i] += hit
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    return records, torn
-
-
-def _resumed(path: str, algs) -> dict:
-    """The algebras already in a sweep file, in file order, each with its
-    summary tally.  Each record must be a whole report of one of algs, this
-    run's algebras, each value the summary counts of a type a report
-    writes, and none may appear twice; any other file is refused before
-    any work.  A torn final record, left by a killed run, is cut off
-    so that its algebra is computed again."""
-    records, torn = _read_jsonl(path)
-    existing = {}
-    for rec in records:
-        missing = [k for k in REPORT_KEYS if not isinstance(rec, dict) or k not in rec]
-        if missing:
-            raise IoError(f"{path}: malformed record: lacks {', '.join(missing)}")
-        verdicts = rec["theorem_verdicts"]
-        for name in _VERDICTS:
-            verdict = verdicts.get(name) if isinstance(verdicts, dict) else None
-            if not isinstance(verdict, dict) or verdict.get("status") not in _STATUSES:
-                raise IoError(f"{path}: malformed record: {name} verdict {verdict!r}")
-        for name, countable in _TALLY_FIELDS.items():
-            if not countable(rec[name]):
-                raise IoError(f"{path}: malformed record: {name} {rec[name]!r}")
-        series, cyclic = rec["kupisch"], rec["cyclic"]
-        plain = type(series) is list and all(type(c) is int for c in series)
-        if not plain or type(cyclic) is not bool:  # JSON true == 1 and 2.0 == 2
-            raise IoError(f"{path}: malformed record: {series!r}, cyclic {cyclic!r}")
-        key = (tuple(series), cyclic)
-        if key in existing:
-            raise IoError(f"{path}: {series} appears twice")
-        existing[key] = _tally(rec)
     # an enumerated key is admissible, canonical and within the bounds
-    if sum((a.lengths, a.cyclic) in existing for a in algs) < len(existing):
-        known = {(a.lengths, a.cyclic) for a in algs}
+    if sum((a.lengths, a.cyclic) in existing for a in fresh()) < len(existing):
+        known = {(a.lengths, a.cyclic) for a in fresh()}
         lengths, cyclic = next(k for k in existing if k not in known)
         raise IoError(
             f"{path}: {('linear', 'cyclic')[cyclic]} {list(lengths)} is not a canonical "
@@ -364,23 +409,30 @@ def _resumed(path: str, algs) -> dict:
                 fh.truncate()
         except OSError as exc:
             raise IoError(f"cannot cut {path}: {exc}") from exc
-    return existing
+    return existing, sums
 
 
-def _append_lines(path: str, results) -> list[tuple[bool, ...]]:
+def _append_lines(path: str, results, sums: list[int]) -> int:
     """Append each (line, tally) result's line as soon as it is produced,
-    so a killed run keeps every record finished before it; return the
-    tallies in order."""
-    tallies = []
+    so a killed run keeps every record finished before it, and add its
+    tally to sums; return the number of lines.  The file is opened at
+    the first result, so a run with nothing to compute creates none."""
+    done = 0
     try:
+        results = iter(results)
+        first = next(results, None)
+        if first is None:
+            return 0
         with open(path, "a", encoding="utf-8") as fh:
-            for line, tally in results:
+            for line, tally in itertools.chain([first], results):
                 fh.write(line + "\n")
                 fh.flush()
-                tallies.append(tally)
+                for i, hit in enumerate(tally):
+                    sums[i] += hit
+                done += 1
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
-    return tallies
+    return done
 
 
 def cmd_sweep(args) -> int:
@@ -401,33 +453,34 @@ def cmd_sweep(args) -> int:
             )
         window = (int(match[1]), int(match[2]))
     shapes = ("linear", "cyclic") if args.shapes == "both" else (args.shapes,)
-    algs = enumerate_admissible(args.max_vertices, args.max_length, shapes)
-    existing = _resumed(args.out, algs) if os.path.exists(args.out) else {}
-    todo = (a for a in algs if (a.lengths, a.cyclic) not in existing)
-    payloads = [(a.lengths, a.cyclic, args.seed) for a in todo]
-    computed = []
-    # the pool forks every worker at the first submit, so never ask for
-    # more than there are algebras or CPUs
-    workers = min(args.jobs, len(payloads), os.cpu_count() or 1)
-    if workers > 1:
-        chunk = max(1, len(payloads) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            computed = _append_lines(
-                args.out, pool.map(_sweep_record, payloads, chunksize=chunk)
-            )
-    elif payloads:
-        computed = _append_lines(args.out, map(_sweep_record, payloads))
-    tallies = [*existing.values(), *computed]
+
+    def fresh():
+        """This run's algebras, streamed anew on each call."""
+        return iter_admissible(args.max_vertices, args.max_length, shapes)
+
+    existing, sums = _resumed(args.out, fresh)
+    payloads = (
+        (a.lengths, a.cyclic, args.seed)
+        for a in fresh()
+        if (a.lengths, a.cyclic) not in existing
+    )
+    workers = 1
+    if args.jobs > 1:
+        # the pool forks every worker at the first submit, so never ask
+        # for more than there are algebras to compute or CPUs
+        total = count_admissible(args.max_vertices, args.max_length, shapes)
+        workers = min(args.jobs, total - len(existing), os.cpu_count() or 1)
+    results = _pooled(payloads, workers) if workers > 1 else map(_sweep_record, payloads)
+    computed = _append_lines(args.out, results, sums)
     summary = {
-        "algebras": len(tallies),
-        "computed": len(payloads),
+        "algebras": len(existing) + computed,
+        "computed": computed,
         "resumed": len(existing),
+        **dict(zip(_TALLIED, sums)),
     }
-    for i, name in enumerate(_TALLIED):
-        summary[name] = sum(t[i] for t in tallies)
     violations = summary["violations"]
     if args.n_range is not None:
-        checked, range_violations = _range_check(algs, window, args.seed)
+        checked, range_violations = _range_check(fresh(), window, args.seed)
         summary["range_checked"] = checked
         summary["range_violations"] = range_violations
         violations += range_violations

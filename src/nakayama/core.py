@@ -9,9 +9,10 @@ convention, indices cyclic when the quiver is a cycle).  Admissibility:
   linear quiver:  c_v = 1, c_i >= 2 for i < v, and c_{i+1} >= c_i - 1.
 
 Everything else in the package is derived from this data by exact integer
-combinatorics; no floating point anywhere.  `enumerate_admissible` yields
+combinatorics; no floating point anywhere.  `iter_admissible` yields
 every admissible series within given bounds once, in canonical form and
-in lexicographic order by construction.
+in lexicographic order by construction; `enumerate_admissible` lists
+them and `count_admissible` counts them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,14 @@ from typing import Iterator, Sequence
 
 from .errors import EmptySeries, InternalInconsistency, NotAdmissible
 
-__all__ = ["ExtendedNat", "INFINITY", "KupischSeries", "enumerate_admissible"]
+__all__ = [
+    "ExtendedNat",
+    "INFINITY",
+    "KupischSeries",
+    "count_admissible",
+    "enumerate_admissible",
+    "iter_admissible",
+]
 
 
 @total_ordering
@@ -300,25 +308,62 @@ def _series(v: int, max_length: int, cyclic: bool) -> Iterator[tuple[int, ...]]:
     yield from rec(1, 1)
 
 
+def _quivers(max_vertices: int, shapes: Sequence[str]) -> list[tuple[int, bool]]:
+    """The (v, cyclic) blocks of the enumeration, in its order: linear
+    shapes first, then cyclic, each by vertex count.  ValueError on a
+    shape other than "linear" or "cyclic"."""
+    unknown = [shape for shape in shapes if shape not in ("linear", "cyclic")]
+    if unknown:
+        raise ValueError(f"unknown shapes {unknown}; want 'linear' or 'cyclic'")
+    return [
+        (v, cyclic)
+        for shape, cyclic in (("linear", False), ("cyclic", True))
+        if shape in shapes
+        for v in range(1, max_vertices + 1)
+    ]
+
+
+def iter_admissible(
+    max_vertices: int,
+    max_length: int,
+    shapes: Sequence[str] = ("linear", "cyclic"),
+) -> Iterator[KupischSeries]:
+    """Each admissible algebra within the bounds once, built as it is
+    reached, in a fixed order: linear shapes first, then cyclic, each by
+    vertex count and then by lexicographic series, so sweep output is
+    reproducible byte for byte.  Each series comes out canonical and in
+    that order by construction.  Nothing is kept between algebras, so a
+    caller that holds none walks any bound in constant memory.  The
+    shapes are checked at the call: ValueError on a shape other than
+    "linear" or "cyclic", before anything is yielded.
+    """
+    quivers = _quivers(max_vertices, shapes)
+    return (
+        KupischSeries(s, cyclic)
+        for v, cyclic in quivers
+        for s in _series(v, max_length, cyclic)
+    )
+
+
+def count_admissible(
+    max_vertices: int,
+    max_length: int,
+    shapes: Sequence[str] = ("linear", "cyclic"),
+) -> int:
+    """len(enumerate_admissible(...)) from the same walk, building no
+    algebra.  ValueError on an unknown shape, as there."""
+    return sum(
+        1
+        for v, cyclic in _quivers(max_vertices, shapes)
+        for _ in _series(v, max_length, cyclic)
+    )
+
+
 def enumerate_admissible(
     max_vertices: int,
     max_length: int,
     shapes: Sequence[str] = ("linear", "cyclic"),
 ) -> list[KupischSeries]:
-    """All admissible algebras within the bounds, in a fixed order:
-    linear shapes first, then cyclic, each by vertex count and then by
-    lexicographic series, so sweep output is reproducible byte for byte.
-    Each series comes out once, canonical and in that order by
-    construction.  ValueError on a shape other than "linear" or "cyclic".
-    """
-    unknown = [shape for shape in shapes if shape not in ("linear", "cyclic")]
-    if unknown:
-        raise ValueError(f"unknown shapes {unknown}; want 'linear' or 'cyclic'")
-    out: list[KupischSeries] = []
-    for shape, cyclic in (("linear", False), ("cyclic", True)):
-        if shape in shapes:
-            for v in range(1, max_vertices + 1):
-                out.extend(
-                    KupischSeries(s, cyclic) for s in _series(v, max_length, cyclic)
-                )
-    return out
+    """All admissible algebras within the bounds, as a list: the algebras
+    of `iter_admissible`, in its order.  ValueError on an unknown shape."""
+    return list(iter_admissible(max_vertices, max_length, shapes))

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import itertools
+import math
 import pickle
 
 import pytest
 from hypothesis import given, settings
 from references import (
-    admissible_series, pool, pool_of, reference_injective_lengths, reference_series,
+    POOL_SIZES,
+    admissible_series,
+    pool,
+    pool_of,
+    reference_injective_lengths,
+    reference_series,
 )
 
 from nakayama import (
@@ -19,7 +25,9 @@ from nakayama import (
     KupischSeries,
     NotAdmissible,
     classify,
+    count_admissible,
     enumerate_admissible,
+    iter_admissible,
 )
 from nakayama.core import _series, per_algebra
 from nakayama.modules import _index
@@ -249,6 +257,39 @@ class TestSeriesGenerator:
     def test_unknown_shape_is_refused(self):
         with pytest.raises(ValueError, match="cylic"):
             enumerate_admissible(3, 3, ("cylic",))
+
+    @pytest.mark.parametrize("fn", [iter_admissible, count_admissible])
+    def test_unknown_shape_is_refused_at_the_call(self, fn):
+        with pytest.raises(ValueError, match="cylic"):
+            fn(3, 3, ("linear", "cylic"))
+
+
+class TestStreamAndCount:
+    @pytest.mark.parametrize("shapes", [("linear",), ("cyclic",), ("linear", "cyclic")])
+    def test_stream_is_the_list(self, shapes):
+        stream = iter_admissible(5, 7, shapes)
+        assert iter(stream) is stream
+        assert list(stream) == enumerate_admissible(5, 7, shapes)
+
+    @pytest.mark.parametrize("shapes", [("linear",), ("cyclic",), ("linear", "cyclic")])
+    def test_count_is_the_length_on_the_pools(self, shapes):
+        for v, max_length in POOL_SIZES:
+            expected = len(enumerate_admissible(v, max_length, shapes))
+            assert count_admissible(v, max_length, shapes) == expected, (v, max_length)
+
+    def test_count_at_the_pool_sizes_and_beyond(self):
+        sizes = {**POOL_SIZES, (9, 11): 28_285, (10, 12): 104_822}
+        assert {key: count_admissible(*key) for key in sizes} == sizes
+
+    @pytest.mark.parametrize("v", range(1, 10))
+    def test_linear_count_is_catalan(self, v):
+        # with L >= v no length bound binds: Catalan(v - 1) series on v vertices
+        catalan = math.comb(2 * (v - 1), v - 1) // v
+        for max_length in (v, v + 2):
+            on_v = count_admissible(v, max_length, ("linear",)) - count_admissible(
+                v - 1, max_length, ("linear",)
+            )
+            assert on_v == catalan, max_length
 
 
 class TestBasics:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from concurrent.futures import Executor, Future
 
 import pytest
 from references import CYCLIC, LINEAR, M, pool
@@ -15,6 +16,7 @@ from nakayama import (
     gorenstein_degree,
     indecomposables,
     injective,
+    iter_admissible,
     projective,
 )
 from nakayama.cli import main
@@ -455,6 +457,16 @@ class TestSweepCommand:
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert [(r["kupisch"], r["cyclic"]) for r in records] == [([1], False)]
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_empty_family_writes_no_file(self, capsys, tmp_path, jobs):
+        # no cyclic series has every length below 2
+        out = tmp_path / "none.jsonl"
+        argv = ["sweep", "--max-vertices", "3", "--max-length", "1", "--shapes", "cyclic"]
+        code, summary = run_cli(capsys, *argv, "--jobs", jobs, "--out", str(out))
+        assert code == 0
+        assert (summary["algebras"], summary["computed"]) == (0, 0)
+        assert not out.exists()
+
     def test_n_range_check(self, capsys, tmp_path):
         out = tmp_path / "rng.jsonl"
         code, summary = run_cli(
@@ -610,24 +622,27 @@ class TestSweepCommand:
         assert out.read_bytes() == expected
 
     def test_enumerated_algebras_keep_no_tables(self, capsys, tmp_path, monkeypatch):
-        # every record classifies a fresh algebra built from its payload, so
-        # the list the sweep holds for the whole run keeps no _memo
+        # every record classifies a fresh algebra built from its payload,
+        # and the range check a fresh copy, so no streamed algebra keeps _memo
         import nakayama.cli as cli
 
         held = []
 
         def recorded(*args):
-            held.append(enumerate_admissible(*args))
-            return held[-1]
+            held.append([])
+            for alg in iter_admissible(*args):
+                held[-1].append(alg)
+                yield alg
 
-        monkeypatch.setattr(cli, "enumerate_admissible", recorded)
+        monkeypatch.setattr(cli, "iter_admissible", recorded)
         out = tmp_path / "sweep.jsonl"
         args = ["sweep", "--max-vertices", "5", "--max-length", "6", "--n-range", "auto"]
         code, summary = run_cli(capsys, *args, "--out", str(out))
         assert code == 0
-        [algs] = held
-        assert summary["computed"] == len(algs) == 166
-        assert [a for a in algs if "_memo" in a.__dict__] == []
+        # one stream for the records, one for the range check
+        assert summary["computed"] == 166
+        assert [len(algs) for algs in held] == [166, 166]
+        assert [a for algs in held for a in algs if "_memo" in a.__dict__] == []
 
     def test_torn_final_record_is_recomputed(self, capsys, tmp_path):
         out = tmp_path / "sweep.jsonl"
@@ -710,8 +725,10 @@ class TestSweepCommand:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
@@ -719,6 +736,78 @@ class TestSweepCommand:
         args = [*self.SWEEP_3_4, "--jobs", "4096", "--out", str(pooled)]
         assert run_cli(capsys, *args)[0] == 0
         assert sizes == [2]
+        assert pooled.read_bytes() == serial.read_bytes()
+
+    def test_killed_pooled_sweep_resumes_to_the_same_bytes(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # the tenth algebra raises in its worker; the chunks before its
+        # chunk are written in order, and a resumed run finishes the file
+        import nakayama.cli as cli
+
+        whole = tmp_path / "whole.jsonl"
+        assert run_cli(capsys, *self.SWEEP_3_4, "--out", str(whole))[0] == 0
+        expected = whole.read_bytes()
+        bad = enumerate_admissible(3, 4)[9]
+        original = cli._sweep_record
+
+        def dies_on_the_tenth(payload):
+            if payload[:2] == (bad.lengths, bad.cyclic):
+                raise RuntimeError("killed")
+            return original(payload)
+
+        monkeypatch.setattr(cli, "_CHUNK", 4)
+        monkeypatch.setattr(cli, "_sweep_record", dies_on_the_tenth)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        out = tmp_path / "cut.jsonl"
+        sweep = [*self.SWEEP_3_4, "--jobs", "2", "--out", str(out)]
+        with pytest.raises(RuntimeError, match="killed"):
+            main(sweep)
+        assert out.read_bytes() == b"".join(expected.splitlines(True)[:8])
+        monkeypatch.setattr(cli, "_sweep_record", original)
+        code, summary = run_cli(capsys, *sweep)
+        assert code == 0
+        assert (summary["resumed"], summary["computed"]) == (8, 12)
+        assert out.read_bytes() == expected
+
+    def test_pool_keeps_a_bounded_window_in_flight(self, capsys, tmp_path, monkeypatch):
+        # a fake pool runs a task only when its result is taken, and counts
+        # the tasks submitted and not yet taken: at most _WINDOW per worker
+        import nakayama.cli as cli
+
+        serial = tmp_path / "serial.jsonl"
+        assert run_cli(capsys, *self.SWEEP_3_4, "--out", str(serial))[0] == 0
+        in_flight, peak = set(), []
+
+        class Lazy(Future):
+            def __init__(self, task):
+                super().__init__()
+                self.task = task
+
+            def result(self, timeout=None):
+                if self in in_flight:
+                    in_flight.remove(self)
+                    self.set_result(self.task())
+                return super().result(timeout)
+
+        class LazyPool(Executor):
+            def __init__(self, max_workers):
+                pass
+
+            def submit(self, fn, *args):
+                future = Lazy(lambda: fn(*args))
+                in_flight.add(future)
+                peak.append(len(in_flight))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", LazyPool)
+        monkeypatch.setattr(cli, "_CHUNK", 2)  # ten tasks
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        pooled = tmp_path / "pooled.jsonl"
+        args = [*self.SWEEP_3_4, "--jobs", "2", "--out", str(pooled)]
+        assert run_cli(capsys, *args)[0] == 0
+        assert max(peak) == 2 * cli._WINDOW
+        assert len(peak) == 10 and not in_flight
         assert pooled.read_bytes() == serial.read_bytes()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -769,16 +858,16 @@ class TestSweepCommand:
         assert out.read_text() == before
 
     @pytest.mark.parametrize(
-        "first, then, torn",
+        "first, then, torn, stray",
         [
-            ((4, 5, "both"), (2, 2, "both"), False),
-            ((3, 4, "cyclic"), (3, 4, "linear"), False),
-            ((4, 5, "both"), (2, 2, "both"), True),
+            ((4, 5, "both"), (2, 2, "both"), False, "linear [2, 2, 1]"),
+            ((3, 4, "cyclic"), (3, 4, "linear"), False, "cyclic [2]"),
+            ((4, 5, "both"), (2, 2, "both"), True, "linear [2, 2, 1]"),
         ],
         ids=["narrower-bounds", "other-shape", "narrower-bounds-torn-tail"],
     )
     def test_resume_outside_bounds_or_shapes_rejected(
-        self, capsys, tmp_path, first, then, torn
+        self, capsys, tmp_path, first, then, torn, stray
     ):
         # the summary counts only mean something for the file's own bounds,
         # so a record of another run is refused and its torn tail kept
@@ -797,6 +886,8 @@ class TestSweepCommand:
         assert code == 2
         assert payload["error"] == "IoError"
         assert "is not a canonical series within this sweep's bounds" in payload["detail"]
+        # the first record of the file, in file order, that is not in the run
+        assert f": {stray} is not" in payload["detail"]
         assert out.read_bytes() == before
 
     def test_linear_file_widened_to_both_shapes_matches_fresh(self, capsys, tmp_path):
