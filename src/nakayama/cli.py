@@ -18,7 +18,6 @@ import os
 import re
 import sys
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 
 from .classify import (
     REPORT_KEYS,
@@ -224,6 +223,18 @@ def _sweep_record(payload) -> tuple[str, tuple[bool, ...]]:
     return _encode(rec), _tally(rec)
 
 
+def __getattr__(name: str):
+    """The module attribute ProcessPoolExecutor, imported on first use and
+    then kept as a global (PEP 562), so that only a sweep with workers
+    loads the process pool and multiprocessing."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 def _sweep_chunk(payloads) -> list[tuple[str, tuple[bool, ...]]]:
     """A worker's task: the _sweep_record results of a few algebras."""
     return [_sweep_record(payload) for payload in payloads]
@@ -241,7 +252,8 @@ def _pooled(payloads, workers: int):
     a worker holds more than a window of records, whatever the bounds.  A
     task that raises ends the results there, after every earlier task's."""
     chunks = iter(lambda: list(itertools.islice(payloads, _CHUNK)), [])
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    executor = sys.modules[__name__].ProcessPoolExecutor  # patchable, see __getattr__
+    with executor(max_workers=workers) as pool:
         window = deque(
             pool.submit(_sweep_chunk, chunk)
             for chunk in itertools.islice(chunks, _WINDOW * workers)

@@ -128,16 +128,18 @@ def _vertex(alg: KupischSeries, i) -> int:
 def per_algebra(build):
     """Memoize a per-algebra table: build(alg) runs once per algebra and
     its result is kept in the algebra's `_memo` dict, under the builder's
-    dotted name.  The key is a string so that the algebra still pickles."""
+    dotted name.  The key is a string so that the algebra still pickles.
+    A hit is one lookup in the memo."""
     key = f"{build.__module__}.{build.__qualname__}"
 
     @wraps(build)
     def table(alg):
-        memo = alg.__dict__.get("_memo")
-        if memo is None:
+        try:
+            return alg._memo[key]
+        except AttributeError:
             memo = alg.__dict__["_memo"] = {}
-        elif key in memo:
-            return memo[key]
+        except KeyError:
+            memo = alg._memo
         memo[key] = value = build(alg)
         return value
 

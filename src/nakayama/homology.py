@@ -25,6 +25,7 @@ from .modules import (
     IntervalModule,
     ModuleSum,
     _hom,
+    _Index,
     _index,
     _interval_at,
     _position,
@@ -187,12 +188,11 @@ def _source(succ: list[int], p: int, k: int) -> int:
     return p if succ[p] >= 0 else -1
 
 
-def _ext1(alg: KupischSeries, q: int, targets) -> list[int]:
+def _ext1(alg: KupischSeries, idx: _Index, q: int, targets) -> list[int]:
     """dim Ext^1(z, y) for the interval y at each position of targets, z
     the non-projective interval at position q, by its minimal presentation
-    off the index, with z, Omega z and P(z) = M(zs, c) read once per row:
-    0 -> Hom(z,y) -> Hom(P(z),y) -> Hom(Omega z,y) -> Ext^1(z,y) -> 0."""
-    idx = _index(alg)
+    off alg's index idx, with z, Omega z and P(z) = M(zs, c) read once per
+    row: 0 -> Hom(z,y) -> Hom(P(z),y) -> Hom(Omega z,y) -> Ext^1(z,y) -> 0."""
     offset = idx.offset
     zs, zl = _interval_at(offset, q)
     ws, wl = _interval_at(offset, idx.omega[q])
@@ -216,12 +216,12 @@ def ext_dim(alg: KupischSeries, x, y, k: int) -> int:
     if k == 0:
         return hom_dim(alg, x, y)
     targets = _positions(alg, y)
-    omega = _index(alg).omega
+    idx = _index(alg)
     total = 0
     for p in _positions(alg, x):
-        q = _source(omega, p, k)
+        q = _source(idx.omega, p, k)
         if q >= 0:
-            total += sum(_ext1(alg, q, targets))
+            total += sum(_ext1(alg, idx, q, targets))
     return total
 
 
@@ -267,7 +267,8 @@ def _gpd_table(alg: KupischSeries) -> list[int]:
 
 
 def _gpd1(alg: KupischSeries, m: IntervalModule) -> int:
-    return _gpd_table(alg)[_position(alg, m)]
+    p = _position(alg, m)  # m is checked before the table is built
+    return _gpd_table(alg)[p]
 
 
 def gpd(alg: KupischSeries, m) -> int:

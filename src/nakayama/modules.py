@@ -7,8 +7,9 @@ convention).  Finite direct sums are multisets of intervals.
 
 Per-algebra tables, each built once by `core.per_algebra`, are plain
 lists over one integer index (`_index`): M(i, l) sits at position
-offset[i - 1] + l - 1 of indecomposables(alg).  `_position` and `core._vertex`
-are the one checks on intervals and vertices from outside, and a zero Omega
+offset[i - 1] + l - 1 of indecomposables(alg).  `_interval` (through
+`_position`, which also reads the index) and `core._vertex` are the one
+checks on intervals and vertices from outside, and a zero Omega
 or Omega^- step in the index the one test for projective and injective.
 Public queries take an interval or a sum (only `socle_vertex` and
 `embeds_in` want an interval).  Inside, a module is its position, and
@@ -110,17 +111,12 @@ def _split(m) -> tuple[IntervalModule, ...]:
     raise TypeError(f"expected IntervalModule or ModuleSum, got {type(m).__name__}")
 
 
-def _pieces(alg: KupischSeries, m) -> tuple[IntervalModule, ...]:
-    """The validated summands of an interval or a sum, unwrapped."""
-    pieces = _split(m)
-    for piece in pieces:
-        _position(alg, piece)
-    return pieces
-
-
 def check_module(alg: KupischSeries, m) -> ModuleSum:
     """Validate user-supplied summands: vertex in range, 1 <= l <= c_start."""
-    return ModuleSum(_pieces(alg, m))
+    pieces = _split(m)
+    for piece in pieces:
+        _interval(alg, piece)
+    return ModuleSum(pieces)
 
 
 # -- the integer index -------------------------------------------------------
@@ -171,24 +167,37 @@ def _index(alg: KupischSeries) -> _Index:
     return _Index(offset, socle, omega, coomega, offset[:-1], projective, injective)
 
 
-def _position(alg: KupischSeries, m: IntervalModule) -> int:
-    """Position of m in indecomposables(alg).  The one validator of
-    intervals from outside: one that is not a module over alg raises
-    NotAdmissible naming it, and anything else TypeError naming its
-    type."""
+def _interval(alg: KupischSeries, m: IntervalModule) -> tuple[int, int]:
+    """(start, length) of m, checked: a start that `core._vertex` refuses
+    or a length that is not a plain int in 1..c_start (True is not 1, nor
+    2.0 2) raises NotAdmissible naming m, and anything but an interval
+    TypeError naming its type."""
     if not isinstance(m, IntervalModule):
         raise TypeError(f"expected IntervalModule, got {type(m).__name__}")
+    start, length = m.start, m.length
     try:
-        c = alg.lengths[_vertex(alg, m.start) - 1]
+        c = alg.lengths[_vertex(alg, start) - 1]
     except NotAdmissible as exc:
         raise NotAdmissible(f"{m} is not well-formed: {exc}") from None
-    if not 1 <= m.length <= c:
-        raise NotAdmissible(f"{m} is not well-formed: length must lie in 1..{c}")
-    return _index(alg).offset[m.start - 1] + m.length - 1
+    if type(length) is not int or not 0 < length <= c:
+        raise NotAdmissible(f"{m} is not well-formed: length must be an int in 1..{c}")
+    return start, length
+
+
+def _position(alg: KupischSeries, m: IntervalModule) -> int:
+    """Position of m in indecomposables(alg).  With `_interval` the one
+    validator of intervals from outside, field types included: an
+    interval that is not a module over alg, or whose start or length is
+    not a plain int, raises NotAdmissible naming it, and anything else
+    TypeError naming its type."""
+    start, length = _interval(alg, m)
+    return _index(alg).offset[start - 1] + length - 1
 
 
 def _positions(alg: KupischSeries, m) -> list[int]:
     """Positions of the summands of an interval module or sum."""
+    if type(m) is IntervalModule:
+        return [_position(alg, m)]
     return [_position(alg, piece) for piece in _split(m)]
 
 
@@ -386,12 +395,19 @@ def hom_dim(alg: KupischSeries, x, y) -> int:
     argument, so it is the sum over the summand pairs.  NotAdmissible for
     an interval that is not a module over alg.  No ModuleSum and no
     generator: on two intervals either would cost more than _hom."""
-    xs, ys = _pieces(alg, x), _pieces(alg, y)
+    xs, ys = _intervals(alg, x), _intervals(alg, y)
     total = 0
-    for a in xs:
-        for b in ys:
-            total += _hom(alg, a.start, a.length, b.start, b.length)
+    for a, al in xs:
+        for b, bl in ys:
+            total += _hom(alg, a, al, b, bl)
     return total
+
+
+def _intervals(alg: KupischSeries, m) -> list[tuple[int, int]]:
+    """The checked (start, length) pairs of the summands of m."""
+    if type(m) is IntervalModule:
+        return [_interval(alg, m)]
+    return [_interval(alg, piece) for piece in _split(m)]
 
 
 def _hom(alg: KupischSeries, xs: int, xl: int, ys: int, yl: int) -> int:

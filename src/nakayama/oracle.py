@@ -25,9 +25,14 @@ with one exception (see `_OracleState`): a cover pair's Hom is the
 length of its basis, every other pair's is the nullity.  The kernel
 table holds the kernel's name, checked against its realization, and
 the cover coordinates it keeps, so Ext^1 reads Hom(K, y) from the Hom
-table.  None of it depends on a call's caps, which every call checks
-before reading the state.  Hom and Ext^1 are additive in each argument,
-so a sum is answered from its summand pairs.  Injectivity is Baer's
+table.  None of it depends on a call's caps.  Each call checks each
+argument in one pass (`_codes`) before it reads the state: every summand
+against the Kupisch lengths, its start by `core._vertex`, a start or
+length that is not a plain int refused (True is not 1, nor 2.0 2), the
+summand turned into its code, and the caps checked.  Hom and Ext^1 then
+read the state's rows directly and compute a pair only on a miss.  Hom
+and Ext^1 are additive in each argument, so a sum is answered from its
+summand pairs.  Injectivity is Baer's
 criterion on the same Ext^1 table, with each simple S_i under its own
 c_i: over a finite-dimensional algebra m is injective exactly when
 Ext^1(S, m) = 0 for every simple S.  One field is held at a time (a
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 import functools
 
-from .core import KupischSeries
+from .core import KupischSeries, _vertex
 from .errors import DimensionCapExceeded, InternalInconsistency, NotAdmissible
 from .modules import IntervalModule, ModuleSum, _split
 
@@ -82,26 +87,37 @@ def _check_int_prime(p: int):
         raise ValueError(f"field order must be prime, got {p}")
 
 
-def _checked(alg: KupischSeries, m) -> tuple[list[tuple[int, int]], int]:
-    """m's (start, length) pairs, from which the cross-check state's keys
-    are made, and its dimension, in one pass.  Each summand is checked
-    against the Kupisch lengths directly (not through the engine's index,
-    which is under test): an interval that is not a module over alg
-    raises NotAdmissible."""
+def _codes(
+    alg: KupischSeries, m, cap: int | None, covers: bool = False
+) -> list[int]:
+    """The interval codes (length - 1) * v + start - 1 of m's summands,
+    the cross-check state's keys, in one pass that checks each summand
+    and the cap.  Each summand is checked against the Kupisch lengths
+    directly (not through the engine's index, which is under test), its
+    start by `core._vertex`: a start or length that is not a plain int,
+    or an interval that is not a module over alg, raises NotAdmissible
+    naming it.  DimensionCapExceeded when m's dimension exceeds cap, or
+    with covers, when one summand's projective cover does; no check when
+    cap is None."""
     lengths = alg.lengths
-    pairs, dim = [], 0
-    for piece in _split(m):
+    v = len(lengths)
+    codes, dim = [], 0
+    for piece in (m,) if type(m) is IntervalModule else _split(m):
         start, length = piece.start, piece.length
-        if not (0 < start <= len(lengths) and 0 < length <= lengths[start - 1]):
+        try:
+            c = lengths[_vertex(alg, start) - 1]
+        except NotAdmissible as exc:
+            raise NotAdmissible(f"{piece} is not a module over {lengths}: {exc}") from None
+        if type(length) is not int or not 0 < length <= c:
             raise NotAdmissible(f"{piece} is not a module over {lengths}")
-        pairs.append((start, length))
-        dim += length
-    return pairs, dim
-
-
-def _check_dim(dim: int, dim_cap: int):
-    if dim > dim_cap:
-        raise DimensionCapExceeded(f"module dimension {dim} exceeds cap {dim_cap}")
+        codes.append((length - 1) * v + start - 1)
+        if not covers:
+            dim += length
+        elif c > dim:
+            dim = c
+    if cap is not None and dim > cap:
+        raise DimensionCapExceeded(f"module dimension {dim} exceeds cap {cap}")
+    return codes
 
 
 # -- linear algebra mod p ----------------------------------------------------
@@ -187,25 +203,26 @@ def realize(
     every length-c_i path from i acts as zero.  Each call builds a fresh
     representation."""
     _check_prime(p)
-    pieces, dim = _checked(alg, m)
-    _check_dim(dim, dim_cap)
-    return _realize(alg, pieces, p)
+    return _realize(alg, _codes(alg, m, dim_cap), p)
 
 
-def _realize(alg: KupischSeries, pieces, p: int) -> MatrixRep:
-    """The realization of the sum of the (start, length) pairs `pieces`,
+def _realize(alg: KupischSeries, codes, p: int) -> MatrixRep:
+    """The realization of the sum of the intervals with the given codes,
     walked by alg.shift; it depends only on alg's quiver."""
-    rep = MatrixRep(alg.num_vertices, alg.cyclic, p)
-    for s_idx, (start, length) in enumerate(pieces):
-        for r in range(length):
-            w = alg.shift(start, r)
+    v = len(alg.lengths)
+    rep = MatrixRep(v, alg.cyclic, p)
+    lengths = []
+    for s_idx, code in enumerate(codes):
+        length, start = divmod(code, v)
+        lengths.append(length + 1)
+        for r in range(length + 1):
+            w = alg.shift(start + 1, r)
             rep.basis[w - 1].append((s_idx, r))
             rep.dims[w - 1] += 1
     index = {}
     for w0, items in enumerate(rep.basis):
         for loc, item in enumerate(items):
             index[item] = (w0, loc)
-    lengths = [length for _, length in pieces]
     for u in rep.arrow_sources():
         t = alg.shift(u, 1)
         mat = [[0] * rep.dims[u - 1] for _ in range(rep.dims[t - 1])]
@@ -335,7 +352,7 @@ class _OracleState:
     def rep(self, alg: KupischSeries, x: int) -> MatrixRep:
         rep = self.reps.get(x)
         if rep is None:
-            rep = self.reps[x] = _realize(alg, (self.interval(x),), self.p)
+            rep = self.reps[x] = _realize(alg, (x,), self.p)
         return rep
 
     def hom(self, alg: KupischSeries, x: int, y: int) -> int:
@@ -427,16 +444,14 @@ def oracle_hom_dim(
     """dim Hom(x, y) as the nullity of the intertwiner system, summed
     over summand pairs."""
     _check_prime(p)
-    (xs, xdim), (ys, ydim) = _checked(alg, x), _checked(alg, y)
-    _check_dim(xdim, dim_cap)
-    _check_dim(ydim, dim_cap)
+    xs, ys = _codes(alg, x, dim_cap), _codes(alg, y, dim_cap)
     st = _state(alg, p)
-    ys = [st.code(*b) for b in ys]
     total = 0
     for a in xs:
-        a = st.code(*a)
+        row = st.homs.get(a)
         for b in ys:
-            total += st.hom(alg, a, b)
+            dim = row.get(b) if row else None
+            total += st.hom(alg, a, b) if dim is None else dim
     return total
 
 
@@ -445,19 +460,19 @@ def oracle_ext1_dim(
 ) -> int:
     """dim Ext^1(x, y) = dim coker(Hom(P(x), y) -> Hom(K, y)) where
     0 -> K -> P(x) -> x -> 0 is the explicit minimal presentation,
-    summed over summand pairs; each pair is computed once per state."""
+    summed over summand pairs; each pair is computed once per state.
+    The caps hold for y and for the cover of each summand of x."""
     _check_prime(p)
-    (xs, _), (ys, ydim) = _checked(alg, x), _checked(alg, y)
-    for start, _ in xs:
-        _check_dim(alg.lengths[start - 1], dim_cap)  # the cover
-    _check_dim(ydim, dim_cap)
+    xs, ys = _codes(alg, x, dim_cap, covers=True), _codes(alg, y, dim_cap)
     st = _state(alg, p)
-    ys = [st.code(*b) for b in ys]
+    lengths = alg.lengths
     total = 0
-    for start, length in xs:
-        a, c = st.code(start, length), alg.lengths[start - 1]
+    for a in xs:
+        c = lengths[a % st.v]
+        row = st.ext1s.get((a, c))
         for b in ys:
-            total += _ext1(st, alg, a, c, b)
+            dim = row.get(b) if row else None
+            total += _ext1(st, alg, a, c, b) if dim is None else dim
     return total
 
 
@@ -487,15 +502,16 @@ def oracle_is_injective(
     for every simple S.  Ext^1 is additive in m, so a sum is injective
     when each summand is."""
     _check_prime(p)
-    pieces, dim = _checked(alg, m)
-    _check_dim(dim, dim_cap)
-    _check_dim(max(alg.lengths), dim_cap)  # the covers of the simples
+    codes = _codes(alg, m, dim_cap)
+    if max(alg.lengths) > dim_cap:  # the covers of the simples
+        raise DimensionCapExceeded(
+            f"module dimension {max(alg.lengths)} exceeds cap {dim_cap}"
+        )
     st = _state(alg, p)
-    pieces = [st.code(*piece) for piece in pieces]
-    for i, c in enumerate(alg.lengths, 1):
-        simple = st.code(i, 1)
-        for piece in pieces:
-            if _ext1(st, alg, simple, c, piece):
+    # S_i = M(i, 1) has code i - 1
+    for simple, c in enumerate(alg.lengths):
+        for code in codes:
+            if _ext1(st, alg, simple, c, code):
                 return False
     return True
 
@@ -524,8 +540,12 @@ def oracle_tau(
     a projective summand adds zero.  The algebra's dimension is checked
     against dim_cap before a non-projective summand is translated."""
     _check_prime(p)
-    pieces, _ = _checked(alg, m)
-    pieces = [(i, l) for i, l in pieces if l < alg.lengths[i - 1]]
+    lengths = alg.lengths
+    pieces = []
+    for code in _codes(alg, m, None):
+        length, start = divmod(code, len(lengths))
+        if length + 1 < lengths[start]:
+            pieces.append((start + 1, length + 1))
     if not pieces:
         return ModuleSum(())
     if alg.total_dim > dim_cap:
@@ -544,7 +564,9 @@ def _tau1(alg: KupischSeries, ends, p: int, i: int, l: int) -> IntervalModule:
     right multiplication between spaces of paths with fixed endpoint; the
     transpose is the cokernel presentation of Tr m, and dualizing that
     left module componentwise gives tau m.  All steps are explicit basis
-    bookkeeping plus one rank computation for the top."""
+    bookkeeping plus one rank computation for the top at each vertex
+    whose component is met by an incoming arrow; a vertex with an empty
+    component has top 0."""
     lengths = alg.lengths
     image = {(j, t + l) for (j, t) in ends[i - 1] if t + l < lengths[j - 1]}
     coker = [b for b in ends[alg.shift(i, l) - 1] if b not in image]
@@ -553,23 +575,25 @@ def _tau1(alg: KupischSeries, ends, p: int, i: int, l: int) -> IntervalModule:
             f"transpose of M({i},{l}) over {lengths} has dimension "
             f"{len(coker)}, expected {l}"
         )
-    comp = {w: [b for b in coker if b[0] == w] for w in alg.vertices()}
-    pos = {w: {b: k for k, b in enumerate(comp[w])} for w in alg.vertices()}
-    tops = []
-    for w in alg.vertices():
+    comp: dict[int, list[tuple[int, int]]] = {}  # the components by start vertex
+    for b in coker:
+        comp.setdefault(b[0], []).append(b)
+    tops = [0] * len(lengths)
+    for w, here in comp.items():
         incoming_rank = 0
-        if alg.cyclic or w > 1:
-            pred = alg.shift(w, -1)
+        above = comp.get(alg.shift(w, -1)) if alg.cyclic or w > 1 else None
+        if above:
             # left action of the arrow out of pred maps start-vertex
             # component at w to the one at pred; its transpose is the
             # incoming right action at w of the dual module
-            mat = [[0] * len(comp[w]) for _ in comp[pred]]
-            for b in comp[w]:
-                lifted = (pred, b[1] + 1)
-                if lifted in pos[pred]:
-                    mat[pos[pred][lifted]][pos[w][b]] = 1
+            pos = {t: k for k, (_, t) in enumerate(above)}
+            mat = [[0] * len(here) for _ in above]
+            for k, (_, t) in enumerate(here):
+                row = pos.get(t + 1)
+                if row is not None:
+                    mat[row][k] = 1
             incoming_rank = _rank(mat, p)
-        tops.append(len(comp[w]) - incoming_rank)
+        tops[w - 1] = len(here) - incoming_rank
     if sum(tops) != 1:
         raise InternalInconsistency(
             f"transpose-dual of M({i},{l}) over {lengths} is not uniserial: "

@@ -121,7 +121,7 @@ def is_precluster(alg: KupischSeries, members, n: int) -> PreclusterVerdict:
                 )
     for p in held:
         sources = ((k, _source(idx.omega, p, k)) for k in range(1, n))
-        rows = [(k, _ext1(alg, q, held)) for k, q in sources if q >= 0]
+        rows = [(k, _ext1(alg, idx, q, held)) for k, q in sources if q >= 0]
         for j, y in enumerate(held):
             for k, row in rows:
                 if row[j]:
@@ -163,7 +163,7 @@ def _member_masks(alg: KupischSeries, n: int) -> tuple[list[int], list[int]]:
             if q < 0:
                 break
             if q not in rows:
-                row = _ext1(alg, q, range(size))
+                row = _ext1(alg, idx, q, range(size))
                 rows[q] = sum(1 << j for j, d in enumerate(row) if d)
             ext[p] |= rows[q]
     clash = ext[:]

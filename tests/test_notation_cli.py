@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures import Executor, Future
+from pathlib import Path
 
 import pytest
 from references import CYCLIC, LINEAR, M, pool
 
+import nakayama
 from nakayama import (
     ModuleSum,
     ParseError,
@@ -924,3 +929,38 @@ class TestReproduceCommand:
         code = main(["reproduce"])
         capsys.readouterr()
         assert code == 1
+
+
+def run_python(*args, cwd):
+    """A fresh interpreter with this package's source on its path."""
+    src = str(Path(nakayama.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_runs_as_a_module(tmp_path):
+    out = run_python("-m", "nakayama", "analyze", "--kupisch", "2,1", cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["kupisch"] == [2, 1]
+
+
+def test_serial_sweep_loads_no_process_pool(tmp_path):
+    # the pool is imported on first use of cli.ProcessPoolExecutor, which
+    # only a sweep with workers makes
+    code = (
+        "import sys\n"
+        "from nakayama.cli import main\n"
+        "argv = ['sweep', '--max-vertices', '2', '--max-length', '2', '--out', 'o.jsonl']\n"
+        "assert main(argv) == 0\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    out = run_python("-c", code, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "False"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -26,6 +27,7 @@ from nakayama import (
     NotAdmissible,
     ar_translate,
     ext_dim,
+    gpd,
     hom_dim,
     indecomposables,
     injective,
@@ -37,6 +39,7 @@ from nakayama import (
     oracle_is_injective,
     oracle_socle_vector,
     oracle_tau,
+    pd,
     projective,
     realize,
     socle,
@@ -243,11 +246,41 @@ ORACLE_CALLS = {
 }
 
 
+# intervals that are not modules over FOREIGN_ALG: too long, off the
+# quiver, empty, and a start or length that is not a plain int
+NOT_MODULES = [
+    M(1, 9), M(7, 1), M(2, 0), M(True, 1), M(1, True), M(1.0, 1), M(1, 2.0),
+]
+
+
 @pytest.mark.parametrize("call", sorted(ORACLE_CALLS))
-@pytest.mark.parametrize("bad", [M(1, 9), M(7, 1), M(2, 0)], ids=repr)
+@pytest.mark.parametrize("bad", NOT_MODULES, ids=repr)
 def test_refuses_intervals_that_are_not_modules(call, bad):
-    with pytest.raises(NotAdmissible, match=rf"M\({bad.start},{bad.length}\)"):
+    with pytest.raises(NotAdmissible, match=re.escape(repr(bad))):
         ORACLE_CALLS[call](FOREIGN_ALG, bad)
+
+
+# ENGINE_CALLS[name](alg, m) puts m in the named argument of one engine
+# query that the oracle cross-checks, or that reads the same validator
+ENGINE_CALLS = {
+    "hom_dim source": lambda alg, m: hom_dim(alg, m, M(1, 1)),
+    "hom_dim target": lambda alg, m: hom_dim(alg, M(1, 1), m),
+    "ext_dim source": lambda alg, m: ext_dim(alg, m, M(1, 1), 1),
+    "ext_dim target": lambda alg, m: ext_dim(alg, M(1, 1), m, 1),
+    "is_injective": is_injective,
+    "ar_translate": ar_translate,
+    "pd": pd,
+    "gpd": gpd,
+}
+
+
+@pytest.mark.parametrize("call", sorted(ENGINE_CALLS))
+@pytest.mark.parametrize("bad", NOT_MODULES, ids=repr)
+def test_engine_refuses_the_same_intervals(call, bad):
+    # the engine's one validator refuses exactly what the oracle's argument
+    # pass refuses, with the same typed error naming the interval
+    with pytest.raises(NotAdmissible, match=re.escape(repr(bad))):
+        ENGINE_CALLS[call](FOREIGN_ALG, bad)
 
 
 def clear_states():
