@@ -11,7 +11,7 @@ import random
 import zlib
 from dataclasses import dataclass, field
 
-from .core import ExtendedNat, KupischSeries, per_algebra
+from .core import ExtendedNat, KupischSeries, _at_least, per_algebra
 from .errors import PreconditionFailed
 from .homology import (
     _finite_degree,
@@ -62,8 +62,6 @@ def _least_level(alg: KupischSeries, dim: ExtendedNat, floor: int) -> int | None
     least n + 1, or None.  The levels that qualify run from
     max(dim - 1, 0) up to domdim - 1, so the only candidate is
     max(dim - 1, floor)."""
-    if floor < 0:
-        raise ValueError("the tilting level n must be >= 0")
     if not dim.is_finite:
         return None
     n = max(dim.value - 1, floor)
@@ -73,12 +71,14 @@ def _least_level(alg: KupischSeries, dim: ExtendedNat, floor: int) -> int | None
 def is_minimal_ag(alg: KupischSeries, n: int) -> bool:
     """Minimal n-Auslander-Gorenstein: self-injective dimension at most
     n + 1 and dominant dimension at least n + 1."""
+    _at_least(n, 0, "the tilting level n must be >= 0")
     return _least_level(alg, regular_id(alg), n) == n
 
 
 def is_n_auslander(alg: KupischSeries, n: int) -> bool:
     """n-Auslander: global dimension at most n + 1 and dominant dimension
     at least n + 1."""
+    _at_least(n, 0, "the tilting level n must be >= 0")
     return _least_level(alg, gldim(alg), n) == n
 
 
@@ -126,11 +126,6 @@ def _skipped_verdict(note: str, status: str = "skipped") -> dict:
     return {"status": status, "n": None, "checked": 0, "witnesses": [], "note": note}
 
 
-def _require_precluster_level(n: int) -> None:
-    if n < 0:
-        raise PreconditionFailed("the level n must be >= 0")
-
-
 # -- verifier: projective-injectives vs low-Gpd socles --------------------------
 
 
@@ -142,7 +137,7 @@ def verify_thm_prinj(alg: KupischSeries, n: int) -> VerifierResult:
     Gorenstein degree exactly n + 1; anything else is a precondition
     error, not a verdict.
     """
-    _require_precluster_level(n)
+    _at_least(n, 0, "the level n must be >= 0", PreconditionFailed)
     g = _finite_degree(alg)
     if not is_self_injective(alg) and g != n + 1:
         raise PreconditionFailed(
@@ -197,7 +192,7 @@ def verify_thm_gp_socle_sub(
     module passes when that AND is 0 or 7.  Only a witness gets its
     fields, and its text comes from its positions: an indecomposable's
     from its own (i, l), a summand's from the index's offsets."""
-    _require_precluster_level(n)
+    _at_least(n, 0, "the level n must be >= 0", PreconditionFailed)
     gpd_of = _gpd_table(alg)
     idx = _index(alg)
     offset, socle_at = idx.offset, idx.socle
@@ -248,7 +243,7 @@ def verify_thm31_count(alg: KupischSeries, n: int) -> VerifierResult:
     semisimple: every simple has Gpd <= n or exactly n + 1, and the
     number with Gpd <= n equals the number of projective-injective
     indecomposables."""
-    _require_precluster_level(n)
+    _at_least(n, 0, "the level n must be >= 0", PreconditionFailed)
     if all(c == 1 for c in alg.lengths):
         raise PreconditionFailed("semisimple algebra; the count is degenerate")
     if not is_minimal_ag(alg, n):

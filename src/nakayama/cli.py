@@ -2,7 +2,8 @@
 
 Subcommands: analyze (full report for one algebra), module (one query
 about one module), verify (run one theorem verifier), sweep (classify an
-enumerated family to a JSONL file, resumable and parallel), reproduce
+enumerated family to a JSONL file, resumable and parallel; the records'
+schema, checks, resume and append live in `sweepfile`), reproduce
 (recompute a frozen table of worked examples and diff).
 
 Exit codes: 0 pass, 1 a verifier or comparison failed, 2 bad input or an
@@ -19,8 +20,8 @@ import re
 import sys
 from collections import deque
 
+from . import sweepfile
 from .classify import (
-    REPORT_KEYS,
     VerifierResult,
     classify,
     is_minimal_ag,
@@ -38,7 +39,7 @@ from .core import ExtendedNat, KupischSeries, count_admissible, iter_admissible
 # Unused here: the sweep streams its algebras, but perfbench/workloads.py
 # traces enumerate_admissible in this module.
 from .core import enumerate_admissible  # noqa: F401
-from .errors import IoError, NakayamaError, ParseError
+from .errors import NakayamaError, ParseError
 from .homology import (
     domdim,
     ext_dim,
@@ -162,10 +163,6 @@ def cmd_module(args) -> int:
 # -- verify ----------------------------------------------------------------------
 
 
-# The theorem verdicts of a report, in report order.
-_VERDICTS = ("prinj", "gp-socle-sub", "lemma22", "thm31-count")
-
-
 def cmd_verify(args) -> int:
     alg = _algebra(args)
     token = args.theorem
@@ -193,7 +190,7 @@ def cmd_verify(args) -> int:
         return 0 if found else 1
     if token == "lemma22":
         res = verify_ses_gpd_bounds(alg)
-    elif token not in _VERDICTS:
+    elif token not in sweepfile.VERDICTS:
         raise ParseError(f"unknown theorem {token!r}")
     elif args.n is None:
         raise ParseError(f"theorem {token!r} needs --n")
@@ -220,7 +217,7 @@ def _sweep_record(payload) -> tuple[str, tuple[bool, ...]]:
     """One algebra's JSONL line and its summary tally."""
     lengths, cyclic, seed = payload
     rec = classify(KupischSeries(tuple(lengths), cyclic), seed).to_json()
-    return _encode(rec), _tally(rec)
+    return _encode(rec), sweepfile.tally(rec)
 
 
 def __getattr__(name: str):
@@ -266,69 +263,6 @@ def _pooled(payloads, workers: int):
             yield from results
 
 
-def _sweep_violations(rec: dict) -> list[str]:
-    """A verifier verdict is wrong when it disagrees with the classifier.
-
-    The characterization verdicts must pass exactly on minimal
-    Auslander-Gorenstein algebras (checked at their own level), the
-    short-exact-sequence bounds must hold on every Gorenstein algebra,
-    and the counting verdict must pass wherever it ran.  A verdict
-    failing on a non-qualifying algebra is the expected falsification
-    direction, not a violation.
-    """
-    verdicts = rec["theorem_verdicts"]
-    expected_pass = rec["minimal_ag_n"] is not None
-    out = []
-    for name in ("prinj", "gp-socle-sub"):
-        status = verdicts[name]["status"]
-        if status == "pass" and not expected_pass:
-            out.append(f"{name} passed off-characterization")
-        elif status == "fail" and expected_pass:
-            out.append(f"{name} failed on a qualifying algebra")
-    if verdicts["lemma22"]["status"] == "fail":
-        out.append("lemma22 inequality breached")
-    if verdicts["thm31-count"]["status"] == "fail":
-        out.append("thm31-count mismatch")
-    return out
-
-
-# What the summary counts per record, in this order.
-_TALLIED = (
-    "self_injective",
-    "gorenstein",
-    "minimal_ag",
-    "n_auslander",
-    "failed_verdicts",
-    "violations",
-)
-
-
-def _level(value) -> bool:
-    return type(value) is int and value >= 0  # JSON true == 1 and 2.0 == 2
-
-
-# The JSON values _tally can count, per field it reads, and per verdict status.
-_TALLY_FIELDS = {
-    "self_injective": lambda value: type(value) is bool,
-    "gorenstein_degree": lambda value: value == "infinity" or _level(value),
-    "minimal_ag_n": lambda value: value is None or _level(value),
-    "n_auslander_n": lambda value: value is None or _level(value),
-}
-_STATUSES = ("pass", "fail", "error", "skipped")
-
-
-def _tally(rec: dict) -> tuple[bool, ...]:
-    """Which of the _TALLIED counts one record adds to."""
-    return (
-        bool(rec["self_injective"]),
-        rec["gorenstein_degree"] != "infinity",
-        rec["minimal_ag_n"] is not None,
-        rec["n_auslander_n"] is not None,
-        any(rec["theorem_verdicts"][name]["status"] == "fail" for name in _VERDICTS),
-        bool(_sweep_violations(rec)),
-    )
-
-
 def _range_check(algs, window: tuple[int, int] | None, seed: int) -> tuple[int, int]:
     """Re-verify the socle characterization across a whole range of
     levels: at each n the verdict must agree with the classifier, pass
@@ -349,102 +283,6 @@ def _range_check(algs, window: tuple[int, int] | None, seed: int) -> tuple[int, 
             if res.passed != is_minimal_ag(alg, n):
                 violations += 1
     return checked, violations
-
-
-def _counted(path: str, rec) -> tuple[tuple[tuple[int, ...], bool], tuple[bool, ...]]:
-    """A resumed record's key (series, cyclic) and its summary tally.
-    IoError unless the record is a whole report, each value the summary
-    counts of a type a report writes."""
-    missing = [k for k in REPORT_KEYS if not isinstance(rec, dict) or k not in rec]
-    if missing:
-        raise IoError(f"{path}: malformed record: lacks {', '.join(missing)}")
-    verdicts = rec["theorem_verdicts"]
-    for name in _VERDICTS:
-        verdict = verdicts.get(name) if isinstance(verdicts, dict) else None
-        if not isinstance(verdict, dict) or verdict.get("status") not in _STATUSES:
-            raise IoError(f"{path}: malformed record: {name} verdict {verdict!r}")
-    for name, countable in _TALLY_FIELDS.items():
-        if not countable(rec[name]):
-            raise IoError(f"{path}: malformed record: {name} {rec[name]!r}")
-    series, cyclic = rec["kupisch"], rec["cyclic"]
-    plain = type(series) is list and all(type(c) is int for c in series)
-    if not plain or type(cyclic) is not bool:  # JSON true == 1 and 2.0 == 2
-        raise IoError(f"{path}: malformed record: {series!r}, cyclic {cyclic!r}")
-    return (tuple(series), cyclic), _tally(rec)
-
-
-def _resumed(path: str, fresh) -> tuple[dict, list[int]]:
-    """The keys of the algebras already in a sweep file, in file order
-    (as a dict with no values), and the sums of their summary tallies.
-    The file is read one line at a time and only the keys are kept; a
-    missing file holds none.  Each record must be one of this run's
-    algebras, which each call fresh() streams anew, and none may appear
-    twice; any other file is refused before any work.  A torn final
-    record, left by a killed run, is cut off so that its algebra is
-    computed again."""
-    existing, sums, torn = {}, [0] * len(_TALLIED), 0
-    if not os.path.exists(path):
-        return existing, sums
-    try:
-        with open(path, "rb") as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.endswith(b"\n"):
-                    torn = len(line)  # the last line, whose write was cut short
-                    continue
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                except ValueError as exc:
-                    raise IoError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-                key, tally = _counted(path, rec)
-                if key in existing:
-                    raise IoError(f"{path}: {list(key[0])} appears twice")
-                existing[key] = None
-                for i, hit in enumerate(tally):
-                    sums[i] += hit
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    # an enumerated key is admissible, canonical and within the bounds
-    if sum((a.lengths, a.cyclic) in existing for a in fresh()) < len(existing):
-        known = {(a.lengths, a.cyclic) for a in fresh()}
-        lengths, cyclic = next(k for k in existing if k not in known)
-        raise IoError(
-            f"{path}: {('linear', 'cyclic')[cyclic]} {list(lengths)} is not a canonical "
-            "series within this sweep's bounds and shapes; start afresh with another --out"
-        )
-    if torn:
-        print(f"warning: {path}: dropping a torn final record", file=sys.stderr)
-        try:
-            with open(path, "r+b") as fh:
-                fh.seek(-torn, os.SEEK_END)
-                fh.truncate()
-        except OSError as exc:
-            raise IoError(f"cannot cut {path}: {exc}") from exc
-    return existing, sums
-
-
-def _append_lines(path: str, results, sums: list[int]) -> int:
-    """Append each (line, tally) result's line as soon as it is produced,
-    so a killed run keeps every record finished before it, and add its
-    tally to sums; return the number of lines.  The file is opened at
-    the first result, so a run with nothing to compute creates none."""
-    done = 0
-    try:
-        results = iter(results)
-        first = next(results, None)
-        if first is None:
-            return 0
-        with open(path, "a", encoding="utf-8") as fh:
-            for line, tally in itertools.chain([first], results):
-                fh.write(line + "\n")
-                fh.flush()
-                for i, hit in enumerate(tally):
-                    sums[i] += hit
-                done += 1
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-    return done
 
 
 def cmd_sweep(args) -> int:
@@ -470,7 +308,7 @@ def cmd_sweep(args) -> int:
         """This run's algebras, streamed anew on each call."""
         return iter_admissible(args.max_vertices, args.max_length, shapes)
 
-    existing, sums = _resumed(args.out, fresh)
+    existing, sums = sweepfile.resumed(args.out, fresh)
     payloads = (
         (a.lengths, a.cyclic, args.seed)
         for a in fresh()
@@ -483,12 +321,12 @@ def cmd_sweep(args) -> int:
         total = count_admissible(args.max_vertices, args.max_length, shapes)
         workers = min(args.jobs, total - len(existing), os.cpu_count() or 1)
     results = _pooled(payloads, workers) if workers > 1 else map(_sweep_record, payloads)
-    computed = _append_lines(args.out, results, sums)
+    computed = sweepfile.append_lines(args.out, results, sums)
     summary = {
         "algebras": len(existing) + computed,
         "computed": computed,
         "resumed": len(existing),
-        **dict(zip(_TALLIED, sums)),
+        **dict(zip(sweepfile.TALLIED, sums)),
     }
     violations = summary["violations"]
     if args.n_range is not None:

@@ -125,6 +125,13 @@ def _vertex(alg: KupischSeries, i) -> int:
     raise NotAdmissible(f"vertex {i!r} outside 1..{len(alg.lengths)}")
 
 
+def _at_least(value, least: int, message: str, error=ValueError) -> None:
+    """The one check on level, step and degree arguments: error(message)
+    unless value is a plain int >= least (neither True nor 2.0 is one)."""
+    if type(value) is not int or value < least:
+        raise error(f"{message}, got {value!r}")
+
+
 def per_algebra(build):
     """Memoize a per-algebra table: build(alg) runs once per algebra and
     its result is kept in the algebra's `_memo` dict, under the builder's

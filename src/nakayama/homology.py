@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import INFINITY, ExtendedNat, KupischSeries, per_algebra
+from .core import INFINITY, ExtendedNat, KupischSeries, _at_least, per_algebra
 from .errors import GorensteinAsymmetry, InternalInconsistency, NotGorenstein
 from .modules import (
     IntervalModule,
@@ -211,8 +211,7 @@ def _ext1(alg: KupischSeries, idx: _Index, q: int, targets) -> list[int]:
 
 def ext_dim(alg: KupischSeries, x, y, k: int) -> int:
     """dim Ext^k(x, y), additive over summands; k = 0 is hom_dim."""
-    if k < 0:
-        raise ValueError("ext_dim wants k >= 0")
+    _at_least(k, 0, "ext_dim wants k >= 0")
     if k == 0:
         return hom_dim(alg, x, y)
     targets = _positions(alg, y)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
 
-from .core import KupischSeries, _vertex, per_algebra
+from .core import KupischSeries, _at_least, _vertex, per_algebra
 from .errors import InternalInconsistency, NotAdmissible
 
 __all__ = [
@@ -288,8 +288,7 @@ def top(alg: KupischSeries, m) -> ModuleSum:
 
 def radical_power(alg: KupischSeries, m, s: int) -> ModuleSum:
     """rad^s m: drop the top s composition factors of each summand."""
-    if s < 0:
-        raise ValueError("radical power wants s >= 0")
+    _at_least(s, 0, "radical power wants s >= 0")
     out = []
     for piece in check_module(alg, m):
         if piece.length > s:
@@ -303,8 +302,7 @@ def radical(alg: KupischSeries, m) -> ModuleSum:
 
 def radical_quotient(alg: KupischSeries, m, s: int) -> ModuleSum:
     """m / rad^s m: the top s composition factors of each summand."""
-    if s < 0:
-        raise ValueError("radical quotient wants s >= 0")
+    _at_least(s, 0, "radical quotient wants s >= 0")
     out = []
     for piece in check_module(alg, m):
         if s > 0:
@@ -314,8 +312,7 @@ def radical_quotient(alg: KupischSeries, m, s: int) -> ModuleSum:
 
 def socle_part(alg: KupischSeries, m, s: int) -> ModuleSum:
     """The length-min(s, l) submodule of each summand (bottom part)."""
-    if s < 0:
-        raise ValueError("socle part wants s >= 0")
+    _at_least(s, 0, "socle part wants s >= 0")
     out = []
     for piece in check_module(alg, m):
         if s > 0:

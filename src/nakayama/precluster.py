@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import KupischSeries
+from .core import KupischSeries, _at_least
 from .errors import InternalInconsistency, SearchSpaceTooLarge
 from .homology import _ext1, _source
 from .modules import (
@@ -56,8 +56,7 @@ def _tau_at(idx: _Index, p: int, n: int, forward: bool) -> int:
 def _tau_n(alg: KupischSeries, m, n: int, forward: bool) -> ModuleSum:
     """tau of Omega^(n-1) of each summand (forward), or tau^- of
     Omega^-(n-1), each read off the index by _tau_at."""
-    if n < 1:
-        raise ValueError(f"{'tau_n' if forward else 'tau_n_inverse'} wants n >= 1")
+    _at_least(n, 1, "tau_n wants n >= 1" if forward else "tau_n_inverse wants n >= 1")
     idx = _index(alg)
     images = [_tau_at(idx, p, n, forward) for p in _positions(alg, m)]
     return _sum_at(idx.offset, images)
@@ -98,8 +97,7 @@ def is_precluster(alg: KupischSeries, members, n: int) -> PreclusterVerdict:
     _source.  The verdict's members are the given intervals, sorted,
     each once.
     """
-    if n < 1:
-        raise ValueError("is_precluster wants n >= 1")
+    _at_least(n, 1, "is_precluster wants n >= 1")
     by_position = {_position(alg, m): m for m in members}
     held = sorted(by_position)
     idx, mset = _index(alg), set(held)
@@ -207,10 +205,9 @@ def search_precluster(
     walk; the kernels themselves are checked by the tests
     (test_is_oracle_tau_of_syzygy, TestMemberMasks, the oracle tests).
     """
-    if n < 1:
-        raise ValueError("search_precluster wants n >= 1")
-    if max_extra is not None and max_extra < 0:
-        raise ValueError("search_precluster wants max_extra >= 0")
+    _at_least(n, 1, "search_precluster wants n >= 1")
+    if max_extra is not None:
+        _at_least(max_extra, 0, "search_precluster wants max_extra >= 0")
     forced = _forced(alg)
     offset = _index(alg).offset
     extras = [p for p in range(offset[-1]) if p not in forced]

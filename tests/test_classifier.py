@@ -34,7 +34,7 @@ from nakayama import (
 from nakayama.classify import REPORT_KEYS, _sample_positions
 from nakayama.modules import _Index, _interval_at
 from nakayama.notation import format_interval, interval_text
-from nakayama.cli import _sweep_violations
+from nakayama.sweepfile import violations
 
 # the package attribute `classify` is the function, not the module
 classify_tables = sys.modules["nakayama.classify"]
@@ -325,7 +325,7 @@ def test_breached_theorems_report_witnesses_and_sweep_flags(monkeypatch):
     assert not count.passed
     reasons = [w["reason"] for w in count.witnesses]
     assert "dichotomy breached" in reasons and "counts differ" in reasons
-    assert _sweep_violations(classify(alg).to_json()) == [
+    assert violations(classify(alg).to_json()) == [
         "prinj failed on a qualifying algebra",
         "gp-socle-sub failed on a qualifying algebra",
         "lemma22 inequality breached",

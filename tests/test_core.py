@@ -23,11 +23,26 @@ from nakayama import (
     ExtendedNat,
     InternalInconsistency,
     KupischSeries,
+    IntervalModule,
     NotAdmissible,
+    PreconditionFailed,
     classify,
     count_admissible,
     enumerate_admissible,
+    ext_dim,
+    is_minimal_ag,
+    is_n_auslander,
+    is_precluster,
     iter_admissible,
+    radical_power,
+    radical_quotient,
+    search_precluster,
+    socle_part,
+    tau_n,
+    tau_n_inverse,
+    verify_thm31_count,
+    verify_thm_gp_socle_sub,
+    verify_thm_prinj,
 )
 from nakayama.core import _series, per_algebra
 from nakayama.modules import _index
@@ -349,3 +364,38 @@ class TestPerAlgebraMemo:
         alg = KupischSeries.validate([3, 3, 4], True)
         assert alg.opposite() == alg
         assert _index(alg.opposite()) is not _index(alg)
+
+
+# Each level, step and degree argument, the least value it takes and the
+# error its function raises below that; `nakayama.core._at_least` is the
+# one check behind them all.
+M13, M21 = IntervalModule(1, 3), IntervalModule(2, 1)
+LEVEL_ARGUMENTS = {
+    "radical_power s": (lambda alg, s: radical_power(alg, M13, s), 0, ValueError),
+    "radical_quotient s": (lambda alg, s: radical_quotient(alg, M13, s), 0, ValueError),
+    "socle_part s": (lambda alg, s: socle_part(alg, M13, s), 0, ValueError),
+    "ext_dim k": (lambda alg, k: ext_dim(alg, M13, M21, k), 0, ValueError),
+    "tau_n n": (lambda alg, n: tau_n(alg, M13, n), 1, ValueError),
+    "tau_n_inverse n": (lambda alg, n: tau_n_inverse(alg, M13, n), 1, ValueError),
+    "is_precluster n": (lambda alg, n: is_precluster(alg, [M13], n), 1, ValueError),
+    "search_precluster n": (search_precluster, 1, ValueError),
+    "search_precluster max_extra": (
+        lambda alg, k: search_precluster(alg, 1, k), 0, ValueError
+    ),
+    "is_minimal_ag n": (is_minimal_ag, 0, ValueError),
+    "is_n_auslander n": (is_n_auslander, 0, ValueError),
+    "verify_thm_prinj n": (verify_thm_prinj, 0, PreconditionFailed),
+    "verify_thm_gp_socle_sub n": (verify_thm_gp_socle_sub, 0, PreconditionFailed),
+    "verify_thm31_count n": (verify_thm31_count, 0, PreconditionFailed),
+}
+
+
+@pytest.mark.parametrize("argument", LEVEL_ARGUMENTS)
+@pytest.mark.parametrize("bad", [True, 1.5, 2.0, "1", "least - 1"])
+def test_level_arguments_must_be_plain_ints(argument, bad):
+    # refused before any per-algebra table is built
+    call, least, error = LEVEL_ARGUMENTS[argument]
+    alg = KupischSeries.validate([3, 3, 4], True)
+    with pytest.raises(error, match=r">= \d, got "):
+        call(alg, least - 1 if bad == "least - 1" else bad)
+    assert "_memo" not in alg.__dict__

@@ -964,3 +964,11 @@ def test_serial_sweep_loads_no_process_pool(tmp_path):
     out = run_python("-c", code, cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip().splitlines()[-1] == "False"
+
+
+def test_sweepfile_loads_no_cli(tmp_path):
+    # the record schema and its checks are importable without the CLI
+    code = "import sys, nakayama.sweepfile\nprint('nakayama.cli' in sys.modules)\n"
+    out = run_python("-c", code, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "False"
