@@ -126,6 +126,15 @@ def _skipped_verdict(note: str, status: str = "skipped") -> dict:
     return {"status": status, "n": None, "checked": 0, "witnesses": [], "note": note}
 
 
+def _texts(alg: KupischSeries) -> list[str]:
+    """The text of the interval at every position, in index order: M(i, l)
+    for l = 1..c_i, vertex by vertex.  A verifier with witnesses builds
+    this row once and writes every witness's text from it."""
+    return [
+        interval_text(i, l) for i, c in enumerate(alg.lengths, 1) for l in range(1, c + 1)
+    ]
+
+
 # -- verifier: projective-injectives vs low-Gpd socles --------------------------
 
 
@@ -172,9 +181,14 @@ def _sample_positions(alg: KupischSeries, seed: int) -> list[list[int]]:
     """Deterministic small batch of 2- and 3-term direct sums, each as
     the positions of its summands in indecomposables(alg): 12 pairs and
     then 12 triples, cut from one seeded draw of 60 positions.  The key
-    keeps the verifier's name, on which the pinned sweep bytes depend."""
+    keeps the verifier's name, on which the pinned sweep bytes depend.
+    Each draw is floor(random() * n), n the number of positions, which is
+    what Random.choices(range(n), k=60) computes; so the bytes rest on
+    random() alone, whose sequence for a given seed Python keeps from
+    one version to the next."""
     key = repr((alg.lengths, alg.cyclic, seed, "gp-socle-sub")).encode()
-    draws = random.Random(zlib.crc32(key)).choices(range(alg.total_dim), k=60)
+    draw, size = random.Random(zlib.crc32(key)).random, alg.total_dim
+    draws = [int(draw() * size) for _ in range(60)]
     return [draws[k : k + 2] for k in range(0, 24, 2)] + [
         draws[k : k + 3] for k in range(24, 60, 3)
     ]
@@ -189,50 +203,50 @@ def verify_thm_gp_socle_sub(
     code with one bit per leg (1: Gpd <= n, 2: socle Gpd <= n, 4:
     torsionless).  Each leg of a sum is a max or an all over its
     summands, so the AND of their codes holds the sum's legs, and the
-    module passes when that AND is 0 or 7.  Only a witness gets its
-    fields, and its text comes from its positions: an indecomposable's
-    from its own (i, l), a summand's from the index's offsets."""
+    module passes when that AND is 0 or 7.  When every indecomposable
+    passes, so does every sum, and the sums are not drawn; they count as
+    checked all the same.  Only a witness gets its fields, and its text
+    comes from the row of position texts."""
     _at_least(n, 0, "the level n must be >= 0", PreconditionFailed)
     gpd_of = _gpd_table(alg)
     idx = _index(alg)
-    offset, socle_at = idx.offset, idx.socle
+    socle_at = idx.socle
     sub = _torsionless(alg)
     socle_gpd = [0] + [gpd_of[p] for p in idx.simple]
     code = [
         (g <= n) | (socle_gpd[j] <= n) << 1 | sub[j] << 2
         for g, j in zip(gpd_of, socle_at)
     ]
-    witnesses = []
-    for i, (base, c) in enumerate(zip(idx.simple, alg.lengths), 1):
-        for l, p in enumerate(range(base, base + c), 1):
-            if code[p] not in (0, 7):
-                witnesses.append(
-                    {
-                        "module": interval_text(i, l),
-                        "gpd": gpd_of[p],
-                        "socle_gpd": socle_gpd[socle_at[p]],
-                        "in_sub_lambda": bool(code[p] & 4),
-                    }
-                )
-    sums = _sample_positions(alg, seed)
-    for pieces in sums:
+    checked = len(code) + 24  # the indecomposables, then 12 pairs and 12 triples
+    if code.count(0) + code.count(7) == len(code):
+        return VerifierResult("gp-socle-sub", n, True, checked)
+    text = _texts(alg)
+    socle_gpd_at = [socle_gpd[j] for j in socle_at]
+    # c > 3 and bits > 3: the torsionless bit 4 is set
+    witnesses = [
+        {
+            "module": text[p],
+            "gpd": gpd_of[p],
+            "socle_gpd": socle_gpd_at[p],
+            "in_sub_lambda": c > 3,
+        }
+        for p, c in enumerate(code)
+        if c and c != 7
+    ]
+    for pieces in _sample_positions(alg, seed):
         bits = 7
         for p in pieces:
             bits &= code[p]
-        if bits not in (0, 7):
+        if bits and bits != 7:
             witnesses.append(
                 {
-                    "module": "+".join(
-                        interval_text(*_interval_at(offset, p)) for p in sorted(pieces)
-                    ),
-                    "gpd": max(gpd_of[p] for p in pieces),
-                    "socle_gpd": max(socle_gpd[socle_at[p]] for p in pieces),
-                    "in_sub_lambda": bool(bits & 4),
+                    "module": "+".join([text[p] for p in sorted(pieces)]),
+                    "gpd": max([gpd_of[p] for p in pieces]),
+                    "socle_gpd": max([socle_gpd_at[p] for p in pieces]),
+                    "in_sub_lambda": bits > 3,
                 }
             )
-    return VerifierResult(
-        "gp-socle-sub", n, not witnesses, len(code) + len(sums), tuple(witnesses)
-    )
+    return VerifierResult("gp-socle-sub", n, not witnesses, checked, tuple(witnesses))
 
 
 # -- verifier: counting low-Gpd simples ------------------------------------------
@@ -286,42 +300,43 @@ def verify_ses_gpd_bounds(alg: KupischSeries) -> VerifierResult:
     Gpd Y <= max(Gpd X, Gpd Z), Gpd X <= max(Gpd Y, Gpd Z - 1),
     Gpd Z <= max(Gpd Y, Gpd X + 1).  The walk takes (base, c) off the
     index's simples and the Kupisch lengths, base the position of S(i),
-    and Y = M(i, l) at py = base + l - 1.  A witness's text comes from
-    the positions of its three terms."""
+    and Y = M(i, t + 1) at base + t.  Each cut tests the three bounds
+    once, and only a witness names the ones it breaks; its text comes
+    from the row of position texts."""
     gpd_of = _gpd_table(alg)
     idx = _index(alg)
-    offset, simple, socle_at = idx.offset, idx.simple, idx.socle
+    simple, socle_at = idx.simple, idx.socle
     checked = 0
-    witnesses = []
+    cuts = []
     for base, c in zip(simple, alg.lengths):
-        for py in range(base + 1, base + c):
-            gy = gpd_of[py]
-            for s in range(1, py - base + 1):
+        for t in range(1, c):
+            gy = gpd_of[base + t]
+            for s in range(1, t + 1):
                 # X = rad^s Y starts at the socle vertex of M(i, s + 1)
-                px = simple[socle_at[base + s] - 1] + py - base - s
-                pz = base + s - 1
-                gx, gz = gpd_of[px], gpd_of[pz]
-                bad = []
-                if gy > gx and gy > gz:
-                    bad.append("middle")
-                if gx > gy and gx >= gz:
-                    bad.append("sub")
-                if gz > gy and gz > gx + 1:
-                    bad.append("quotient")
-                if bad:
-                    witnesses.append(
-                        {
-                            "sub": interval_text(*_interval_at(offset, px)),
-                            "middle": interval_text(*_interval_at(offset, py)),
-                            "quotient": interval_text(*_interval_at(offset, pz)),
-                            "gpd": [gx, gy, gz],
-                            "violates": bad,
-                        }
-                    )
-            checked += py - base
-    return VerifierResult(
-        "lemma22", None, not witnesses, checked, tuple(witnesses)
-    )
+                px = simple[socle_at[base + s] - 1] + t - s
+                gx, gz = gpd_of[px], gpd_of[base + s - 1]
+                if gy > gx and gy > gz or gx > gy and gx >= gz or gz > gy and gz > gx + 1:
+                    cuts.append((px, base + t, base + s - 1))
+            checked += t
+    text = _texts(alg) if cuts else []
+    witnesses = []
+    for px, py, pz in cuts:
+        gx, gy, gz = gpd_of[px], gpd_of[py], gpd_of[pz]
+        breaks = (
+            ("middle", gy > gx and gy > gz),
+            ("sub", gx > gy and gx >= gz),
+            ("quotient", gz > gy and gz > gx + 1),
+        )
+        witnesses.append(
+            {
+                "sub": text[px],
+                "middle": text[py],
+                "quotient": text[pz],
+                "gpd": [gx, gy, gz],
+                "violates": [name for name, broken in breaks if broken],
+            }
+        )
+    return VerifierResult("lemma22", None, not witnesses, checked, tuple(witnesses))
 
 
 # -- the full report --------------------------------------------------------------

@@ -226,11 +226,14 @@ class KupischSeries:
 
     def shift(self, i: int, steps: int = 1) -> int:
         """Vertex reached from i after `steps` arrows (top-to-socle direction);
-        NotAdmissible for i outside 1..v.  The per-interval helpers walk
+        NotAdmissible for i outside 1..v, ValueError for steps that are
+        not a plain int (any sign).  The per-interval helpers walk
         vertices here; `injective_lengths`, the tables in `modules` and the
         AR translates work modulo v.
         """
         i = _vertex(self, i)
+        if type(steps) is not int:
+            raise ValueError(f"shift wants a plain int number of steps, got {steps!r}")
         v = len(self.lengths)
         if self.cyclic:
             return (i - 1 + steps) % v + 1

@@ -4,12 +4,13 @@ Syzygies and cosyzygies of interval modules are interval modules, so
 Omega and Omega^- are functional graphs on the indecomposables.  The
 algebra's integer index (`modules._index`) holds both as successor lists
 over positions and is their one definition: `syzygy`, `cosyzygy`, Ext and
-the AR translates walk its positions.  pd, id and Gpd are depths in
-these graphs, steps to a sink, and one breadth-first solver (`_depths`)
-decides all three as plain lists over positions, None for a walk into a
-cycle.  The sinks are zero for pd and id; for Gpd the Gorenstein
-projectives, over an Iwanaga-Gorenstein algebra of degree g the
-projectives and the nonzero g-th syzygies.  domdim walks Omega^- from
+the AR translates walk its positions.  pd and id are depths in these
+graphs, steps to the zero module, and one breadth-first solver
+(`_depths`) decides both as plain lists over positions, None for a walk
+into a cycle.  Gpd is read off the pd table (`_gpd_table`): a finite pd
+is the Gpd, and over an Iwanaga-Gorenstein algebra of degree g a position
+of infinite pd walks Omega, in at most g steps, to its first syzygy that
+is Gorenstein projective, a nonzero g-th syzygy.  domdim walks Omega^- from
 each P_i to the first interval whose injective envelope is not
 projective.  Ext dimensions come from the long exact sequence of the
 minimal presentation, one dimension shift at a time.
@@ -84,17 +85,26 @@ def cosyzygy(alg: KupischSeries, m) -> ModuleSum:
 def _depths(succ: list[int]) -> list[int | None]:
     """Steps from each node of a functional graph to a sink (successor
     -1), or None when the node's walk never reaches one: it ends in a
-    cycle, possibly a self-loop.  Breadth-first from the sinks."""
-    depth = [0 if s < 0 else None for s in succ]
-    queue = [p for p, s in enumerate(succ) if s < 0]
-    preds: list[list[int]] = [[] for _ in succ]
+    cycle, possibly a self-loop.  Breadth-first from the sinks.  The
+    predecessors of s are first[s], then[first[s]], ... down to -1: two
+    flat lists, not one list per node."""
+    first = [-1] * len(succ)
+    then = [-1] * len(succ)
+    depth: list[int | None] = [None] * len(succ)
+    queue = []
     for p, s in enumerate(succ):
-        if s >= 0:
-            preds[s].append(p)
+        if s < 0:
+            depth[p] = 0
+            queue.append(p)
+        else:
+            then[p] = first[s]
+            first[s] = p
     for p in queue:  # grows while it is read: each node enters once
-        for q in preds[p]:
-            depth[q] = depth[p] + 1
+        d, q = depth[p] + 1, first[p]
+        while q >= 0:
+            depth[q] = d
             queue.append(q)
+            q = then[q]
     return depth
 
 
@@ -253,16 +263,40 @@ def _finite_degree(alg: KupischSeries) -> int:
 
 @per_algebra
 def _gpd_table(alg: KupischSeries) -> list[int]:
-    """Gpd of every indecomposable by position, built once per algebra:
-    its depth in the Omega graph whose sinks are the indecomposable
-    Gorenstein projectives, the projectives and every nonzero Omega^g of
-    an interval, g the Gorenstein degree.  NotGorenstein when g is
-    infinite."""
+    """Gpd of every indecomposable by position, built once per algebra;
+    NotGorenstein when the Gorenstein degree g is infinite.
+
+    A module of finite projective dimension has Gpd = pd (Holm,
+    Gorenstein homological dimensions, JPAA 2004, Prop. 2.27), so the
+    table starts as a copy of the pd table.  The other positions have
+    infinite pd, and Omega keeps them there.  Over an Iwanaga-Gorenstein
+    algebra of degree g, Omega^g of any module is Gorenstein projective,
+    and each Gorenstein projective that is not projective is Omega^g of
+    another one.  So among these positions the Gorenstein projectives
+    (Gpd 0) are exactly the Omega^g images, and every other one has
+    Gpd <= g.  Each walks Omega to the first solved position, and every
+    position on the walk gets its distance.  A walk from p meets
+    Omega^g p, which the layer has solved, so it takes at most g steps
+    and never goes round a cycle."""
+    g = _finite_degree(alg)
     omega = _index(alg).omega
-    layer = set(range(len(omega)))
-    for _ in range(_finite_degree(alg)):
-        layer = {omega[p] for p in layer} - {-1}
-    return _depths([-1 if p in layer else z for p, z in enumerate(omega)])
+    gpd = list(_pd_table(alg))
+    infinite = [p for p, d in enumerate(gpd) if d is None]
+    layer = infinite
+    for _ in range(g):
+        layer = [omega[p] for p in layer]
+    for p in layer:
+        gpd[p] = 0
+    for p in infinite:
+        walk = []
+        while gpd[p] is None:
+            walk.append(p)
+            p = omega[p]
+        d = gpd[p]
+        for q in reversed(walk):
+            d += 1
+            gpd[q] = d
+    return gpd
 
 
 def _gpd1(alg: KupischSeries, m: IntervalModule) -> int:

@@ -208,6 +208,7 @@ def search_precluster(
     _at_least(n, 1, "search_precluster wants n >= 1")
     if max_extra is not None:
         _at_least(max_extra, 0, "search_precluster wants max_extra >= 0")
+    _at_least(subset_cap, 0, "search_precluster wants subset_cap >= 0")
     forced = _forced(alg)
     offset = _index(alg).offset
     extras = [p for p in range(offset[-1]) if p not in forced]

@@ -26,7 +26,7 @@ from nakayama import (
     realize, regular_id, regular_module, socle, tau_n, tau_n_inverse,
 )
 from nakayama.classify import VerifierResult, _sample_positions
-from nakayama.homology import _depths
+from nakayama.homology import _depths, _finite_degree
 from nakayama.modules import _index, _position, _torsionless, check_module
 from nakayama.notation import format_interval
 from nakayama.precluster import _forced, _member_masks
@@ -185,6 +185,19 @@ def reference_source(succ, p, k):
     return p if succ[p] >= 0 else -1
 
 
+def reference_depths(succ):
+    """Depths in a functional graph, each node walked on its own: the steps
+    to a sink (successor -1), or None when the walk outlasts the nodes,
+    which means it has repeated one and is going round a cycle."""
+    out = []
+    for p in range(len(succ)):
+        k = 0
+        while succ[p] >= 0 and k <= len(succ):
+            p, k = succ[p], k + 1
+        out.append(k if succ[p] < 0 else None)
+    return out
+
+
 def resolution_length(res):
     return ExtendedNat(len(res.terms) - 1) if res.terminated else INFINITY
 
@@ -236,6 +249,17 @@ def reference_ext_gpd(alg, m):
     reg = regular_module(alg)
     g = gorenstein_degree(alg).value
     return max((k for k in range(1, g + 1) if ext_dim(alg, m, reg, k)), default=0)
+
+
+def reference_gpd_table(alg):
+    """The former _gpd_table: depths in the Omega graph whose sinks are
+    the projectives and every nonzero Omega^g of an interval, g the
+    Gorenstein degree, by the breadth-first solver."""
+    omega = _index(alg).omega
+    layer = set(range(len(omega)))
+    for _ in range(_finite_degree(alg)):
+        layer = {omega[p] for p in layer} - {-1}
+    return _depths([-1 if p in layer else z for p, z in enumerate(omega)])
 
 
 def reference_gp_socle_sub(alg, n, seed, gpd_of):
@@ -607,11 +631,13 @@ ROUTES = {
     reference_socle_vertex: ("nakayama.modules._index", (6, 8)),
     reference_cosyzygy: ("nakayama.modules._index", (6, 8)),
     reference_source: ("nakayama.homology._source", (4, 6)),
+    reference_depths: ("nakayama.homology._depths", None),
     reference_coresolution_domdim: ("nakayama.homology.domdim", (5, 7)),
     reference_domdim: ("nakayama.homology.domdim", (7, 9)),
     reference_regular_id_left: ("nakayama.homology.regular_id_left", (6, 8)),
     reference_stable_hom_dim: ("nakayama.homology.ext_dim", (5, 7)),
     reference_ext_gpd: ("nakayama.homology.gpd", (6, 8)),
+    reference_gpd_table: ("nakayama.homology._gpd_table", (7, 9)),
     reference_gp_socle_sub: ("nakayama.classify.verify_thm_gp_socle_sub", (5, 7)),
     reference_ses_gpd_bounds: ("nakayama.classify.verify_ses_gpd_bounds", (5, 7)),
     reference_sample_positions: ("nakayama.classify._sample_positions", (6, 8)),

@@ -341,6 +341,23 @@ def test_one_draw_sample_matches_separate_draws(seed):
         ), alg
 
 
+def test_passing_algebra_draws_no_sums(monkeypatch):
+    """Over linear (3,3,3,3,2,1) at n = 2 every indecomposable passes
+    gp-socle-sub, so every sum does: the verdict is the former body's
+    without a draw, and the 24 sums still count as checked."""
+    alg = KupischSeries.validate([3, 3, 3, 3, 2, 1], False)
+    want = reference_verify_gp_socle_sub(alg, 2)
+    classify_module = sys.modules["nakayama.classify"]
+
+    def refuse(alg, seed):
+        raise AssertionError(f"sums drawn over {alg.lengths}, where every module passes")
+
+    monkeypatch.setattr(classify_module, "_sample_positions", refuse)
+    got = verify_thm_gp_socle_sub(alg, 2)
+    assert got == want and got.passed
+    assert got.checked == alg.total_dim + 24
+
+
 def test_breached_table_gives_reference_socle_witnesses(monkeypatch):
     """Raise Gpd S(3) by 2 over linear (3,3,3,3,2,1): at every level the
     position codes give the reference witnesses, sums and both values of

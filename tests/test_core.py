@@ -382,6 +382,9 @@ LEVEL_ARGUMENTS = {
     "search_precluster max_extra": (
         lambda alg, k: search_precluster(alg, 1, k), 0, ValueError
     ),
+    "search_precluster subset_cap": (
+        lambda alg, cap: search_precluster(alg, 1, None, cap), 0, ValueError
+    ),
     "is_minimal_ag n": (is_minimal_ag, 0, ValueError),
     "is_n_auslander n": (is_n_auslander, 0, ValueError),
     "verify_thm_prinj n": (verify_thm_prinj, 0, PreconditionFailed),
@@ -399,3 +402,13 @@ def test_level_arguments_must_be_plain_ints(argument, bad):
     with pytest.raises(error, match=r">= \d, got "):
         call(alg, least - 1 if bad == "least - 1" else bad)
     assert "_memo" not in alg.__dict__
+
+
+@pytest.mark.parametrize("cyclic", [True, False])
+@pytest.mark.parametrize("bad", [True, 1.5, 2.0, "1", None])
+def test_shift_steps_must_be_plain_ints(cyclic, bad):
+    # negative steps walk against the arrows and stay valid
+    alg = KupischSeries.validate([3, 3, 4] if cyclic else [3, 2, 1], cyclic)
+    assert alg.shift(3, -1) == 2 and alg.shift(1, 0) == 1
+    with pytest.raises(ValueError, match=r"shift wants a plain int number of steps, got "):
+        alg.shift(1, bad)

@@ -7,11 +7,13 @@ import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from references import (
     CYCLIC, LINEAR, SELFINJ, WILD, M, admissible_series, pool, pool_of,
     reference_basis_lengths, reference_coresolution_domdim, reference_cosyzygy,
-    reference_domdim, reference_ext_gpd, reference_regular_id_left, reference_socle_vertex,
-    reference_source, reference_stable_hom_dim, reference_syzygy, resolution_length,
+    reference_depths, reference_domdim, reference_ext_gpd, reference_gpd_table,
+    reference_regular_id_left, reference_socle_vertex, reference_source,
+    reference_stable_hom_dim, reference_syzygy, resolution_length,
 )
 
 from nakayama import (
@@ -64,7 +66,7 @@ from nakayama import (
     top,
 )
 import nakayama.homology as homology_module
-from nakayama.homology import _depths, _gpd1, _source
+from nakayama.homology import _depths, _gpd1, _gpd_table, _source
 from nakayama.modules import _index, _position
 
 
@@ -260,6 +262,16 @@ class TestGorensteinProjectives:
             checked += len(ref)
         assert checked == 10067
 
+    def test_gpd_table_matches_the_omega_layer_route_cross_check(self):
+        # the pd table at finite pd and a walk to the Omega^g layer
+        # elsewhere, against depths to the projectives and that layer
+        gorenstein = 0
+        for alg in pool_of(reference_gpd_table):
+            if gorenstein_degree(alg).is_finite:
+                assert _gpd_table(alg) == reference_gpd_table(alg), alg
+                gorenstein += 1
+        assert gorenstein == 1_312
+
     def test_census_cyclic(self):
         assert gp_census(CYCLIC) == (M(1, 1), M(1, 3), M(2, 2), M(2, 3), M(3, 4))
 
@@ -366,10 +378,33 @@ class TestGorensteinProjectives:
             query(alg, M(1, 9))
 
 
+@st.composite
+def functional_graphs(draw, max_nodes=40):
+    """A successor list on 1..max_nodes nodes, -1 for a sink.  Besides the
+    drawn successors, a drawn run of the nodes is closed into one cycle (a
+    self-loop when it has one node) and another is chained down to a sink,
+    so long cycles and deep trees both turn up."""
+    n = draw(st.integers(1, max_nodes))
+    succ = draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    cut = sorted(draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+    cycle, chain = order[: cut[0]], order[cut[0] : cut[1]]
+    for p, q in zip(cycle, cycle[1:] + cycle[:1]):
+        succ[p] = q
+    for p, q in zip(chain, chain[1:] + [-1]):
+        succ[p] = q
+    return succ
+
+
 class TestDepthSolver:
     def test_sink_self_loop_and_cycle(self):
         # 0 -> 1 -> 2 (sink); 3 -> 3; 4 -> 5 -> 6 -> 5
         assert _depths([1, 2, -1, 3, 5, 6, 5]) == [2, 1, 0, None, None, None, None]
+
+    @settings(max_examples=300, deadline=None)
+    @given(functional_graphs())
+    def test_matches_a_walk_from_each_node_cross_check(self, succ):
+        assert _depths(succ) == reference_depths(succ)
 
     def test_source_of_a_k_step_walk(self):
         # 0 -> 1 -> 2 (sink); 3 -> 3; 4 -> 5 -> 6 -> 5
