@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from .core import ExtendedNat, KupischSeries, _at_least, per_algebra
 from .errors import PreconditionFailed
@@ -103,6 +103,18 @@ def prinj_vertices(alg: KupischSeries) -> tuple[int, ...]:
 # -- verifier verdicts ----------------------------------------------------------
 
 
+VERDICTS = ("prinj", "gp-socle-sub", "lemma22", "thm31-count")  # report order
+STATUSES = ("pass", "fail", "error", "skipped")
+
+
+def _verdict(status: str, n=None, checked=0, witnesses=(), note="") -> dict:
+    """One entry of a report's theorem_verdicts, its keys in this order."""
+    return {
+        "status": status, "n": n, "checked": checked, "witnesses": list(witnesses),
+        "note": note,
+    }
+
+
 @dataclass(frozen=True)
 class VerifierResult:
     theorem: str
@@ -113,17 +125,8 @@ class VerifierResult:
     note: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "status": "pass" if self.passed else "fail",
-            "n": self.n,
-            "checked": self.checked,
-            "witnesses": list(self.witnesses),
-            "note": self.note,
-        }
-
-
-def _skipped_verdict(note: str, status: str = "skipped") -> dict:
-    return {"status": status, "n": None, "checked": 0, "witnesses": [], "note": note}
+        status = "pass" if self.passed else "fail"
+        return _verdict(status, self.n, self.checked, self.witnesses, self.note)
 
 
 def _texts(alg: KupischSeries) -> list[str]:
@@ -342,23 +345,6 @@ def verify_ses_gpd_bounds(alg: KupischSeries) -> VerifierResult:
 # -- the full report --------------------------------------------------------------
 
 
-REPORT_KEYS = (
-    "kupisch",
-    "cyclic",
-    "regular_id",
-    "regular_id_left",
-    "domdim",
-    "gldim",
-    "gorenstein_degree",
-    "self_injective",
-    "minimal_ag_n",
-    "n_auslander_n",
-    "prinj",
-    "simple_gpd",
-    "theorem_verdicts",
-)
-
-
 @dataclass(frozen=True)
 class ClassificationReport:
     algebra: KupischSeries
@@ -372,7 +358,7 @@ class ClassificationReport:
     n_auslander_n: int | None
     prinj: tuple[int, ...]
     simple_gpd: tuple
-    theorem_verdicts: tuple = field(default=())
+    theorem_verdicts: dict  # verdict name -> _verdict dict, in VERDICTS order
 
     def to_json(self) -> dict:
         return {  # in REPORT_KEYS order
@@ -391,8 +377,12 @@ class ClassificationReport:
                 v.to_json() if isinstance(v, ExtendedNat) else v
                 for v in self.simple_gpd
             ],
-            "theorem_verdicts": {name: dict(v) for name, v in self.theorem_verdicts},
+            "theorem_verdicts": {k: dict(v) for k, v in self.theorem_verdicts.items()},
         }
+
+
+# the sweep record's keys: the report's fields, the algebra written as two
+REPORT_KEYS = ("kupisch", "cyclic", *[f.name for f in fields(ClassificationReport)[1:]])
 
 
 def classify(alg: KupischSeries, seed: int = 0) -> ClassificationReport:
@@ -403,28 +393,25 @@ def classify(alg: KupischSeries, seed: int = 0) -> ClassificationReport:
         gpd_of = _gpd_table(alg)
         simple_gpd = tuple(gpd_of[p] for p in simples)
         n_check = max(g.value - 1, 0)
-        verdicts = [
-            ("prinj", verify_thm_prinj(alg, n_check).to_json()),
-            ("gp-socle-sub", verify_thm_gp_socle_sub(alg, n_check, seed).to_json()),
-            ("lemma22", verify_ses_gpd_bounds(alg).to_json()),
-        ]
+        verdicts = {
+            "prinj": verify_thm_prinj(alg, n_check).to_json(),
+            "gp-socle-sub": verify_thm_gp_socle_sub(alg, n_check, seed).to_json(),
+            "lemma22": verify_ses_gpd_bounds(alg).to_json(),
+        }
     else:
         pd_of = _pd_table(alg)
         simple_gpd = tuple(ExtendedNat(pd_of[p]) for p in simples)
-        verdicts = [
-            (name, _skipped_verdict("infinite Gorenstein degree", "error"))
-            for name in ("prinj", "gp-socle-sub", "lemma22")
-        ]
+        error = "infinite Gorenstein degree"  # thm31-count is decided below
+        verdicts = {name: _verdict("error", note=error) for name in VERDICTS[:3]}
 
     mag = minimal_ag_parameter(alg)
     if all(c == 1 for c in alg.lengths):
-        verdicts.append(("thm31-count", _skipped_verdict("semisimple algebra")))
+        count = _verdict("skipped", note="semisimple algebra")
     elif mag is None:
-        verdicts.append(
-            ("thm31-count", _skipped_verdict("not minimal Auslander-Gorenstein"))
-        )
+        count = _verdict("skipped", note="not minimal Auslander-Gorenstein")
     else:
-        verdicts.append(("thm31-count", verify_thm31_count(alg, mag).to_json()))
+        count = verify_thm31_count(alg, mag).to_json()
+    verdicts["thm31-count"] = count
 
     return ClassificationReport(
         algebra=alg,
@@ -438,5 +425,5 @@ def classify(alg: KupischSeries, seed: int = 0) -> ClassificationReport:
         n_auslander_n=n_auslander_parameter(alg),
         prinj=prinj_vertices(alg),
         simple_gpd=simple_gpd,
-        theorem_verdicts=tuple(verdicts),
+        theorem_verdicts=verdicts,
     )

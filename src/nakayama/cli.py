@@ -22,6 +22,7 @@ from collections import deque
 
 from . import sweepfile
 from .classify import (
+    VERDICTS,
     VerifierResult,
     classify,
     is_minimal_ag,
@@ -78,11 +79,17 @@ __all__ = ["main"]
 _encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
+def _digits(text: str, reason: str) -> int:
+    """A number the command line reads by hand: ASCII digits alone, where
+    int() would also take a sign, an underscore or another script's digits."""
+    if not re.fullmatch("[0-9]+", text):
+        raise ParseError(reason)
+    return int(text)
+
+
 def _parse_lengths(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.replace(" ", "").split(",") if tok]
-    except ValueError as exc:
-        raise ParseError(f"bad --kupisch value {text!r}") from exc
+    reason = f"bad --kupisch value {text!r}"
+    return [_digits(tok.strip(), reason) for tok in text.split(",")]
 
 
 def _algebra(args) -> KupischSeries:
@@ -135,11 +142,10 @@ def cmd_module(args) -> int:
     if query in _MODULE_QUERIES:
         result = _MODULE_QUERIES[query](alg, msum)
     elif query.startswith("ext:"):
-        chunks = query.split(":", 2)
-        if len(chunks) != 3 or not chunks[1].isdigit():
+        match = re.fullmatch("ext:([0-9]+):(.*)", query)
+        if not match:
             raise ParseError(f"ext query wants ext:<k>:<target>, got {query!r}")
-        target = parse_module(alg, chunks[2])
-        result = ext_dim(alg, msum, target, int(chunks[1]))
+        result = ext_dim(alg, msum, parse_module(alg, match[2]), int(match[1]))
     elif query.startswith(("oracle-hom:", "oracle-ext1:")):
         name, target = query.split(":", 1)
         fn = oracle_hom_dim if name == "oracle-hom" else oracle_ext1_dim
@@ -169,12 +175,8 @@ def cmd_verify(args) -> int:
     if token == "precluster" or token.startswith("precluster:"):
         n = args.n
         if ":" in token:
-            try:
-                n = int(token.split(":", 1)[1])
-            except ValueError:
-                raise ParseError(
-                    f"precluster wants an integer level, got {token!r}"
-                ) from None
+            reason = f"precluster wants an integer level, got {token!r}"
+            n = _digits(token.partition(":")[2], reason)
         if n is None:
             raise ParseError("precluster needs --n or precluster:<n>")
         found = search_precluster(alg, n, args.max_extra)
@@ -190,7 +192,7 @@ def cmd_verify(args) -> int:
         return 0 if found else 1
     if token == "lemma22":
         res = verify_ses_gpd_bounds(alg)
-    elif token not in sweepfile.VERDICTS:
+    elif token not in VERDICTS:
         raise ParseError(f"unknown theorem {token!r}")
     elif args.n is None:
         raise ParseError(f"theorem {token!r} needs --n")
@@ -296,7 +298,7 @@ def cmd_sweep(args) -> int:
             raise ParseError(f"{name} wants at least 1, got {value}")
     window = None  # --n-range auto: every level
     if args.n_range not in (None, "auto"):
-        match = re.fullmatch(r"(\d+):(\d+)", args.n_range)
+        match = re.fullmatch("([0-9]+):([0-9]+)", args.n_range)
         if not match or int(match[1]) > int(match[2]):
             raise ParseError(
                 f"--n-range wants 'auto' or 'A:B' with A <= B, got {args.n_range!r}"
@@ -469,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--theorem",
         required=True,
-        help="prinj | gp-socle-sub | thm31-count | lemma22 | precluster[:n]",
+        help=" | ".join((*VERDICTS, "precluster[:n]")),
     )
     p_ver.add_argument("--n", type=int, default=None)
     p_ver.add_argument("--seed", type=int, default=0)

@@ -18,7 +18,7 @@ from .modules import (
 __all__ = ["format_interval", "format_module", "parse_module"]
 
 _TERM_RE = re.compile(
-    r"""^ \s* ([MSPI]) \s* \( \s* (\d+) \s* (?: , \s* (\d+) \s* )? \) \s* $""",
+    r"""^ \s* ([MSPI]) \s* \( \s* ([0-9]+) \s* (?: , \s* ([0-9]+) \s* )? \) \s* $""",
     re.VERBOSE,
 )
 

@@ -1,10 +1,12 @@
-"""The sweep file: one JSON line per algebra, its `ClassificationReport.to_json()`
-with keys in `REPORT_KEYS` order.  Its four VERDICTS (prinj, gp-socle-sub,
-lemma22, thm31-count) each have a status in STATUSES (pass, fail, error or
-skipped).  The summary sums TALLIED per record (self_injective, gorenstein,
-minimal_ag, n_auslander, failed_verdicts, violations), read off the verdicts
-and the TALLY_FIELDS.  `append_lines` flushes each record as it writes it, so a
-killed sweep keeps every finished one and `resumed` goes on after them.
+"""The sweep file: one JSON line per algebra, its `ClassificationReport.to_json()`.
+`classify` declares the record: its keys in `REPORT_KEYS` order, its four
+`VERDICTS` in order and their `STATUSES`.  This module checks, reads and writes
+it.  A resumed record must hold exactly the REPORT_KEYS and the VERDICTS, in
+that order, as every record a sweep writes does.  The summary sums TALLIED per
+record (self_injective, gorenstein, minimal_ag, n_auslander, failed_verdicts,
+violations), read off the verdicts and the TALLY_FIELDS.  `append_lines`
+flushes each record as it writes it, so a killed sweep keeps every finished one
+and `resumed` goes on after them.
 """
 
 import itertools
@@ -12,11 +14,9 @@ import json
 import os
 import sys
 
-from .classify import REPORT_KEYS
+from .classify import REPORT_KEYS, STATUSES, VERDICTS
 from .errors import IoError
 
-VERDICTS = ("prinj", "gp-socle-sub", "lemma22", "thm31-count")  # report order
-STATUSES = ("pass", "fail", "error", "skipped")
 TALLIED = (  # what the summary counts per record, in this order
     "self_injective", "gorenstein", "minimal_ag", "n_auslander",
     "failed_verdicts", "violations",
@@ -75,13 +75,16 @@ def tally(rec: dict) -> tuple[bool, ...]:
 
 def check_record(rec) -> tuple[tuple[tuple[int, ...], bool], tuple[bool, ...]]:
     """A record's key (series, cyclic) and its tally; ValueError with the
-    reason unless it is a whole report, counting only values a report writes."""
-    missing = [k for k in REPORT_KEYS if not isinstance(rec, dict) or k not in rec]
-    if missing:
-        raise ValueError(f"lacks {', '.join(missing)}")
+    reason unless it is a whole report, its keys and verdicts exactly those
+    classify declares, counting only values a report writes."""
+    keys = tuple(rec) if isinstance(rec, dict) else None
+    if keys != REPORT_KEYS:
+        raise ValueError(f"keys {keys}, not REPORT_KEYS in order")
     verdicts = rec["theorem_verdicts"]
-    for name in VERDICTS:
-        verdict = verdicts.get(name) if isinstance(verdicts, dict) else None
+    names = tuple(verdicts) if isinstance(verdicts, dict) else None
+    if names != VERDICTS:
+        raise ValueError(f"verdicts {names}, not VERDICTS in order")
+    for name, verdict in verdicts.items():
         if not isinstance(verdict, dict) or verdict.get("status") not in STATUSES:
             raise ValueError(f"{name} verdict {verdict!r}")
     for name, countable in TALLY_FIELDS.items():

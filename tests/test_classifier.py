@@ -33,6 +33,7 @@ from nakayama import (
 )
 from nakayama.classify import REPORT_KEYS, _sample_positions
 from nakayama.modules import _Index, _interval_at
+from nakayama import sweepfile
 from nakayama.notation import format_interval, interval_text
 from nakayama.sweepfile import violations
 
@@ -480,3 +481,24 @@ def test_classify_keeps_one_table_of_distinguished_positions():
         assert "nakayama.modules._index" in memo
         assert "nakayama.modules._injectives" not in memo
     assert not hasattr(_Index, "simple_at")
+
+
+def test_every_report_follows_the_declared_record():
+    """Over the 6/8 pool, every report writes the REPORT_KEYS and the
+    VERDICTS in order, each verdict with a status in STATUSES, on all four
+    branches of classify; and the sweep file reads the very tuples that
+    classify declares."""
+    infinite, skipped = set(), set()
+    for alg in pool(6, 8):
+        rec = classify(alg).to_json()
+        verdicts = rec["theorem_verdicts"]
+        assert tuple(rec) == REPORT_KEYS, alg
+        assert tuple(verdicts) == classify_tables.VERDICTS, alg
+        assert {v["status"] for v in verdicts.values()} <= set(classify_tables.STATUSES)
+        infinite.add(rec["gorenstein_degree"] == "infinity")
+        if verdicts["thm31-count"]["status"] == "skipped":
+            skipped.add(verdicts["thm31-count"]["note"])
+    assert infinite == {False, True}  # Gorenstein and infinite degree
+    assert skipped == {"semisimple algebra", "not minimal Auslander-Gorenstein"}
+    assert sweepfile.VERDICTS is classify_tables.VERDICTS
+    assert sweepfile.STATUSES is classify_tables.STATUSES

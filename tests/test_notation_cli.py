@@ -77,6 +77,12 @@ def run_cli(capsys, *argv):
     return code, json.loads(out) if out.strip() else None
 
 
+def reverse_keys(d: dict) -> None:
+    """Put the keys of d in reverse order, in place."""
+    for key in reversed(list(d)):
+        d[key] = d.pop(key)
+
+
 class TestAnalyzeCommand:
     def test_golden(self, capsys):
         code, payload = run_cli(
@@ -113,6 +119,44 @@ class TestAnalyzeCommand:
         code, payload = run_cli(capsys, "analyze", "--kupisch", "3,x,4")
         assert code == 2
         assert payload["error"] == "ParseError"
+
+    def test_spaced_lengths_parse(self, capsys):
+        code, payload = run_cli(capsys, "analyze", "--kupisch", "3, 3, 4", "--cyclic")
+        assert code == 0
+        assert payload["kupisch"] == [3, 3, 4]
+
+
+# A number the command line reads itself is ASCII digits alone, and no
+# --kupisch entry is empty; int() would also take a sign, an underscore,
+# surrounding space or another script's digits.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--kupisch", "3,,3,4", "--cyclic"],
+        ["analyze", "--kupisch", ",3,3,4,", "--cyclic"],
+        ["analyze", "--kupisch", "3_3,4"],
+        ["analyze", "--kupisch", "+3,3,4", "--cyclic"],
+        ["analyze", "--kupisch", "\u0663,3,4", "--cyclic"],
+        ["verify", "--kupisch", "3,3,4", "--cyclic", "--theorem", "precluster:2_0"],
+        ["verify", "--kupisch", "3,3,4", "--cyclic", "--theorem", "precluster:+1"],
+        ["verify", "--kupisch", "3,3,4", "--cyclic", "--theorem", "precluster: 1"],
+        ["verify", "--kupisch", "3,3,4", "--cyclic", "--theorem", "precluster:\u0661"],
+        ["module", "--kupisch", "2,1", "--expr", "M(\u0662,1)", "--query", "pd"],
+        ["module", "--kupisch", "2,1", "--expr", "S(1)", "--query", "ext:\u00b2:S(1)"],
+        ["sweep", "--max-vertices", "2", "--max-length", "2", "--n-range", "\u0661:\u0662"],
+    ],
+    ids=[
+        "kupisch-empty-token", "kupisch-edge-commas", "kupisch-underscore", "kupisch-sign",
+        "kupisch-arabic-indic", "precluster-underscore", "precluster-sign", "precluster-space",
+        "precluster-arabic-indic", "expr-arabic-indic", "ext-superscript", "n-range-arabic-indic",
+    ],
+)
+def test_hand_read_numbers_are_ascii_digits(capsys, tmp_path, argv):
+    out = tmp_path / "sweep.jsonl"
+    extra = ["--out", str(out)] if argv[0] == "sweep" else []
+    code, payload = run_cli(capsys, *argv, *extra)
+    assert (code, payload["error"]) == (2, "ParseError")
+    assert not out.exists()
 
 
 class TestModuleCommand:
@@ -562,11 +606,16 @@ class TestSweepCommand:
             lambda rec: rec.update(gorenstein_degree="infinite"),
             lambda rec: rec.update(minimal_ag_n=True),
             lambda rec: rec.update(n_auslander_n=-1),
+            lambda rec: rec.update(extra=1),
+            lambda rec: rec["theorem_verdicts"].update(bogus=rec["theorem_verdicts"]["prinj"]),
+            reverse_keys,
+            lambda rec: reverse_keys(rec["theorem_verdicts"]),
         ],
         ids=[
             "missing-key", "inadmissible-series", "missing-verdict", "bare-verdict",
             "unknown-status", "list-status", "string-flag", "int-flag", "float-degree",
-            "misspelt-infinity", "bool-level", "negative-level",
+            "misspelt-infinity", "bool-level", "negative-level", "extra-key", "extra-verdict",
+            "reversed-keys", "reversed-verdicts",
         ],
     )
     def test_malformed_resume_record_rejected(self, capsys, tmp_path, damage):
@@ -964,6 +1013,13 @@ def test_serial_sweep_loads_no_process_pool(tmp_path):
     out = run_python("-c", code, cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip().splitlines()[-1] == "False"
+
+
+def test_version_is_declared_once():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == nakayama.__version__
 
 
 def test_sweepfile_loads_no_cli(tmp_path):
