@@ -115,6 +115,9 @@ def _verdict(status: str, n=None, checked=0, witnesses=(), note="") -> dict:
     }
 
 
+VERDICT_KEYS = tuple(_verdict("pass"))  # every verdict's keys, in order
+
+
 @dataclass(frozen=True)
 class VerifierResult:
     theorem: str

@@ -87,6 +87,14 @@ def _digits(text: str, reason: str) -> int:
     return int(text)
 
 
+def _integer(text: str) -> int:
+    """An integer option's value: ASCII digits, after an optional leading
+    minus, read as _digits reads them.  ParseError is raised out of the
+    parser, so it is reported as JSON like any other."""
+    reason = f"integer options take ASCII digits, got {text!r}"
+    return -_digits(text[1:], reason) if text.startswith("-") else _digits(text, reason)
+
+
 def _parse_lengths(text: str) -> list[int]:
     reason = f"bad --kupisch value {text!r}"
     return [_digits(tok.strip(), reason) for tok in text.split(",")]
@@ -272,8 +280,7 @@ def _range_check(algs, window: tuple[int, int] | None, seed: int) -> tuple[int, 
     from 0 when it is None, clipped to the Gorenstein degree minus one.
     algs is walked once."""
     checked = violations = 0
-    for a in algs:
-        alg = KupischSeries(a.lengths, a.cyclic)  # a fresh copy: a keeps no tables
+    for alg in algs:
         g = gorenstein_degree(alg)
         if not g.is_finite:
             continue
@@ -448,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = subs.add_parser("analyze", help="full classification report")
     _add_algebra_args(p_an)
-    p_an.add_argument("--seed", type=int, default=0)
+    p_an.add_argument("--seed", type=_integer, default=0)
     p_an.set_defaults(func=cmd_analyze)
 
     p_mod = subs.add_parser("module", help="one query about one module")
@@ -462,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle-ext1:<target> | oracle-injective | oracle-tau",
     )
     p_mod.add_argument(
-        "--field-p", type=int, default=2, help="prime for oracle queries"
+        "--field-p", type=_integer, default=2, help="prime for oracle queries"
     )
     p_mod.set_defaults(func=cmd_module)
 
@@ -473,20 +480,20 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help=" | ".join((*VERDICTS, "precluster[:n]")),
     )
-    p_ver.add_argument("--n", type=int, default=None)
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--max-extra", type=int, default=None)
+    p_ver.add_argument("--n", type=_integer, default=None)
+    p_ver.add_argument("--seed", type=_integer, default=0)
+    p_ver.add_argument("--max-extra", type=_integer, default=None)
     p_ver.set_defaults(func=cmd_verify)
 
     p_sw = subs.add_parser("sweep", help="classify an enumerated family")
-    p_sw.add_argument("--max-vertices", type=int, required=True)
-    p_sw.add_argument("--max-length", type=int, required=True)
+    p_sw.add_argument("--max-vertices", type=_integer, required=True)
+    p_sw.add_argument("--max-length", type=_integer, required=True)
     p_sw.add_argument(
         "--shapes", choices=["linear", "cyclic", "both"], default="both"
     )
     p_sw.add_argument("--out", required=True, help="JSONL output path")
-    p_sw.add_argument("--jobs", type=int, default=1)
-    p_sw.add_argument("--seed", type=int, default=0)
+    p_sw.add_argument("--jobs", type=_integer, default=1)
+    p_sw.add_argument("--seed", type=_integer, default=0)
     p_sw.add_argument(
         "--n-range",
         default=None,
@@ -504,8 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (NakayamaError, ValueError) as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))

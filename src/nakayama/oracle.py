@@ -16,24 +16,23 @@ Cross-check state.  Hom and Ext^1 read one private state per quiver
 and shared by every algebra on that quiver.  For A = kQ/I and A-modules
 x, y, Hom_A(x, y) = Hom_kQ(x, y) (Assem-Simson-Skowronski, Elements of
 the Representation Theory of Associative Algebras 1, Ch. III), and a
-realization reads only the quiver's vertex walk; so realizations, Hom
-dimensions and Hom bases are keyed by the interval codes of x and y
-alone.  Ext^1(x, y) reads A only through c = c_{x.start}, the length of
-the cover P(x): the presentation kernel is keyed by (x, c) and Ext^1 by
-(x, c, y).  Each ordered pair's intertwiner system is eliminated once,
-with one exception (see `_OracleState`): a cover pair's Hom is the
-length of its basis, every other pair's is the nullity.  The kernel
-table holds the kernel's name, checked against its realization, and
-the cover coordinates it keeps, so Ext^1 reads Hom(K, y) from the Hom
-table.  None of it depends on a call's caps.  Each call checks each
-argument in one pass (`_codes`) before it reads the state: every summand
-against the Kupisch lengths, its start by `core._vertex`, a start or
-length that is not a plain int refused (True is not 1, nor 2.0 2), the
-summand turned into its code, and the caps checked.  Hom and Ext^1 then
-read the state's rows directly and compute a pair only on a miss.  Hom
-and Ext^1 are additive in each argument, so a sum is answered from its
-summand pairs.  Injectivity is Baer's
-criterion on the same Ext^1 table, with each simple S_i under its own
+realization reads only the quiver's vertex walk; so realizations and
+Hom bases are keyed by the interval codes of x and y alone.  Ext^1(x, y)
+reads A only through c = c_{x.start}, the length of the cover P(x): the
+presentation kernel is keyed by (x, c) and Ext^1 by (x, c, y).  Each
+ordered pair's intertwiner system is eliminated once, for a basis of
+Hom(x, y); dim Hom is its length.  The kernel table holds the kernel's
+name, checked against its realization, and the cover coordinates it
+keeps, so Ext^1 reads Hom(K, y) from the Hom table and restricts the
+cover's basis to them.  None of it depends on a call's caps.  Each call
+checks each argument in one pass (`_codes`) before it reads the state:
+every summand against the Kupisch lengths, its start by `core._vertex`,
+a start or length that is not a plain int refused (True is not 1, nor
+2.0 2), the summand turned into its code, and the caps checked.  Hom
+and Ext^1 then read the state's rows directly and compute a pair only
+on a miss.  Hom and Ext^1 are additive in each argument, so a sum is
+answered from its summand pairs.  Injectivity is Baer's criterion on
+the same Ext^1 table, with each simple S_i under its own
 c_i: over a finite-dimensional algebra m is injective exactly when
 Ext^1(S, m) = 0 for every simple S.  One field is held at a time (a
 one-slot lru_cache over p): a query over another field drops every
@@ -324,20 +323,17 @@ class _OracleState:
     every algebra on it (see "Cross-check state" above).  The tables are
     keyed by interval codes (length - 1) * v + start - 1, small ints that
     need no tuple per entry; kernels and Ext^1 also by the calling
-    algebra's cover length c.  A pair (x, y) first asked for by an algebra
-    over which x is not a cover keeps only its nullity, and is eliminated
-    once more for its basis if an algebra over which x is a cover then
-    needs it for Ext^1.  Each table is built on first use from the ones
-    before it, and stored only once it is complete.  The methods take the
-    calling algebra for its cover lengths and its vertex walk, and keep no
-    reference to it."""
+    algebra's cover length c.  Each ordered pair (x, y) is eliminated
+    once, for a basis of Hom(x, y), whichever algebra asks first.  Each
+    table is built on first use from the ones before it, and stored only
+    once it is complete.  The methods take the calling algebra for its
+    vertex walk, and keep no reference to it."""
 
     def __init__(self, v: int, p: int):
         self.v = v
         self.p = p
         self.reps: dict = {}  # x -> MatrixRep
-        self.homs: dict = {}  # x -> {y: dim Hom(x, y)}
-        self.bases: dict = {}  # P -> {y: basis of Hom(P, y), solutions of its system}
+        self.homs: dict = {}  # x -> {y: basis of Hom(x, y), solutions of its system}
         self.kernels: dict = {}  # (x, c) -> (code of K or None, K's coordinates in P)
         self.ext1s: dict = {}  # (x, c) -> {y: dim Ext^1(x, y)}
 
@@ -355,28 +351,14 @@ class _OracleState:
             rep = self.reps[x] = _realize(alg, (x,), self.p)
         return rep
 
-    def hom(self, alg: KupischSeries, x: int, y: int) -> int:
-        """dim Hom(x, y): the length of the basis when x is a cover over
-        alg, else the nullity of the pair's system."""
-        row = self.homs.get(x)
-        dim = row.get(y) if row else None
-        if dim is None:
-            start, length = self.interval(x)
-            if length == alg.lengths[start - 1]:
-                return len(self.basis(alg, x, y))  # fills homs
-            system, _, nvars = _hom_system(self.rep(alg, x), self.rep(alg, y))
-            dim = self.homs.setdefault(x, {})[y] = nvars - _rank(system, self.p)
-        return dim
-
-    def basis(self, alg: KupischSeries, cover: int, y: int) -> list:
-        """A basis of Hom(P, y) for the cover code P; its length fills the
-        Hom table too."""
-        row = self.bases.setdefault(cover, {})
+    def hom(self, alg: KupischSeries, x: int, y: int) -> list:
+        """A basis of Hom(x, y), the null space of the pair's system; dim
+        Hom(x, y) is its length."""
+        row = self.homs.setdefault(x, {})
         basis = row.get(y)
         if basis is None:
-            system, _, nvars = _hom_system(self.rep(alg, cover), self.rep(alg, y))
+            system, _, nvars = _hom_system(self.rep(alg, x), self.rep(alg, y))
             basis = row[y] = _nullspace(system, nvars, self.p)
-            self.homs.setdefault(cover, {})[y] = len(basis)
         return basis
 
     def kernel(self, alg: KupischSeries, x: int, c: int):
@@ -450,8 +432,8 @@ def oracle_hom_dim(
     for a in xs:
         row = st.homs.get(a)
         for b in ys:
-            dim = row.get(b) if row else None
-            total += st.hom(alg, a, b) if dim is None else dim
+            basis = row.get(b) if row else None
+            total += len(st.hom(alg, a, b) if basis is None else basis)
     return total
 
 
@@ -486,11 +468,11 @@ def _ext1(st: _OracleState, alg: KupischSeries, x: int, c: int, y: int) -> int:
     if dim is not None:
         return dim
     name, keep = st.kernel(alg, x, c)
-    dim = st.hom(alg, name, y) if name is not None else 0
+    dim = len(st.hom(alg, name, y)) if name is not None else 0
     if dim:
         cover = st.code(st.interval(x)[0], c)
         kept = _restriction(st.rep(alg, cover), st.rep(alg, y), keep)
-        dim -= _rank([[g[k] for k in kept] for g in st.basis(alg, cover, y)], st.p)
+        dim -= _rank([[g[k] for k in kept] for g in st.hom(alg, cover, y)], st.p)
     st.ext1s.setdefault((x, c), {})[y] = dim
     return dim
 

@@ -1,8 +1,9 @@
 """The sweep file: one JSON line per algebra, its `ClassificationReport.to_json()`.
 `classify` declares the record: its keys in `REPORT_KEYS` order, its four
-`VERDICTS` in order and their `STATUSES`.  This module checks, reads and writes
-it.  A resumed record must hold exactly the REPORT_KEYS and the VERDICTS, in
-that order, as every record a sweep writes does.  The summary sums TALLIED per
+`VERDICTS` in order, each verdict's `VERDICT_KEYS` and their `STATUSES`.  This
+module checks, reads and writes it.  A resumed record must hold exactly the
+REPORT_KEYS, the VERDICTS and each verdict's VERDICT_KEYS, in that order, as
+every record a sweep writes does.  The summary sums TALLIED per
 record (self_injective, gorenstein, minimal_ag, n_auslander, failed_verdicts,
 violations), read off the verdicts and the TALLY_FIELDS.  `append_lines`
 flushes each record as it writes it, so a killed sweep keeps every finished one
@@ -14,7 +15,7 @@ import json
 import os
 import sys
 
-from .classify import REPORT_KEYS, STATUSES, VERDICTS
+from .classify import REPORT_KEYS, STATUSES, VERDICT_KEYS, VERDICTS
 from .errors import IoError
 
 TALLIED = (  # what the summary counts per record, in this order
@@ -75,8 +76,8 @@ def tally(rec: dict) -> tuple[bool, ...]:
 
 def check_record(rec) -> tuple[tuple[tuple[int, ...], bool], tuple[bool, ...]]:
     """A record's key (series, cyclic) and its tally; ValueError with the
-    reason unless it is a whole report, its keys and verdicts exactly those
-    classify declares, counting only values a report writes."""
+    reason unless it is a whole report, its keys, verdicts and verdict keys
+    exactly those classify declares, counting only values a report writes."""
     keys = tuple(rec) if isinstance(rec, dict) else None
     if keys != REPORT_KEYS:
         raise ValueError(f"keys {keys}, not REPORT_KEYS in order")
@@ -85,7 +86,8 @@ def check_record(rec) -> tuple[tuple[tuple[int, ...], bool], tuple[bool, ...]]:
     if names != VERDICTS:
         raise ValueError(f"verdicts {names}, not VERDICTS in order")
     for name, verdict in verdicts.items():
-        if not isinstance(verdict, dict) or verdict.get("status") not in STATUSES:
+        fields = tuple(verdict) if isinstance(verdict, dict) else None
+        if fields != VERDICT_KEYS or verdict["status"] not in STATUSES:
             raise ValueError(f"{name} verdict {verdict!r}")
     for name, countable in TALLY_FIELDS.items():
         if not countable(rec[name]):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 from concurrent.futures import Executor, Future
 from pathlib import Path
 
@@ -126,9 +128,9 @@ class TestAnalyzeCommand:
         assert payload["kupisch"] == [3, 3, 4]
 
 
-# A number the command line reads itself is ASCII digits alone, and no
-# --kupisch entry is empty; int() would also take a sign, an underscore,
-# surrounding space or another script's digits.
+# A number the command line reads itself is ASCII digits alone (an integer
+# option may lead with a minus), and no --kupisch entry is empty; int() would
+# also take a plus, an underscore, surrounding space or another script's digits.
 @pytest.mark.parametrize(
     "argv",
     [
@@ -144,11 +146,28 @@ class TestAnalyzeCommand:
         ["module", "--kupisch", "2,1", "--expr", "M(\u0662,1)", "--query", "pd"],
         ["module", "--kupisch", "2,1", "--expr", "S(1)", "--query", "ext:\u00b2:S(1)"],
         ["sweep", "--max-vertices", "2", "--max-length", "2", "--n-range", "\u0661:\u0662"],
+        ["verify", "--kupisch", "3,3,4", "--cyclic", "--theorem", "prinj", "--n", "\u0661"],
+        ["verify", "--kupisch", "3,3,4", "--cyclic", "--theorem", "prinj", "--n", "1_0"],
+        ["verify", "--kupisch", "3,3,4", "--cyclic", "--theorem", "prinj", "--n", "+1"],
+        ["verify", "--kupisch", "3,3,4", "--cyclic", "--theorem", "prinj", "--n", "-"],
+        ["verify", "--kupisch", "3,3,4", "--cyclic", "--theorem", "prinj", "--n", " 1"],
+        ["verify", "--kupisch", "2,1", "--theorem", "prinj", "--n", "1", "--seed", "\u0660"],
+        ["verify", "--kupisch", "2,1", "--theorem", "precluster:1", "--max-extra", "2_0"],
+        ["analyze", "--kupisch", "3,3,4", "--cyclic", "--seed", "-\u0661"],
+        ["module", "--kupisch", "2,1", "--expr", "S(1)", "--query", "top", "--field-p", "\u0663"],
+        ["sweep", "--max-vertices", "\u0662", "--max-length", "2"],
+        ["sweep", "--max-vertices", "2", "--max-length", "2_0"],
+        ["sweep", "--max-vertices", "2", "--max-length", "2", "--jobs", "\u0662"],
+        ["sweep", "--max-vertices", "2", "--max-length", "2", "--seed", "1_802"],
     ],
     ids=[
         "kupisch-empty-token", "kupisch-edge-commas", "kupisch-underscore", "kupisch-sign",
         "kupisch-arabic-indic", "precluster-underscore", "precluster-sign", "precluster-space",
         "precluster-arabic-indic", "expr-arabic-indic", "ext-superscript", "n-range-arabic-indic",
+        "n-arabic-indic", "n-underscore", "n-plus", "n-bare-minus", "n-space",
+        "verify-seed-arabic-indic", "max-extra-underscore", "analyze-seed-minus-arabic-indic",
+        "field-p-arabic-indic", "max-vertices-arabic-indic", "max-length-underscore",
+        "jobs-arabic-indic", "sweep-seed-underscore",
     ],
 )
 def test_hand_read_numbers_are_ascii_digits(capsys, tmp_path, argv):
@@ -610,12 +629,17 @@ class TestSweepCommand:
             lambda rec: rec["theorem_verdicts"].update(bogus=rec["theorem_verdicts"]["prinj"]),
             reverse_keys,
             lambda rec: reverse_keys(rec["theorem_verdicts"]),
+            lambda rec: rec["theorem_verdicts"].update(prinj={"status": "pass", "junk": 1}),
+            lambda rec: rec["theorem_verdicts"]["prinj"].update(junk=1),
+            lambda rec: rec["theorem_verdicts"]["lemma22"].pop("note"),
+            lambda rec: reverse_keys(rec["theorem_verdicts"]["thm31-count"]),
         ],
         ids=[
             "missing-key", "inadmissible-series", "missing-verdict", "bare-verdict",
             "unknown-status", "list-status", "string-flag", "int-flag", "float-degree",
             "misspelt-infinity", "bool-level", "negative-level", "extra-key", "extra-verdict",
-            "reversed-keys", "reversed-verdicts",
+            "reversed-keys", "reversed-verdicts", "status-and-junk-verdict",
+            "extra-verdict-key", "missing-verdict-key", "reversed-verdict-keys",
         ],
     )
     def test_malformed_resume_record_rejected(self, capsys, tmp_path, damage):
@@ -676,8 +700,9 @@ class TestSweepCommand:
         assert out.read_bytes() == expected
 
     def test_enumerated_algebras_keep_no_tables(self, capsys, tmp_path, monkeypatch):
-        # every record classifies a fresh algebra built from its payload,
-        # and the range check a fresh copy, so no streamed algebra keeps _memo
+        # every record classifies a fresh algebra built from its payload, so
+        # no algebra of the record stream keeps _memo; the range check fills
+        # the tables of the algebras it streams, and keeps none of them
         import nakayama.cli as cli
 
         held = []
@@ -685,7 +710,7 @@ class TestSweepCommand:
         def recorded(*args):
             held.append([])
             for alg in iter_admissible(*args):
-                held[-1].append(alg)
+                held[-1].append(weakref.ref(alg) if len(held) == 2 else alg)
                 yield alg
 
         monkeypatch.setattr(cli, "iter_admissible", recorded)
@@ -696,7 +721,10 @@ class TestSweepCommand:
         # one stream for the records, one for the range check
         assert summary["computed"] == 166
         assert [len(algs) for algs in held] == [166, 166]
-        assert [a for algs in held for a in algs if "_memo" in a.__dict__] == []
+        records, ranged = held
+        assert [a for a in records if "_memo" in a.__dict__] == []
+        gc.collect()
+        assert [ref for ref in ranged if ref() is not None] == []
 
     def test_torn_final_record_is_recomputed(self, capsys, tmp_path):
         out = tmp_path / "sweep.jsonl"
