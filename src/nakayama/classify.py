@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, fields
+from functools import lru_cache
+from itertools import chain
 
 from .core import ExtendedNat, KupischSeries, _at_least, per_algebra
 from .errors import PreconditionFailed
@@ -61,11 +63,13 @@ def _least_level(alg: KupischSeries, dim: ExtendedNat, floor: int) -> int | None
     """Least level n >= floor with dim <= n + 1 and dominant dimension at
     least n + 1, or None.  The levels that qualify run from
     max(dim - 1, 0) up to domdim - 1, so the only candidate is
-    max(dim - 1, floor)."""
+    max(dim - 1, floor), and it qualifies when domdim is infinite or
+    greater than n (plain ints compared)."""
     if not dim.is_finite:
         return None
     n = max(dim.value - 1, floor)
-    return n if domdim(alg) >= ExtendedNat(n + 1) else None
+    dom = domdim(alg)
+    return n if not dom.is_finite or dom.value > n else None
 
 
 def is_minimal_ag(alg: KupischSeries, n: int) -> bool:
@@ -132,13 +136,20 @@ class VerifierResult:
         return _verdict(status, self.n, self.checked, self.witnesses, self.note)
 
 
+@lru_cache(maxsize=4096)
+def _text_row(i: int, c: int) -> tuple[str, ...]:
+    """The texts of M(i, 1), ..., M(i, c).  They depend on (i, c) alone,
+    so every algebra shares the row, and the cache holds strings only."""
+    return tuple([interval_text(i, l) for l in range(1, c + 1)])
+
+
 def _texts(alg: KupischSeries) -> list[str]:
     """The text of the interval at every position, in index order: M(i, l)
-    for l = 1..c_i, vertex by vertex.  A verifier with witnesses builds
-    this row once and writes every witness's text from it."""
-    return [
-        interval_text(i, l) for i, c in enumerate(alg.lengths, 1) for l in range(1, c + 1)
-    ]
+    for l = 1..c_i, vertex by vertex, joined from the shared rows.  A
+    verifier with witnesses builds this list once and writes every
+    witness's text from it."""
+    rows = map(_text_row, range(1, len(alg.lengths) + 1), alg.lengths)
+    return list(chain.from_iterable(rows))
 
 
 # -- verifier: projective-injectives vs low-Gpd socles --------------------------
@@ -167,10 +178,11 @@ def verify_thm_prinj(alg: KupischSeries, n: int) -> VerifierResult:
         socle_gpd = gpd_of[s]
         rhs = socle_gpd <= n
         if lhs != rhs:
+            i, l = _interval_at(idx.offset, q)
             witnesses.append(
                 {
                     "vertex": j,
-                    "injective": interval_text(*_interval_at(idx.offset, q)),
+                    "injective": _text_row(i, alg.lengths[i - 1])[l - 1],
                     "injective_is_projective": lhs,
                     "socle_gpd": socle_gpd,
                 }
@@ -219,36 +231,35 @@ def verify_thm_gp_socle_sub(
     socle_at = idx.socle
     sub = _torsionless(alg)
     socle_gpd = [0] + [gpd_of[p] for p in idx.simple]
-    code = [
-        (g <= n) | (socle_gpd[j] <= n) << 1 | sub[j] << 2
-        for g, j in zip(gpd_of, socle_at)
-    ]
+    # the two legs read off the socle vertex j, bits 2 and 4, once per j
+    legs = [(g <= n) << 1 | t << 2 for g, t in zip(socle_gpd, sub)]
+    code = [(g <= n) | legs[j] for g, j in zip(gpd_of, socle_at)]
     checked = len(code) + 24  # the indecomposables, then 12 pairs and 12 triples
     if code.count(0) + code.count(7) == len(code):
         return VerifierResult("gp-socle-sub", n, True, checked)
     text = _texts(alg)
-    socle_gpd_at = [socle_gpd[j] for j in socle_at]
     # c > 3 and bits > 3: the torsionless bit 4 is set
     witnesses = [
         {
             "module": text[p],
             "gpd": gpd_of[p],
-            "socle_gpd": socle_gpd_at[p],
+            "socle_gpd": socle_gpd[socle_at[p]],
             "in_sub_lambda": c > 3,
         }
         for p, c in enumerate(code)
         if c and c != 7
     ]
     for pieces in _sample_positions(alg, seed):
-        bits = 7
-        for p in pieces:
-            bits &= code[p]
+        # a pair's last summand is its second: & and max take it twice
+        a, b, c = pieces[0], pieces[1], pieces[-1]
+        bits = code[a] & code[b] & code[c]
         if bits and bits != 7:
+            sa, sb, sc = socle_at[a], socle_at[b], socle_at[c]
             witnesses.append(
                 {
                     "module": "+".join([text[p] for p in sorted(pieces)]),
-                    "gpd": max([gpd_of[p] for p in pieces]),
-                    "socle_gpd": max([socle_gpd_at[p] for p in pieces]),
+                    "gpd": max(gpd_of[a], gpd_of[b], gpd_of[c]),
+                    "socle_gpd": max(socle_gpd[sa], socle_gpd[sb], socle_gpd[sc]),
                     "in_sub_lambda": bits > 3,
                 }
             )
@@ -264,7 +275,7 @@ def verify_thm31_count(alg: KupischSeries, n: int) -> VerifierResult:
     number with Gpd <= n equals the number of projective-injective
     indecomposables."""
     _at_least(n, 0, "the level n must be >= 0", PreconditionFailed)
-    if all(c == 1 for c in alg.lengths):
+    if max(alg.lengths) == 1:
         raise PreconditionFailed("semisimple algebra; the count is degenerate")
     if not is_minimal_ag(alg, n):
         raise PreconditionFailed(
@@ -306,27 +317,32 @@ def verify_ses_gpd_bounds(alg: KupischSeries) -> VerifierResult:
     Gpd Y <= max(Gpd X, Gpd Z), Gpd X <= max(Gpd Y, Gpd Z - 1),
     Gpd Z <= max(Gpd Y, Gpd X + 1).  The walk takes (base, c) off the
     index's simples and the Kupisch lengths, base the position of S(i),
-    and Y = M(i, t + 1) at base + t.  Each cut tests the three bounds
-    once, and only a witness names the ones it breaks; its text comes
-    from the row of position texts."""
+    and Y = M(i, t + 1) at base + t.  For each vertex and s it reads Z =
+    M(i, s) and the start of X once; then t runs over the two contiguous
+    rows of X and Y.  Each cut tests the three bounds once, and the
+    witnesses come in (vertex, t, s) order; only a witness names the
+    bounds it breaks, and its text comes from the row of position texts."""
     gpd_of = _gpd_table(alg)
     idx = _index(alg)
     simple, socle_at = idx.simple, idx.socle
     checked = 0
     cuts = []
     for base, c in zip(simple, alg.lengths):
-        for t in range(1, c):
-            gy = gpd_of[base + t]
-            for s in range(1, t + 1):
-                # X = rad^s Y starts at the socle vertex of M(i, s + 1)
-                px = simple[socle_at[base + s] - 1] + t - s
-                gx, gz = gpd_of[px], gpd_of[base + s - 1]
+        for s in range(1, c):
+            pz = base + s - 1
+            gz = gpd_of[pz]
+            # X = rad^s Y starts at the socle vertex of M(i, s + 1): the
+            # simple there at t = s, and at every t it sits at dx + t
+            dx = simple[socle_at[base + s] - 1] - s
+            for t in range(s, c):
+                gx, gy = gpd_of[dx + t], gpd_of[base + t]
                 if gy > gx and gy > gz or gx > gy and gx >= gz or gz > gy and gz > gx + 1:
-                    cuts.append((px, base + t, base + s - 1))
-            checked += t
+                    cuts.append((base + t, pz, dx + t))
+        checked += c * (c - 1) // 2
+    cuts.sort()  # Y's position orders by (vertex, t), Z's by s
     text = _texts(alg) if cuts else []
     witnesses = []
-    for px, py, pz in cuts:
+    for py, pz, px in cuts:
         gx, gy, gz = gpd_of[px], gpd_of[py], gpd_of[pz]
         breaks = (
             ("middle", gy > gx and gy > gz),
@@ -394,7 +410,7 @@ def classify(alg: KupischSeries, seed: int = 0) -> ClassificationReport:
     simples = _index(alg).simple
     if g.is_finite:
         gpd_of = _gpd_table(alg)
-        simple_gpd = tuple(gpd_of[p] for p in simples)
+        simple_gpd = tuple([gpd_of[p] for p in simples])
         n_check = max(g.value - 1, 0)
         verdicts = {
             "prinj": verify_thm_prinj(alg, n_check).to_json(),
@@ -403,12 +419,12 @@ def classify(alg: KupischSeries, seed: int = 0) -> ClassificationReport:
         }
     else:
         pd_of = _pd_table(alg)
-        simple_gpd = tuple(ExtendedNat(pd_of[p]) for p in simples)
+        simple_gpd = tuple([ExtendedNat(pd_of[p]) for p in simples])
         error = "infinite Gorenstein degree"  # thm31-count is decided below
         verdicts = {name: _verdict("error", note=error) for name in VERDICTS[:3]}
 
     mag = minimal_ag_parameter(alg)
-    if all(c == 1 for c in alg.lengths):
+    if max(alg.lengths) == 1:
         count = _verdict("skipped", note="semisimple algebra")
     elif mag is None:
         count = _verdict("skipped", note="not minimal Auslander-Gorenstein")

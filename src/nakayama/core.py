@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import total_ordering, wraps
+from types import MappingProxyType
 from typing import Iterator, Sequence
 
 from .errors import EmptySeries, InternalInconsistency, NotAdmissible
@@ -132,22 +133,29 @@ def _at_least(value, least: int, message: str, error=ValueError) -> None:
         raise error(f"{message}, got {value!r}")
 
 
+_NO_TABLES = MappingProxyType({})  # KupischSeries._memo before its first table
+_MISSING = object()
+
+
 def per_algebra(build):
     """Memoize a per-algebra table: build(alg) runs once per algebra and
     its result is kept in the algebra's `_memo` dict, under the builder's
     dotted name.  The key is a string so that the algebra still pickles.
-    A hit is one lookup in the memo."""
+    A hit is one `get` on the memo, and a miss raises nothing: until its
+    first table is built, an algebra's `_memo` is the class's empty
+    read-only mapping, and its own dict is made once a build returns.
+    An error raised inside a build propagates and leaves no entry."""
     key = f"{build.__module__}.{build.__qualname__}"
 
     @wraps(build)
     def table(alg):
-        try:
-            return alg._memo[key]
-        except AttributeError:
-            memo = alg.__dict__["_memo"] = {}
-        except KeyError:
-            memo = alg._memo
-        memo[key] = value = build(alg)
+        memo = alg._memo
+        value = memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = build(alg)
+            if memo is _NO_TABLES:  # the build may have made the dict itself
+                memo = alg.__dict__.setdefault("_memo", {})
+            memo[key] = value
         return value
 
     return table
@@ -163,6 +171,7 @@ class KupischSeries:
 
     lengths: tuple[int, ...]
     cyclic: bool
+    _memo = _NO_TABLES  # not a field: per_algebra gives each instance its own
 
     # -- construction ---------------------------------------------------
 
@@ -320,19 +329,24 @@ def _series(v: int, max_length: int, cyclic: bool) -> Iterator[tuple[int, ...]]:
     yield from rec(1, 1)
 
 
-def _quivers(max_vertices: int, shapes: Sequence[str]) -> list[tuple[int, bool]]:
-    """The (v, cyclic) blocks of the enumeration, in its order: linear
-    shapes first, then cyclic, each by vertex count.  ValueError on a
-    shape other than "linear" or "cyclic"."""
+def _quivers(
+    max_vertices: int, max_length: int, shapes: Sequence[str]
+) -> Iterator[tuple[int, bool]]:
+    """The (v, cyclic) blocks of the enumeration, in its order, lazily:
+    linear shapes first, then cyclic, each by vertex count.  Only blocks
+    that hold a series come out: every vertex but a linear sink has
+    c >= 2, so a max_length of 1 admits linear (1) alone.  ValueError, at
+    the call, on a shape other than "linear" or "cyclic"."""
     unknown = [shape for shape in shapes if shape not in ("linear", "cyclic")]
     if unknown:
         raise ValueError(f"unknown shapes {unknown}; want 'linear' or 'cyclic'")
-    return [
+    top = max_vertices if max_length >= 2 else min(max_vertices, max_length)
+    return (
         (v, cyclic)
         for shape, cyclic in (("linear", False), ("cyclic", True))
-        if shape in shapes
-        for v in range(1, max_vertices + 1)
-    ]
+        if shape in shapes and (max_length >= 2 or not cyclic)
+        for v in range(1, top + 1)
+    )
 
 
 def iter_admissible(
@@ -349,7 +363,7 @@ def iter_admissible(
     shapes are checked at the call: ValueError on a shape other than
     "linear" or "cyclic", before anything is yielded.
     """
-    quivers = _quivers(max_vertices, shapes)
+    quivers = _quivers(max_vertices, max_length, shapes)
     return (
         KupischSeries(s, cyclic)
         for v, cyclic in quivers
@@ -366,7 +380,7 @@ def count_admissible(
     algebra.  ValueError on an unknown shape, as there."""
     return sum(
         1
-        for v, cyclic in _quivers(max_vertices, shapes)
+        for v, cyclic in _quivers(max_vertices, max_length, shapes)
         for _ in _series(v, max_length, cyclic)
     )
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from nakayama import (
     INFINITY, ExtendedNat, IntervalModule, KupischSeries, ModuleSum, PreclusterVerdict,
-    embeds_in, enumerate_admissible, ext_dim, format_module, gorenstein_degree,
+    domdim, embeds_in, enumerate_admissible, ext_dim, format_module, gorenstein_degree,
     indecomposables, injective, injective_coresolution, injective_envelope,
     is_precluster, is_projective, oracle, projective, radical_power, radical_quotient,
     realize, regular_id, regular_module, socle, tau_n, tau_n_inverse,
@@ -224,6 +224,15 @@ def reference_domdim(alg):
     depths = _depths(succ)
     lead = [depths[p] for p in idx.projective]
     return min((ExtendedNat(k) for k in lead if k is not None), default=INFINITY)
+
+
+def reference_least_level(alg, dim, floor):
+    """The former classify._least_level: the candidate level compared
+    with the dominant dimension through ExtendedNat."""
+    if not dim.is_finite:
+        return None
+    n = max(dim.value - 1, floor)
+    return n if domdim(alg) >= ExtendedNat(n + 1) else None
 
 
 def reference_regular_id_left(alg):
@@ -634,6 +643,7 @@ ROUTES = {
     reference_depths: ("nakayama.homology._depths", None),
     reference_coresolution_domdim: ("nakayama.homology.domdim", (5, 7)),
     reference_domdim: ("nakayama.homology.domdim", (7, 9)),
+    reference_least_level: ("nakayama.classify._least_level", (6, 8)),
     reference_regular_id_left: ("nakayama.homology.regular_id_left", (6, 8)),
     reference_stable_hom_dim: ("nakayama.homology.ext_dim", (5, 7)),
     reference_ext_gpd: ("nakayama.homology.gpd", (6, 8)),

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 from itertools import product
 
 import pytest
 from references import (
     CYCLIC, LINEAR, SELFINJ, WILD, pool, pool_of, reference_ext_gpd, reference_gp_socle_sub,
-    reference_sample_positions, reference_ses_gpd_bounds, reference_verify_gp_socle_sub,
-    reference_verify_ses_gpd_bounds,
+    reference_least_level, reference_sample_positions, reference_ses_gpd_bounds,
+    reference_verify_gp_socle_sub, reference_verify_ses_gpd_bounds,
 )
 
 from nakayama import (
@@ -18,6 +19,8 @@ from nakayama import (
     NotGorenstein,
     PreconditionFailed,
     classify,
+    domdim,
+    gldim,
     gorenstein_degree,
     indecomposables,
     is_minimal_ag,
@@ -26,14 +29,15 @@ from nakayama import (
     minimal_ag_parameter,
     n_auslander_parameter,
     prinj_vertices,
+    regular_id,
     verify_ses_gpd_bounds,
     verify_thm31_count,
     verify_thm_gp_socle_sub,
     verify_thm_prinj,
 )
-from nakayama.classify import REPORT_KEYS, _sample_positions
+from nakayama.classify import REPORT_KEYS, _sample_positions, _text_row, _texts
 from nakayama.modules import _Index, _interval_at
-from nakayama import sweepfile
+from nakayama import parse_module, sweepfile
 from nakayama.notation import format_interval, interval_text
 from nakayama.sweepfile import violations
 
@@ -77,6 +81,24 @@ class TestPredicates:
         assert prinj_vertices(CYCLIC) == (2, 3)
         assert prinj_vertices(LINEAR) == (1, 2, 3, 4)
         assert prinj_vertices(SELFINJ) == (1, 2, 3)
+
+    def test_least_levels_match_the_extended_nat_body(self):
+        """Over the 6/8 pool, self-injective series (infinite domdim)
+        among them: both parameters, and both predicates at n = 0..3, are
+        the former body's, which compared through ExtendedNat."""
+        found, infinite = set(), 0
+        for alg in pool_of(reference_least_level):
+            infinite += not domdim(alg).is_finite
+            for dim, parameter, predicate in (
+                (regular_id(alg), minimal_ag_parameter, is_minimal_ag),
+                (gldim(alg), n_auslander_parameter, is_n_auslander),
+            ):
+                want = reference_least_level(alg, dim, 0)
+                assert parameter(alg) == want, (alg, parameter)
+                found.add(want is None)
+                for n in range(4):
+                    assert predicate(alg, n) == (reference_least_level(alg, dim, n) == n)
+        assert infinite > 0 and found == {False, True}
 
 
 class TestPrinjVerifier:
@@ -429,6 +451,45 @@ def test_position_text_is_format_interval():
         for p, m in enumerate(indecomposables(alg)):
             assert _interval_at(offset, p) == (m.start, m.length), (alg, p)
             assert interval_text(*_interval_at(offset, p)) == format_interval(m)
+
+
+def test_texts_join_the_shared_rows():
+    """With rows of a 7/9 algebra already cached, _texts gives the text
+    at every position of the 6/8 pool, and the cache of rows, keyed by
+    (vertex, length) ints, holds strings and no algebra."""
+    _texts(KupischSeries.validate([9, 9, 9, 9, 9, 9, 9], True))
+    for alg in POOL_6_8:
+        offset = classify_tables._index(alg).offset
+        want = [interval_text(*_interval_at(offset, p)) for p in range(alg.total_dim)]
+        assert _texts(alg) == want, alg
+    held = gc.get_referents(_text_row)
+    rows = [r for r in held if isinstance(r, tuple) and r and type(r[0]) is str]
+    keys = [r for r in held if isinstance(r, tuple) and r and type(r[0]) is int]
+    assert len(rows) == len(keys) == _text_row.cache_info().currsize > 0
+    assert all(type(text) is str for row in rows for text in row)
+    assert all(len(key) == 2 and {type(k) for k in key} == {int} for key in keys)
+    assert not any(isinstance(r, KupischSeries) for r in held)
+
+
+def test_lemma22_witnesses_keep_the_former_order():
+    """A doctored Gpd table in the memo gives one algebra witnesses over
+    several (vertex, t, s): they come in the former (vertex, t, s) order,
+    which is not the walk's (vertex, s, t) order, and match the
+    reference route's."""
+    alg = KupischSeries.validate([4, 4, 4, 3, 2, 1], False)
+    table = [(p * 7) % 5 for p in range(alg.total_dim)]
+    alg.__dict__.setdefault("_memo", {})["nakayama.homology._gpd_table"] = table
+    got = verify_ses_gpd_bounds(alg).to_json()
+    assert got == reference_ses_gpd_bounds(alg, dict(zip(indecomposables(alg), table)))
+
+    def cut(w):  # (vertex, t, s) of a witness, off Y = M(i, t + 1) and Z = M(i, s)
+        ((y,), (z,)) = parse_module(alg, w["middle"]), parse_module(alg, w["quotient"])
+        return y.start, y.length - 1, z.length
+
+    order = [cut(w) for w in got["witnesses"]]
+    assert len({i for i, _, _ in order}) > 1
+    assert order == sorted(order)
+    assert order != sorted(order, key=lambda c: (c[0], c[2], c[1]))
 
 
 def test_lemma22_position_witnesses_match_former_body(monkeypatch):

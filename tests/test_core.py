@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,7 @@ from references import (
     reference_series,
 )
 
+import nakayama
 from nakayama import (
     INFINITY,
     EmptySeries,
@@ -296,6 +301,34 @@ class TestStreamAndCount:
         sizes = {**POOL_SIZES, (9, 11): 28_285, (10, 12): 104_822}
         assert {key: count_admissible(*key) for key in sizes} == sizes
 
+    def test_length_one_bounds_finish_at_once(self, tmp_path):
+        # Every vertex but a linear sink has c >= 2, so L = 1 admits
+        # linear (1) alone, whatever the vertex bound.  The child is
+        # capped at 1 GB, so a walk over every vertex count fails fast.
+        code = (
+            "import resource, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from nakayama import count_admissible, enumerate_admissible\n"
+            "t = time.perf_counter()\n"
+            "n = count_admissible(10**12, 1)\n"
+            "print(n, time.perf_counter() - t)\n"
+            "print([(a.lengths, a.cyclic) for a in enumerate_admissible(10**12, 1)])\n"
+        )
+        src = str(Path(nakayama.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        count, seconds = out.stdout.splitlines()[0].split()
+        assert count == "1" and float(seconds) < 1
+        assert out.stdout.splitlines()[1] == "[((1,), False)]"
+
     @pytest.mark.parametrize("v", range(1, 10))
     def test_linear_count_is_catalan(self, v):
         # with L >= v no length bound binds: Catalan(v - 1) series on v vertices
@@ -348,6 +381,45 @@ class TestPerAlgebraMemo:
         a, b = (KupischSeries.validate([3, 3, 4], True) for _ in range(2))
         assert (table(a), table(a), table(b)) == (1, 1, 2)
         assert a.__dict__["_memo"] == {f"{__name__}.{table.__qualname__}": 1}
+
+    def test_a_hit_does_not_call_the_build(self):
+        def refuse(alg):
+            raise AssertionError(f"built again over {alg.lengths}")
+
+        table = per_algebra(refuse)
+        alg = KupischSeries.validate([3, 3, 4], True)
+        alg.__dict__["_memo"] = {f"{refuse.__module__}.{refuse.__qualname__}": "kept"}
+        assert (table(alg), table(alg)) == ("kept", "kept")
+
+    @pytest.mark.parametrize("first_table", [True, False], ids=["first", "later"])
+    @pytest.mark.parametrize("error", [KeyError, AttributeError])
+    def test_an_error_inside_a_build_propagates_and_leaves_no_entry(
+        self, error, first_table
+    ):
+        # a KeyError or AttributeError from the build is not a memo miss
+        raised = error("inside the build")
+        calls = []
+
+        @per_algebra
+        def table(alg):
+            calls.append(alg)
+            if len(calls) == 1:
+                raise raised
+            return len(calls)
+
+        alg = KupischSeries.validate([3, 3, 4], True)
+        if not first_table:
+            _index(alg)
+        with pytest.raises(error) as info:
+            table(alg)
+        assert info.value is raised
+        key = f"{__name__}.{table.__qualname__}"
+        if first_table:
+            assert "_memo" not in alg.__dict__
+        else:
+            assert key not in alg.__dict__["_memo"]
+        assert (table(alg), table(alg), len(calls)) == (2, 2, 2)
+        assert alg.__dict__["_memo"][key] == 2
 
     def test_classified_algebra_pickles(self):
         alg = KupischSeries.validate([3, 3, 4], True)

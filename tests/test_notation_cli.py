@@ -1043,6 +1043,24 @@ def test_serial_sweep_loads_no_process_pool(tmp_path):
     assert out.stdout.strip().splitlines()[-1] == "False"
 
 
+def test_length_one_sweep_over_a_huge_vertex_bound(tmp_path):
+    # only linear (1) is admissible; the child is capped at 1 GB, so a
+    # walk over every vertex count fails fast instead of hanging
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from nakayama.cli import main\n"
+        "argv = ['sweep', '--max-vertices', '1000000000000', '--max-length', '1',\n"
+        "        '--out', 'o.jsonl']\n"
+        "raise SystemExit(main(argv))\n"
+    )
+    out = run_python("-c", code, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["algebras"] == 1
+    records = (tmp_path / "o.jsonl").read_text().splitlines()
+    assert [json.loads(line)["kupisch"] for line in records] == [[1]]
+
+
 def test_version_is_declared_once():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
