@@ -336,7 +336,10 @@ def _quivers(
     linear shapes first, then cyclic, each by vertex count.  Only blocks
     that hold a series come out: every vertex but a linear sink has
     c >= 2, so a max_length of 1 admits linear (1) alone.  ValueError, at
-    the call, on a shape other than "linear" or "cyclic"."""
+    the call, on a bound that is not a plain int >= 0 (`_at_least`: True
+    is not 1, nor 3.0 3) or a shape other than "linear" or "cyclic"."""
+    _at_least(max_vertices, 0, "max_vertices must be >= 0")
+    _at_least(max_length, 0, "max_length must be >= 0")
     unknown = [shape for shape in shapes if shape not in ("linear", "cyclic")]
     if unknown:
         raise ValueError(f"unknown shapes {unknown}; want 'linear' or 'cyclic'")
@@ -360,8 +363,9 @@ def iter_admissible(
     reproducible byte for byte.  Each series comes out canonical and in
     that order by construction.  Nothing is kept between algebras, so a
     caller that holds none walks any bound in constant memory.  The
-    shapes are checked at the call: ValueError on a shape other than
-    "linear" or "cyclic", before anything is yielded.
+    bounds and shapes are checked at the call, before anything is
+    yielded: ValueError on a bound that is not a plain int >= 0 or a
+    shape other than "linear" or "cyclic".
     """
     quivers = _quivers(max_vertices, max_length, shapes)
     return (
@@ -377,7 +381,7 @@ def count_admissible(
     shapes: Sequence[str] = ("linear", "cyclic"),
 ) -> int:
     """len(enumerate_admissible(...)) from the same walk, building no
-    algebra.  ValueError on an unknown shape, as there."""
+    algebra.  ValueError on a bad bound or an unknown shape, as there."""
     return sum(
         1
         for v, cyclic in _quivers(max_vertices, max_length, shapes)
@@ -391,5 +395,6 @@ def enumerate_admissible(
     shapes: Sequence[str] = ("linear", "cyclic"),
 ) -> list[KupischSeries]:
     """All admissible algebras within the bounds, as a list: the algebras
-    of `iter_admissible`, in its order.  ValueError on an unknown shape."""
+    of `iter_admissible`, in its order.  ValueError on a bad bound or an
+    unknown shape."""
     return list(iter_admissible(max_vertices, max_length, shapes))

@@ -29,6 +29,7 @@ from .modules import (
     _Index,
     _index,
     _interval_at,
+    _intervals,
     _position,
     _positions,
     _split,
@@ -199,17 +200,17 @@ def _source(succ: list[int], p: int, k: int) -> int:
 
 
 def _ext1(alg: KupischSeries, idx: _Index, q: int, targets) -> list[int]:
-    """dim Ext^1(z, y) for the interval y at each position of targets, z
-    the non-projective interval at position q, by its minimal presentation
-    off alg's index idx, with z, Omega z and P(z) = M(zs, c) read once per
-    row: 0 -> Hom(z,y) -> Hom(P(z),y) -> Hom(Omega z,y) -> Ext^1(z,y) -> 0."""
+    """dim Ext^1(z, y) for the interval y = M(s, l) of each (s, l) pair of
+    targets, z the non-projective interval at position q, by its minimal
+    presentation off alg's index idx, with z, Omega z and P(z) = M(zs, c)
+    read once per row: 0 -> Hom(z,y) -> Hom(P(z),y) -> Hom(Omega z,y) ->
+    Ext^1(z,y) -> 0."""
     offset = idx.offset
     zs, zl = _interval_at(offset, q)
     ws, wl = _interval_at(offset, idx.omega[q])
     c = alg.lengths[zs - 1]
     row = []
-    for y in targets:
-        s, l = _interval_at(offset, y)
+    for s, l in targets:
         val = _hom(alg, ws, wl, s, l) - _hom(alg, zs, c, s, l) + _hom(alg, zs, zl, s, l)
         if val < 0:
             raise InternalInconsistency(
@@ -220,17 +221,22 @@ def _ext1(alg: KupischSeries, idx: _Index, q: int, targets) -> list[int]:
 
 
 def ext_dim(alg: KupischSeries, x, y, k: int) -> int:
-    """dim Ext^k(x, y), additive over summands; k = 0 is hom_dim."""
+    """dim Ext^k(x, y), additive over summands; k = 0 is hom_dim.  Each
+    summand's checked (start, length) pair is read once, y's first, an
+    interval's with no list.  Ext^k(a, y) is the sum of the `_ext1` row
+    of Omega^(k-1) a (`_source`) over y's pairs, the rows that
+    `search_precluster` reads."""
     _at_least(k, 0, "ext_dim wants k >= 0")
     if k == 0:
         return hom_dim(alg, x, y)
-    targets = _positions(alg, y)
+    ys = _intervals(alg, y)
     idx = _index(alg)
+    offset = idx.offset
     total = 0
-    for p in _positions(alg, x):
-        q = _source(idx.omega, p, k)
+    for s, l in _intervals(alg, x):
+        q = _source(idx.omega, offset[s - 1] + l - 1, k)
         if q >= 0:
-            total += sum(_ext1(alg, idx, q, targets))
+            total += sum(_ext1(alg, idx, q, ys))
     return total
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .core import KupischSeries, _at_least, _vertex, per_algebra
 from .errors import InternalInconsistency, NotAdmissible
@@ -171,14 +171,19 @@ def _interval(alg: KupischSeries, m: IntervalModule) -> tuple[int, int]:
     """(start, length) of m, checked: a start that `core._vertex` refuses
     or a length that is not a plain int in 1..c_start (True is not 1, nor
     2.0 2) raises NotAdmissible naming m, and anything but an interval
-    TypeError naming its type."""
+    TypeError naming its type.  A start that passes `_vertex`'s test is
+    read without the call; any other goes through it, for its message."""
     if not isinstance(m, IntervalModule):
         raise TypeError(f"expected IntervalModule, got {type(m).__name__}")
     start, length = m.start, m.length
-    try:
-        c = alg.lengths[_vertex(alg, start) - 1]
-    except NotAdmissible as exc:
-        raise NotAdmissible(f"{m} is not well-formed: {exc}") from None
+    lengths = alg.lengths
+    if type(start) is int and 0 < start <= len(lengths):  # `core._vertex`'s test
+        c = lengths[start - 1]
+    else:
+        try:
+            c = lengths[_vertex(alg, start) - 1]
+        except NotAdmissible as exc:
+            raise NotAdmissible(f"{m} is not well-formed: {exc}") from None
     if type(length) is not int or not 0 < length <= c:
         raise NotAdmissible(f"{m} is not well-formed: length must be an int in 1..{c}")
     return start, length
@@ -390,8 +395,10 @@ def in_sub_lambda(alg: KupischSeries, m) -> bool:
 def hom_dim(alg: KupischSeries, x, y) -> int:
     """dim Hom(x, y) for intervals or sums: Hom is additive in each
     argument, so it is the sum over the summand pairs.  NotAdmissible for
-    an interval that is not a module over alg.  No ModuleSum and no
-    generator: on two intervals either would cost more than _hom."""
+    an interval that is not a module over alg.  Each summand's checked
+    (start, length) pair is read once, an interval's with no list; no
+    ModuleSum and no generator, since on two intervals either would cost
+    more than _hom."""
     xs, ys = _intervals(alg, x), _intervals(alg, y)
     total = 0
     for a, al in xs:
@@ -400,10 +407,11 @@ def hom_dim(alg: KupischSeries, x, y) -> int:
     return total
 
 
-def _intervals(alg: KupischSeries, m) -> list[tuple[int, int]]:
-    """The checked (start, length) pairs of the summands of m."""
+def _intervals(alg: KupischSeries, m) -> Sequence[tuple[int, int]]:
+    """The checked (start, length) pairs of the summands of m; an
+    interval is one pair, with no list."""
     if type(m) is IntervalModule:
-        return [_interval(alg, m)]
+        return (_interval(alg, m),)
     return [_interval(alg, piece) for piece in _split(m)]
 
 

@@ -25,29 +25,33 @@ Hom(x, y); dim Hom is its length.  The kernel table holds the kernel's
 name, checked against its realization, and the cover coordinates it
 keeps, so Ext^1 reads Hom(K, y) from the Hom table and restricts the
 cover's basis to them.  None of it depends on a call's caps.  Each call
-checks each argument in one pass (`_codes`) before it reads the state:
-every summand against the Kupisch lengths, its start by `core._vertex`,
-a start or length that is not a plain int refused (True is not 1, nor
-2.0 2), the summand turned into its code, and the caps checked.  Hom
-and Ext^1 then read the state's rows directly and compute a pair only
-on a miss.  Hom and Ext^1 are additive in each argument, so a sum is
-answered from its summand pairs.  Injectivity is Baer's criterion on
-the same Ext^1 table, with each simple S_i under its own
-c_i: over a finite-dimensional algebra m is injective exactly when
-Ext^1(S, m) = 0 for every simple S.  One field is held at a time (a
-one-slot lru_cache over p): a query over another field drops every
-state.  Memory grows with the quivers and intervals queried, not with
-the number of algebras.  The states keep no algebra and live outside
-the algebra's `_memo` (`core.per_algebra`), so the oracle shares no
-per-algebra state with the engine it checks.  The AR translate reads
-the algebra's paths, listed once per algebra and kept for one algebra
-at a time, since they read every Kupisch length; it is answered
-summand by summand.
+checks the field, then each argument once (`_codes`: its summands, then
+its cap), and only then reads the state.  An interval is checked against
+the Kupisch lengths, its start by `core._vertex` (True is not 1, nor 2.0
+2), and turned into its code with no list and no loop; a sum is checked
+summand by summand.  The state of the field held costs one cached call
+and one dict read (`_state`).  Hom and Ext^1 then read the state's row
+once per summand pair and compute a pair only on a miss.  Hom and Ext^1
+are additive in each argument, so a sum is answered from its summand
+pairs.  Injectivity is Baer's criterion on the same Ext^1 table, with
+each simple S_i under its own c_i: over a finite-dimensional algebra m
+is injective exactly when Ext^1(S, m) = 0 for every simple S.  One field
+is held at a time (a one-slot lru_cache over p): a query over another
+field drops every state.  Memory grows with the quivers and intervals
+queried, not with the number of algebras.  The states keep no algebra
+and live outside the algebra's `_memo` (`core.per_algebra`), so the
+oracle shares no per-algebra state with the engine it checks.  The AR
+translate reads the algebra's paths, listed once per algebra and kept
+for one algebra at a time, since they read every Kupisch length; it is
+answered summand by summand, and its ranks are counts of 1s (`_tau1`),
+so it eliminates nothing.  A second pass of the four queries over pairs
+already asked realizes, builds and reduces nothing.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import defaultdict
 
 from .core import KupischSeries, _vertex
 from .errors import DimensionCapExceeded, InternalInconsistency, NotAdmissible
@@ -88,32 +92,39 @@ def _check_int_prime(p: int):
 
 def _codes(
     alg: KupischSeries, m, cap: int | None, covers: bool = False
-) -> list[int]:
+) -> tuple[int, ...] | list[int]:
     """The interval codes (length - 1) * v + start - 1 of m's summands,
-    the cross-check state's keys, in one pass that checks each summand
-    and the cap.  Each summand is checked against the Kupisch lengths
-    directly (not through the engine's index, which is under test), its
-    start by `core._vertex`: a start or length that is not a plain int,
-    or an interval that is not a module over alg, raises NotAdmissible
-    naming it.  DimensionCapExceeded when m's dimension exceeds cap, or
-    with covers, when one summand's projective cover does; no check when
-    cap is None."""
+    the cross-check state's keys, with each summand checked and then the
+    cap.  An interval is answered directly, a sum summand by summand.
+    Each interval is checked against the Kupisch lengths directly (not
+    through the engine's index, which is under test), its start by
+    `core._vertex` (called only for a start that fails its test, for the
+    message): a start or length that is not a plain int, or an interval
+    that is not a module over alg, raises NotAdmissible naming it; a sum
+    holding anything but intervals, TypeError naming its type.
+    DimensionCapExceeded when m's dimension exceeds cap, or with covers,
+    when one summand's projective cover does; no check when cap is None."""
     lengths = alg.lengths
-    v = len(lengths)
-    codes, dim = [], 0
-    for piece in (m,) if type(m) is IntervalModule else _split(m):
-        start, length = piece.start, piece.length
-        try:
-            c = lengths[_vertex(alg, start) - 1]
-        except NotAdmissible as exc:
-            raise NotAdmissible(f"{piece} is not a module over {lengths}: {exc}") from None
+    if isinstance(m, IntervalModule):
+        start, length = m.start, m.length
+        if type(start) is int and 0 < start <= len(lengths):  # `_vertex`'s test
+            c = lengths[start - 1]
+        else:
+            try:
+                c = lengths[_vertex(alg, start) - 1]
+            except NotAdmissible as exc:
+                raise NotAdmissible(f"{m} is not a module over {lengths}: {exc}") from None
         if type(length) is not int or not 0 < length <= c:
-            raise NotAdmissible(f"{piece} is not a module over {lengths}")
-        codes.append((length - 1) * v + start - 1)
-        if not covers:
-            dim += length
-        elif c > dim:
-            dim = c
+            raise NotAdmissible(f"{m} is not a module over {lengths}")
+        codes, dim = ((length - 1) * len(lengths) + start - 1,), c if covers else length
+    else:
+        codes, dim = [], 0
+        for piece in _split(m):
+            if not isinstance(piece, IntervalModule):
+                raise TypeError(f"expected IntervalModule, got {type(piece).__name__}")
+            codes += _codes(alg, piece, None)
+            c = lengths[piece.start - 1]
+            dim = (c if c > dim else dim) if covers else dim + piece.length
     if cap is not None and dim > cap:
         raise DimensionCapExceeded(f"module dimension {dim} exceeds cap {cap}")
     return codes
@@ -126,21 +137,26 @@ def _rref(mat: list[list[int]], p: int):
     """Row-reduce mod p; returns (nonzero reduced rows, pivot column list)."""
     rows = [[e % p for e in row] for row in mat]
     pivots = []
-    r = 0
+    r, n = 0, len(rows)
     for c in range(len(rows[0]) if rows else 0):
-        lead = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if lead is None:
+        for lead in range(r, n):
+            if rows[lead][c]:
+                break
+        else:
             continue
-        rows[r], rows[lead] = rows[lead], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        pivot = rows[r] = [e * inv % p for e in rows[r]]
+        pivot = rows[lead]
+        rows[lead] = rows[r]
+        if pivot[c] != 1:  # always 1 over F_2
+            inv = pow(pivot[c], p - 2, p)
+            pivot = [e * inv % p for e in pivot]
+        rows[r] = pivot
         for i, row in enumerate(rows):
-            if i != r and row[c]:
-                f = row[c]
+            f = row[c]
+            if f and i != r:
                 rows[i] = [(e - f * q) % p for e, q in zip(row, pivot)]
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == n:
             break
     return rows[:r], pivots
 
@@ -285,7 +301,8 @@ def _restriction(cover: MatrixRep, y: MatrixRep, keep: list[list[int]]) -> list[
     vertex w, the columns keep[w-1] of every row of the block f_w."""
     kept, o = [], 0
     for dx, dy, cols in zip(cover.dims, y.dims, keep):
-        kept += [o + a * dx + k for a in range(dy) for k in cols]
+        if dy and cols:
+            kept += [o + a * dx + k for a in range(dy) for k in cols]
         o += dx * dy
     return kept
 
@@ -325,17 +342,18 @@ class _OracleState:
     need no tuple per entry; kernels and Ext^1 also by the calling
     algebra's cover length c.  Each ordered pair (x, y) is eliminated
     once, for a basis of Hom(x, y), whichever algebra asks first.  Each
-    table is built on first use from the ones before it, and stored only
-    once it is complete.  The methods take the calling algebra for its
-    vertex walk, and keep no reference to it."""
+    entry is built on first use from the tables before it, and stored
+    only once it is complete; a Hom or Ext^1 row is made empty on its
+    first read.  The methods take the calling algebra for its vertex
+    walk, and keep no reference to it."""
 
     def __init__(self, v: int, p: int):
         self.v = v
         self.p = p
         self.reps: dict = {}  # x -> MatrixRep
-        self.homs: dict = {}  # x -> {y: basis of Hom(x, y), solutions of its system}
+        self.homs = defaultdict(dict)  # x -> {y: basis of Hom(x, y)}
         self.kernels: dict = {}  # (x, c) -> (code of K or None, K's coordinates in P)
-        self.ext1s: dict = {}  # (x, c) -> {y: dim Ext^1(x, y)}
+        self.ext1s = defaultdict(dict)  # (x, c) -> {y: dim Ext^1(x, y)}
 
     def code(self, start: int, length: int) -> int:
         return (length - 1) * self.v + start - 1
@@ -354,7 +372,7 @@ class _OracleState:
     def hom(self, alg: KupischSeries, x: int, y: int) -> list:
         """A basis of Hom(x, y), the null space of the pair's system; dim
         Hom(x, y) is its length."""
-        row = self.homs.setdefault(x, {})
+        row = self.homs[x]
         basis = row.get(y)
         if basis is None:
             system, _, nvars = _hom_system(self.rep(alg, x), self.rep(alg, y))
@@ -396,13 +414,15 @@ def _fields(p: int) -> dict:
 
 
 def _state(alg: KupischSeries, p: int) -> _OracleState:
-    """The cross-check state of alg's quiver over F_p."""
+    """The cross-check state of alg's quiver over F_p: for the field
+    held, one cached call and one dict read."""
     states = _fields(p)
-    quiver = (len(alg.lengths), alg.cyclic)
-    st = states.get(quiver)
-    if st is None:
+    quiver = len(alg.lengths), alg.cyclic
+    try:
+        return states[quiver]
+    except KeyError:
         st = states[quiver] = _OracleState(quiver[0], p)
-    return st
+        return st
 
 
 @functools.lru_cache(maxsize=1)
@@ -430,9 +450,9 @@ def oracle_hom_dim(
     st = _state(alg, p)
     total = 0
     for a in xs:
-        row = st.homs.get(a)
+        row = st.homs[a]
         for b in ys:
-            basis = row.get(b) if row else None
+            basis = row.get(b)
             total += len(st.hom(alg, a, b) if basis is None else basis)
     return total
 
@@ -445,35 +465,31 @@ def oracle_ext1_dim(
     summed over summand pairs; each pair is computed once per state.
     The caps hold for y and for the cover of each summand of x."""
     _check_prime(p)
-    xs, ys = _codes(alg, x, dim_cap, covers=True), _codes(alg, y, dim_cap)
+    xs, ys = _codes(alg, x, dim_cap, True), _codes(alg, y, dim_cap)
     st = _state(alg, p)
     lengths = alg.lengths
     total = 0
     for a in xs:
         c = lengths[a % st.v]
-        row = st.ext1s.get((a, c))
+        row = st.ext1s[a, c]
         for b in ys:
-            dim = row.get(b) if row else None
+            dim = row.get(b)
             total += _ext1(st, alg, a, c, b) if dim is None else dim
     return total
 
 
 def _ext1(st: _OracleState, alg: KupischSeries, x: int, c: int, y: int) -> int:
     """dim Ext^1(x, y) over the algebras whose cover P(x) has length c,
-    from the state's table, filled on first use.  Hom(K, y) is the Hom
-    table's entry for K's checked name, and a hom P(x) -> y restricts to
-    K by keeping K's coordinates."""
-    row = st.ext1s.get((x, c))
-    dim = row.get(y) if row else None
-    if dim is not None:
-        return dim
+    computed for the state's table on a miss there (the callers read the
+    table first).  Hom(K, y) is the Hom table's entry for K's checked
+    name, and a hom P(x) -> y restricts to K by keeping K's coordinates."""
     name, keep = st.kernel(alg, x, c)
     dim = len(st.hom(alg, name, y)) if name is not None else 0
     if dim:
         cover = st.code(st.interval(x)[0], c)
         kept = _restriction(st.rep(alg, cover), st.rep(alg, y), keep)
         dim -= _rank([[g[k] for k in kept] for g in st.hom(alg, cover, y)], st.p)
-    st.ext1s.setdefault((x, c), {})[y] = dim
+    st.ext1s[x, c][y] = dim
     return dim
 
 
@@ -492,8 +508,10 @@ def oracle_is_injective(
     st = _state(alg, p)
     # S_i = M(i, 1) has code i - 1
     for simple, c in enumerate(alg.lengths):
+        row = st.ext1s[simple, c]
         for code in codes:
-            if _ext1(st, alg, simple, c, code):
+            dim = row.get(code)
+            if _ext1(st, alg, simple, c, code) if dim is None else dim:
                 return False
     return True
 
@@ -535,10 +553,10 @@ def oracle_tau(
             f"algebra dimension {alg.total_dim} exceeds cap {dim_cap}"
         )
     ends = _paths(alg)
-    return ModuleSum(tuple(_tau1(alg, ends, p, i, l) for i, l in pieces))
+    return ModuleSum(tuple(_tau1(alg, ends, i, l) for i, l in pieces))
 
 
-def _tau1(alg: KupischSeries, ends, p: int, i: int, l: int) -> IntervalModule:
+def _tau1(alg: KupischSeries, ends, i: int, l: int) -> IntervalModule:
     """tau of the non-projective interval m = M(i, l) via the
     transpose-dual of its minimal presentation.
 
@@ -546,9 +564,10 @@ def _tau1(alg: KupischSeries, ends, p: int, i: int, l: int) -> IntervalModule:
     right multiplication between spaces of paths with fixed endpoint; the
     transpose is the cokernel presentation of Tr m, and dualizing that
     left module componentwise gives tau m.  All steps are explicit basis
-    bookkeeping plus one rank computation for the top at each vertex
-    whose component is met by an incoming arrow; a vertex with an empty
-    component has top 0."""
+    bookkeeping plus one rank for the top at each vertex whose component
+    is met by an incoming arrow, that of a 0/1 matrix with at most one 1
+    per row and column, so its count of 1s; a vertex with an empty
+    component has top 0.  Nothing here depends on p."""
     lengths = alg.lengths
     image = {(j, t + l) for (j, t) in ends[i - 1] if t + l < lengths[j - 1]}
     coker = [b for b in ends[alg.shift(i, l) - 1] if b not in image]
@@ -567,14 +586,12 @@ def _tau1(alg: KupischSeries, ends, p: int, i: int, l: int) -> IntervalModule:
         if above:
             # left action of the arrow out of pred maps start-vertex
             # component at w to the one at pred; its transpose is the
-            # incoming right action at w of the dual module
-            pos = {t: k for k, (_, t) in enumerate(above)}
-            mat = [[0] * len(here) for _ in above]
-            for k, (_, t) in enumerate(here):
-                row = pos.get(t + 1)
-                if row is not None:
-                    mat[row][k] = 1
-            incoming_rank = _rank(mat, p)
+            # incoming right action at w of the dual module.  Its matrix
+            # has one 1 in the column of (w, t) when (pred, t + 1) is in
+            # above and none elsewhere, no two in a row, so its rank is
+            # its number of 1s
+            lifted = {t for _, t in above}
+            incoming_rank = sum(t + 1 in lifted for _, t in here)
         tops[w - 1] = len(here) - incoming_rank
     if sum(tops) != 1:
         raise InternalInconsistency(

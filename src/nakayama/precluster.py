@@ -117,9 +117,10 @@ def is_precluster(alg: KupischSeries, members, n: int) -> PreclusterVerdict:
                 failures.append(
                     {"condition": label, "member": text(p), "escapes_to": text(q)}
                 )
+    spans = [_interval_at(idx.offset, p) for p in held]
     for p in held:
         sources = ((k, _source(idx.omega, p, k)) for k in range(1, n))
-        rows = [(k, _ext1(alg, idx, q, held)) for k, q in sources if q >= 0]
+        rows = [(k, _ext1(alg, idx, q, spans)) for k, q in sources if q >= 0]
         for j, y in enumerate(held):
             for k, row in rows:
                 if row[j]:
@@ -151,6 +152,7 @@ def _member_masks(alg: KupischSeries, n: int) -> tuple[list[int], list[int]]:
     p share a source, so each row is computed once."""
     idx = _index(alg)
     size = idx.offset[-1]
+    spans = [_interval_at(idx.offset, p) for p in range(size)]
     need, ext, rows = [0] * size, [0] * size, {}
     for p in range(size):
         for q in (_tau_at(idx, p, n, True), _tau_at(idx, p, n, False)):
@@ -161,7 +163,7 @@ def _member_masks(alg: KupischSeries, n: int) -> tuple[list[int], list[int]]:
             if q < 0:
                 break
             if q not in rows:
-                row = _ext1(alg, idx, q, range(size))
+                row = _ext1(alg, idx, q, spans)
                 rows[q] = sum(1 << j for j, d in enumerate(row) if d)
             ext[p] |= rows[q]
     clash = ext[:]

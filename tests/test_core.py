@@ -6,6 +6,7 @@ import itertools
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -282,6 +283,27 @@ class TestSeriesGenerator:
     def test_unknown_shape_is_refused_at_the_call(self, fn):
         with pytest.raises(ValueError, match="cylic"):
             fn(3, 3, ("linear", "cylic"))
+
+    @pytest.mark.parametrize(
+        ("bounds", "name"),
+        [
+            ((True, 3), "max_vertices"),  # counted as a bound of 1
+            ((3, 2.5), "max_length"),
+            ((3.0, 3), "max_vertices"),
+            (("3", 3), "max_vertices"),
+            ((3, True), "max_length"),
+            ((-1, 3), "max_vertices"),
+            ((3, -1), "max_length"),
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("fn", [iter_admissible, count_admissible, enumerate_admissible])
+    def test_bounds_are_plain_ints_checked_at_the_call(self, fn, bounds, name):
+        # refused by core._at_least before anything is walked or yielded,
+        # naming the bound, not a TypeError from inside the walk
+        value = bounds[name == "max_length"]
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be >= 0, got {value!r}")):
+            fn(*bounds)
 
 
 class TestStreamAndCount:

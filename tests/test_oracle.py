@@ -310,9 +310,14 @@ def test_shares_no_state_with_the_engine(call):
 
 
 # REFUSALS[kind] = (m, keyword arguments, error): a query over CYCLIC
-# that one of the checks must refuse
+# = (3, 3, 4) that one of the checks must refuse
 REFUSALS = {
     "foreign interval": (M(7, 1), {}, NotAdmissible),
+    "start True": (M(True, 1), {}, NotAdmissible),
+    "length 2.0": (M(1, 2.0), {}, NotAdmissible),
+    "vertex 0": (M(0, 1), {}, NotAdmissible),
+    "vertex v + 1": (M(4, 1), {}, NotAdmissible),
+    "length c + 1": (M(1, 4), {}, NotAdmissible),
     "non-prime p": (M(1, 1), {"p": 4}, ValueError),
     "cap breach": (M(1, 1), {"dim_cap": 0}, DimensionCapExceeded),
 }
@@ -321,8 +326,19 @@ REFUSALS = {
 @pytest.mark.parametrize("call", sorted(ORACLE_CALLS))
 @pytest.mark.parametrize("kind", sorted(REFUSALS))
 def test_a_refused_query_reads_no_state(call, kind):
-    # every check runs before the state is read: a refused query neither
-    # looks the state up nor replaces the warm one
+    assert_reads_no_state(call, *REFUSALS[kind])
+
+
+@pytest.mark.parametrize("call", ["ext1_dim source", "is_injective"])
+def test_a_cover_cap_breach_reads_no_state(call):
+    # P_3 = M(3, 4), the cover of x = M(3, 1) in Ext^1 and of the simple
+    # S_3 in Baer's criterion, breaches a cap of 3
+    assert_reads_no_state(call, M(3, 1), {"dim_cap": 3}, DimensionCapExceeded)
+
+
+def assert_reads_no_state(call, m, kw, error):
+    """Every check runs before the state is read: a refused query neither
+    looks the state up nor replaces the warm one."""
     clear_states()
     ind = indecomposables(CYCLIC)
     for x in ind:
@@ -333,7 +349,6 @@ def test_a_refused_query_reads_no_state(call, kind):
             oracle_ext1_dim(CYCLIC, x, y)
     warm = oracle._state(CYCLIC, 2)
     before = oracle._fields.cache_info(), oracle._paths.cache_info()
-    m, kw, error = REFUSALS[kind]
     with pytest.raises(error):
         ORACLE_CALLS[call](CYCLIC, m, **kw)
     assert (oracle._fields.cache_info(), oracle._paths.cache_info()) == before
@@ -707,3 +722,161 @@ class TestSumArguments:
         with_projective = ModuleSum.of(projective(alg, 1), M(2, 1))
         assert oracle_tau(alg, with_projective, p) == ar_translate(alg, M(2, 1))
         assert oracle_tau(alg, ModuleSum.zero(), p).is_zero
+
+
+# -- the interval path: one check per argument, the same answers -------------
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_oracle_interval_answers_match_the_one_summand_sum(p):
+    # each oracle query answers an interval directly and a sum summand by
+    # summand; on every pair of the 5/7 pool, an interval in either
+    # argument gives the answer for the sum that holds it alone
+    for alg in pool(5, 7):
+        ind = indecomposables(alg)
+        sums = {x: ModuleSum.of(x) for x in ind}
+        for x in ind:
+            assert oracle_is_injective(alg, x, p) == oracle_is_injective(alg, sums[x], p)
+            assert oracle_tau(alg, x, p) == oracle_tau(alg, sums[x], p), (alg, x)
+            for y in ind:
+                for query in (oracle_hom_dim, oracle_ext1_dim):
+                    want = query(alg, x, y, p)
+                    assert query(alg, sums[x], y, p) == want, (query, alg, x, y)
+                    assert query(alg, x, sums[y], p) == want, (query, alg, x, y)
+
+
+def test_engine_interval_answers_match_the_one_summand_sum():
+    # hom_dim and ext_dim at k = 1 and 2 read an interval's checked
+    # (start, length) once and a sum's summand by summand
+    for alg in pool(5, 7):
+        ind = indecomposables(alg)
+        sums = {x: ModuleSum.of(x) for x in ind}
+        for x in ind:
+            for y in ind:
+                want = hom_dim(alg, x, y)
+                assert hom_dim(alg, sums[x], y) == want == hom_dim(alg, x, sums[y])
+                for k in (1, 2):
+                    want = ext_dim(alg, x, y, k)
+                    assert ext_dim(alg, sums[x], y, k) == want, (alg, x, y, k)
+                    assert ext_dim(alg, x, sums[y], k) == want, (alg, x, y, k)
+
+
+# INTERVAL_QUERIES[name](m) puts m in one argument of one query over CYCLIC,
+# with M(1, 1) in the other and the caps given in kw
+INTERVAL_QUERIES = {
+    "oracle_hom_dim x": lambda m, **kw: oracle_hom_dim(CYCLIC, m, M(1, 1), **kw),
+    "oracle_hom_dim y": lambda m, **kw: oracle_hom_dim(CYCLIC, M(1, 1), m, **kw),
+    "oracle_ext1_dim x": lambda m, **kw: oracle_ext1_dim(CYCLIC, m, M(1, 1), **kw),
+    "oracle_ext1_dim y": lambda m, **kw: oracle_ext1_dim(CYCLIC, M(1, 1), m, **kw),
+    "oracle_is_injective": lambda m, **kw: oracle_is_injective(CYCLIC, m, **kw),
+    "oracle_tau": lambda m, **kw: oracle_tau(CYCLIC, m, **kw),
+    "hom_dim x": lambda m: hom_dim(CYCLIC, m, M(1, 1)),
+    "hom_dim y": lambda m: hom_dim(CYCLIC, M(1, 1), m),
+    "ext_dim k=1 x": lambda m: ext_dim(CYCLIC, m, M(1, 1), 1),
+    "ext_dim k=1 y": lambda m: ext_dim(CYCLIC, M(1, 1), m, 1),
+    "ext_dim k=2 x": lambda m: ext_dim(CYCLIC, m, M(1, 1), 2),
+    "ext_dim k=2 y": lambda m: ext_dim(CYCLIC, M(1, 1), m, 2),
+}
+
+# intervals that are not modules over CYCLIC = (3, 3, 4), with the oracle's
+# and the engine's message for each
+NOT_CYCLIC_MODULES = {
+    M(True, 1): ("vertex True outside 1..3", "vertex True outside 1..3"),
+    M(1, 2.0): ("", "length must be an int in 1..3"),
+    M(0, 1): ("vertex 0 outside 1..3", "vertex 0 outside 1..3"),
+    M(4, 1): ("vertex 4 outside 1..3", "vertex 4 outside 1..3"),  # v + 1
+    M(1, 4): ("", "length must be an int in 1..3"),  # c_1 + 1
+}
+
+
+def refusal(call):
+    """The type and message of the error that call raises."""
+    with pytest.raises(Exception) as err:
+        call()
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("query", sorted(INTERVAL_QUERIES))
+@pytest.mark.parametrize("bad", NOT_CYCLIC_MODULES, ids=repr)
+def test_refused_interval_and_one_summand_sum_raise_alike(query, bad):
+    call = INTERVAL_QUERIES[query]
+    oracle_why, engine_why = NOT_CYCLIC_MODULES[bad]
+    if query.startswith("oracle"):
+        want = f"{bad} is not a module over (3, 3, 4)" + (f": {oracle_why}" if oracle_why else "")
+    else:
+        want = f"{bad} is not well-formed: {engine_why}"
+    assert refusal(lambda: call(bad)) == (NotAdmissible, want)
+    assert refusal(lambda: call(ModuleSum.of(bad))) == (NotAdmissible, want)
+
+
+# (query, m, cap) where m breaches the cap: as x, as y, and through x's
+# cover P_3 = M(3, 4) in Ext^1; injectivity realizes the covers of the
+# simples, and tau checks the algebra's dimension
+CAP_BREACHES = [
+    ("oracle_hom_dim x", M(3, 4), "module dimension 4 exceeds cap 3"),
+    ("oracle_hom_dim y", M(3, 4), "module dimension 4 exceeds cap 3"),
+    ("oracle_ext1_dim x", M(3, 1), "module dimension 4 exceeds cap 3"),
+    ("oracle_ext1_dim y", M(3, 4), "module dimension 4 exceeds cap 3"),
+    ("oracle_is_injective", M(1, 1), "module dimension 4 exceeds cap 3"),
+    ("oracle_tau", M(1, 1), "algebra dimension 10 exceeds cap 3"),
+]
+
+
+@pytest.mark.parametrize(("query", "m", "message"), CAP_BREACHES, ids=lambda a: str(a))
+def test_cap_breach_by_interval_and_one_summand_sum_raise_alike(query, m, message):
+    call = INTERVAL_QUERIES[query]
+    want = (DimensionCapExceeded, message)
+    assert refusal(lambda: call(m, dim_cap=3)) == want
+    assert refusal(lambda: call(ModuleSum.of(m), dim_cap=3)) == want
+
+
+def test_refusals_keep_their_order():
+    # the oracle checks x, then x's cap, then y; the engine's hom_dim x
+    # then y, and ext_dim y first; a sum holding a stray summand is a
+    # TypeError naming its type on both sides
+    both = (M(0, 1), M(1, 4))
+    assert refusal(lambda: oracle_hom_dim(CYCLIC, *both)) == refusal(
+        lambda: oracle_hom_dim(CYCLIC, M(0, 1), M(1, 1))
+    )
+    assert refusal(lambda: oracle_hom_dim(CYCLIC, M(3, 4), M(0, 1), dim_cap=3)) == (
+        DimensionCapExceeded, "module dimension 4 exceeds cap 3"
+    )
+    assert refusal(lambda: hom_dim(CYCLIC, *both)) == refusal(
+        lambda: hom_dim(CYCLIC, M(0, 1), M(1, 1))
+    )
+    assert refusal(lambda: ext_dim(CYCLIC, *both, 1)) == refusal(
+        lambda: ext_dim(CYCLIC, M(1, 1), M(1, 4), 1)
+    )
+    stray = ModuleSum.of("x")
+    want = (TypeError, "expected IntervalModule, got str")
+    assert refusal(lambda: oracle_hom_dim(CYCLIC, stray, M(1, 1))) == want
+    assert refusal(lambda: hom_dim(CYCLIC, stray, M(1, 1))) == want
+
+
+@pytest.mark.parametrize("alg", [CYCLIC, LINEAR], ids=["cyclic", "linear"])
+def test_a_warm_pass_eliminates_nothing(monkeypatch, alg):
+    # once every pair is in the state, a second all-pairs pass of the four
+    # queries realizes, builds and reduces nothing; tau ranks no matrix
+    counts = dict.fromkeys(("_realize", "_hom_system", "_rref", "_nullspace"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(oracle, name)):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(oracle, name, counted)
+    ind = indecomposables(alg)
+
+    def all_pairs():
+        counts.update(dict.fromkeys(counts, 0))
+        for x in ind:
+            oracle_is_injective(alg, x)
+            oracle_tau(alg, x)
+            for y in ind:
+                oracle_hom_dim(alg, x, y)
+                oracle_ext1_dim(alg, x, y)
+        return dict(counts)
+
+    clear_states()
+    cold, warm = all_pairs(), all_pairs()
+    assert min(cold.values()) > 0
+    assert warm == dict.fromkeys(counts, 0)
