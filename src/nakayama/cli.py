@@ -317,7 +317,7 @@ def cmd_sweep(args) -> int:
         """This run's algebras, streamed anew on each call."""
         return iter_admissible(args.max_vertices, args.max_length, shapes)
 
-    existing, sums = sweepfile.resumed(args.out, fresh)
+    existing, sums = sweepfile.resumed(args.out, fresh())
     payloads = (
         (a.lengths, a.cyclic, args.seed)
         for a in fresh()

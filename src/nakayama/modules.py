@@ -8,9 +8,12 @@ convention).  Finite direct sums are multisets of intervals.
 Per-algebra tables, each built once by `core.per_algebra`, are plain
 lists over one integer index (`_index`): M(i, l) sits at position
 offset[i - 1] + l - 1 of indecomposables(alg).  `_interval` (through
-`_position`, which also reads the index) and `core._vertex` are the one
-checks on intervals and vertices from outside, and a zero Omega
-or Omega^- step in the index the one test for projective and injective.
+`_position`, which also reads the index, and `_intervals`) and
+`core._vertex` are the one checks on intervals and vertices from
+outside, for the engine and the matrix oracle alike: `_interval` reads
+only the Kupisch lengths, so the oracle's `_codes` calls it without
+reading the index under test.  A zero Omega or Omega^- step in the index
+is the one test for projective and injective.
 Public queries take an interval or a sum (only `socle_vertex` and
 `embeds_in` want an interval).  Inside, a module is its position, and
 `_interval_at` reads its (start, length) back only for text and results.

@@ -3,8 +3,10 @@
 Realizes modules as quiver representations and answers hom, Ext^1,
 injectivity and AR-translate questions by Gaussian elimination mod p,
 independently of the combinatorial engine.  The point is cross-checking:
-the only shared ingredients are the Kupisch lengths and the vertex-shift
-convention, never the counting formulas being tested.
+the only shared ingredients are the Kupisch lengths, the vertex-shift
+convention and the engine's check of interval arguments
+(`modules._interval` and `_intervals`, which read only the Kupisch
+lengths), never the counting formulas being tested.
 
 Everything here is exact integer arithmetic on plain Python ints: a
 matrix is a list of rows, reduced mod p by row elimination.  p = 2 by
@@ -26,13 +28,12 @@ name, checked against its realization, and the cover coordinates it
 keeps, so Ext^1 reads Hom(K, y) from the Hom table and restricts the
 cover's basis to them.  None of it depends on a call's caps.  Each call
 checks the field, then each argument once (`_codes`: its summands, then
-its cap), and only then reads the state.  An interval is checked against
-the Kupisch lengths, its start by `core._vertex` (True is not 1, nor 2.0
-2), and turned into its code with no list and no loop; a sum is checked
-summand by summand.  The state of the field held costs one cached call
-and one dict read (`_state`).  Hom and Ext^1 then read the state's row
-once per summand pair and compute a pair only on a miss.  Hom and Ext^1
-are additive in each argument, so a sum is answered from its summand
+its cap), and only then reads the state.  A refused interval raises the
+engine's error; an interval that passes is turned into its code with no
+list and no loop, and a sum summand by summand.  The state of the field
+held costs one cached call and one dict read (`_state`).  Hom and Ext^1
+then read the state's row once per summand pair and compute a pair only
+on a miss.  Hom and Ext^1 are additive in each argument, so a sum is answered from its summand
 pairs.  Injectivity is Baer's criterion on the same Ext^1 table, with
 each simple S_i under its own c_i: over a finite-dimensional algebra m
 is injective exactly when Ext^1(S, m) = 0 for every simple S.  One field
@@ -53,9 +54,9 @@ from __future__ import annotations
 import functools
 from collections import defaultdict
 
-from .core import KupischSeries, _vertex
-from .errors import DimensionCapExceeded, InternalInconsistency, NotAdmissible
-from .modules import IntervalModule, ModuleSum, _split
+from .core import KupischSeries
+from .errors import DimensionCapExceeded, InternalInconsistency
+from .modules import IntervalModule, ModuleSum, _interval, _intervals
 
 __all__ = [
     "MatrixRep",
@@ -95,36 +96,27 @@ def _codes(
 ) -> tuple[int, ...] | list[int]:
     """The interval codes (length - 1) * v + start - 1 of m's summands,
     the cross-check state's keys, with each summand checked and then the
-    cap.  An interval is answered directly, a sum summand by summand.
-    Each interval is checked against the Kupisch lengths directly (not
-    through the engine's index, which is under test), its start by
-    `core._vertex` (called only for a start that fails its test, for the
-    message): a start or length that is not a plain int, or an interval
-    that is not a module over alg, raises NotAdmissible naming it; a sum
-    holding anything but intervals, TypeError naming its type.
+    cap.  The check is the engine's (`modules._interval`, through
+    `_intervals` for a sum), so a refused interval raises as in the
+    engine; an interval that passes its test inline needs no call.
     DimensionCapExceeded when m's dimension exceeds cap, or with covers,
     when one summand's projective cover does; no check when cap is None."""
     lengths = alg.lengths
-    if isinstance(m, IntervalModule):
+    v = len(lengths)
+    if type(m) is IntervalModule:
         start, length = m.start, m.length
-        if type(start) is int and 0 < start <= len(lengths):  # `_vertex`'s test
-            c = lengths[start - 1]
-        else:
-            try:
-                c = lengths[_vertex(alg, start) - 1]
-            except NotAdmissible as exc:
-                raise NotAdmissible(f"{m} is not a module over {lengths}: {exc}") from None
-        if type(length) is not int or not 0 < length <= c:
-            raise NotAdmissible(f"{m} is not a module over {lengths}")
-        codes, dim = ((length - 1) * len(lengths) + start - 1,), c if covers else length
+        if not (  # `_interval`'s test; an interval that fails it raises there
+            type(start) is int and 0 < start <= v
+            and type(length) is int and 0 < length <= (c := lengths[start - 1])
+        ):
+            _interval(alg, m)
+        codes, dim = ((length - 1) * v + start - 1,), c if covers else length
     else:
         codes, dim = [], 0
-        for piece in _split(m):
-            if not isinstance(piece, IntervalModule):
-                raise TypeError(f"expected IntervalModule, got {type(piece).__name__}")
-            codes += _codes(alg, piece, None)
-            c = lengths[piece.start - 1]
-            dim = (c if c > dim else dim) if covers else dim + piece.length
+        for start, length in _intervals(alg, m):
+            codes.append((length - 1) * v + start - 1)
+            c = lengths[start - 1]
+            dim = (c if c > dim else dim) if covers else dim + length
     if cap is not None and dim > cap:
         raise DimensionCapExceeded(f"module dimension {dim} exceeds cap {cap}")
     return codes

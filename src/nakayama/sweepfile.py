@@ -104,12 +104,14 @@ def _add(sums: list[int], counts: tuple[bool, ...]) -> None:
         sums[i] += hit
 
 
-def resumed(path: str, fresh) -> tuple[dict, list[int]]:
+def resumed(path: str, algebras) -> tuple[dict, list[int]]:
     """The keys of the algebras already in a sweep file, in file order (as a
-    dict with no values), and the sums of their tallies, read one line at a
-    time; a missing file holds none.  Each record must pass check_record, be
-    one of this run's algebras (fresh() streams them anew) and appear once,
-    or the file is refused with IoError before any work.  A torn final
+    dict), and the sums of their tallies, read one line at a time; a missing
+    file holds none.  Each line must be a record that passes check_record,
+    one of this run's algebras and there once, or the file is refused with
+    IoError before any work and left as it is.  The records are marked off
+    in one walk of the run's algebras (an iterable), which stops once every
+    record is marked: a prefix of k records costs k algebras.  A torn final
     record, left by a killed run, is cut off and its algebra computed again."""
     existing, sums, torn = {}, [0] * len(TALLIED), 0
     if not os.path.exists(path):
@@ -121,7 +123,7 @@ def resumed(path: str, fresh) -> tuple[dict, list[int]]:
                     torn = len(line)  # the last line, whose write was cut short
                     continue
                 if not line.strip():
-                    continue
+                    raise IoError(f"{path}:{lineno}: blank line; a sweep writes none")
                 try:
                     rec = json.loads(line)
                 except ValueError as exc:
@@ -132,14 +134,21 @@ def resumed(path: str, fresh) -> tuple[dict, list[int]]:
                     raise IoError(f"{path}: malformed record: {exc}") from None
                 if key in existing:
                     raise IoError(f"{path}: {list(key[0])} appears twice")
-                existing[key] = None
+                existing[key] = False
                 _add(sums, counts)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     # an enumerated key is admissible, canonical and within the bounds
-    if sum((a.lengths, a.cyclic) in existing for a in fresh()) < len(existing):
-        known = {(a.lengths, a.cyclic) for a in fresh()}
-        lengths, cyclic = next(k for k in existing if k not in known)
+    left = len(existing)
+    for alg in algebras if left else ():
+        key = alg.lengths, alg.cyclic
+        if key in existing:
+            existing[key] = True
+            left -= 1
+            if not left:
+                break
+    if left:
+        lengths, cyclic = next(k for k, marked in existing.items() if not marked)
         raise IoError(
             f"{path}: {('linear', 'cyclic')[cyclic]} {list(lengths)} is not a canonical "
             "series within this sweep's bounds and shapes; start afresh with another --out"

@@ -20,13 +20,14 @@ from hypothesis import strategies as st
 
 from nakayama import (
     INFINITY, ExtendedNat, IntervalModule, KupischSeries, ModuleSum, PreclusterVerdict,
-    domdim, embeds_in, enumerate_admissible, ext_dim, format_module, gorenstein_degree,
-    indecomposables, injective, injective_coresolution, injective_envelope,
-    is_precluster, is_projective, oracle, projective, radical_power, radical_quotient,
+    domdim, embeds_in, enumerate_admissible, ext_dim, format_module, gldim,
+    gorenstein_degree, indecomposables, injective, injective_coresolution,
+    injective_envelope, is_precluster, is_projective, minimal_ag_parameter,
+    n_auslander_parameter, oracle, projective, radical_power, radical_quotient,
     realize, regular_id, regular_module, socle, tau_n, tau_n_inverse,
 )
 from nakayama.classify import VerifierResult, _sample_positions
-from nakayama.homology import _depths, _finite_degree
+from nakayama.homology import _depths, _finite_degree, _gpd_table, _id_table, _pd_table
 from nakayama.modules import _index, _position, _torsionless, check_module
 from nakayama.notation import format_interval
 from nakayama.precluster import _forced, _member_masks
@@ -269,6 +270,28 @@ def reference_gpd_table(alg):
     for _ in range(_finite_degree(alg)):
         layer = {omega[p] for p in layer} - {-1}
     return _depths([-1 if p in layer else z for p, z in enumerate(omega)])
+
+
+def invariants(alg, k=1):
+    """alg's pd and id tables and, when it is Gorenstein, its Gpd table,
+    each repeated k times; then its gldim, domdim, Gorenstein degree,
+    minimal_ag_parameter and n_auslander_parameter."""
+    g = gorenstein_degree(alg)
+    tables = [_pd_table(alg), _id_table(alg), _gpd_table(alg) if g.is_finite else []]
+    scalars = gldim(alg), domdim(alg), g, minimal_ag_parameter(alg), n_auslander_parameter(alg)
+    return [table * k for table in tables], scalars
+
+
+def reference_galois_cover(alg, k):
+    """Cross-check by Galois covering: for a cyclic w = alg, the cyclic
+    algebra w^k (w's series repeated k times) covers w, Z/k rotating its
+    quiver by len(w) vertices.  The push-down to w is exact and keeps
+    projectives, injectives and indecomposables (Bongartz-Gabriel,
+    Covering spaces in representation-theory, Invent. Math. 65, 1982), so
+    M(i, l) over w^k has the pd, id and Gpd of M(i, l) over w with i
+    read mod len(w).  Returns w^k and `invariants(w, k)`, what the engine
+    must answer for `invariants(w^k)`."""
+    return KupischSeries.validate(alg.lengths * k, True), invariants(alg, k)
 
 
 def reference_gp_socle_sub(alg, n, seed, gpd_of):
@@ -648,6 +671,7 @@ ROUTES = {
     reference_stable_hom_dim: ("nakayama.homology.ext_dim", (5, 7)),
     reference_ext_gpd: ("nakayama.homology.gpd", (6, 8)),
     reference_gpd_table: ("nakayama.homology._gpd_table", (7, 9)),
+    reference_galois_cover: ("nakayama.homology._gpd_table", (7, 9)),
     reference_gp_socle_sub: ("nakayama.classify.verify_thm_gp_socle_sub", (5, 7)),
     reference_ses_gpd_bounds: ("nakayama.classify.verify_ses_gpd_bounds", (5, 7)),
     reference_sample_positions: ("nakayama.classify._sample_positions", (6, 8)),

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from references import (
-    CYCLIC, LINEAR, SELFINJ, WILD, M, admissible_series, pool, pool_of,
+    CYCLIC, LINEAR, SELFINJ, WILD, M, admissible_series, invariants, pool, pool_of,
     reference_basis_lengths, reference_coresolution_domdim, reference_cosyzygy,
-    reference_depths, reference_domdim, reference_ext_gpd, reference_gpd_table,
-    reference_regular_id_left, reference_socle_vertex, reference_source,
-    reference_stable_hom_dim, reference_syzygy, resolution_length,
+    reference_depths, reference_domdim, reference_ext_gpd, reference_galois_cover,
+    reference_gpd_table, reference_regular_id_left, reference_socle_vertex,
+    reference_source, reference_stable_hom_dim, reference_syzygy, resolution_length,
 )
 
 from nakayama import (
@@ -271,6 +271,16 @@ class TestGorensteinProjectives:
                 assert _gpd_table(alg) == reference_gpd_table(alg), alg
                 gorenstein += 1
         assert gorenstein == 1_312
+
+    def test_galois_cover_repeats_the_tables_and_keeps_the_invariants(self):
+        covers = 0
+        for alg in pool_of(reference_galois_cover):
+            if alg.cyclic:
+                for k in (2, 3):
+                    cover, want = reference_galois_cover(alg, k)
+                    assert invariants(cover) == want, (alg, k)
+                    covers += 1
+        assert covers == 4_020
 
     def test_census_cyclic(self):
         assert gp_census(CYCLIC) == (M(1, 1), M(1, 3), M(2, 2), M(2, 3), M(3, 4))
@@ -530,6 +540,16 @@ class TestIndex:
     def test_distinguished_positions_match_public_modules_cross_check(self):
         for alg in pool(6, 8):
             assert_distinguished_positions(alg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    admissible_series(max_vertices=6, max_length=8).filter(lambda a: a.cyclic),
+    st.integers(2, 5),
+)
+def test_galois_cover_on_random_cyclic_series(alg, k):
+    cover, want = reference_galois_cover(alg, k)
+    assert invariants(cover) == want
 
 
 @settings(max_examples=60, deadline=None)

@@ -23,8 +23,10 @@ from nakayama import (
     gorenstein_degree,
     indecomposables,
     injective,
+    is_minimal_ag,
     iter_admissible,
     projective,
+    sweepfile,
 )
 from nakayama.cli import main
 from nakayama.notation import format_module, parse_module
@@ -971,6 +973,81 @@ class TestSweepCommand:
         # the first record of the file, in file order, that is not in the run
         assert f": {stray} is not" in payload["detail"]
         assert out.read_bytes() == before
+
+    @pytest.mark.parametrize("blank", [b"\n", b"  \n"], ids=["empty", "spaces"])
+    def test_blank_resume_line_rejected(self, capsys, tmp_path, blank):
+        # a sweep writes no blank line, so a file holding one is not a
+        # prefix of a sweep, and resuming it would not give a fresh run's bytes
+        out = tmp_path / "sweep.jsonl"
+        args = [*self.SWEEP_3_4, "--out", str(out)]
+        assert run_cli(capsys, *args)[0] == 0
+        lines = out.read_bytes().splitlines(True)
+        before = b"".join([*lines[:5], blank, *lines[5:]])
+        out.write_bytes(before)
+        code, payload = run_cli(capsys, *args)
+        assert (code, payload["error"]) == (2, "IoError")
+        assert payload["detail"] == f"{out}:6: blank line; a sweep writes none"
+        assert out.read_bytes() == before
+
+    @pytest.mark.parametrize("k", [0, 1, 7, None], ids=["none", "one", "seven", "all"])
+    def test_resumed_prefix_walks_only_its_algebras(self, capsys, tmp_path, k):
+        # a killed run's k records are the run's first k algebras, so the
+        # walk that marks them off stops after k
+        out = tmp_path / "sweep.jsonl"
+        assert run_cli(capsys, *self.SWEEP_3_4, "--out", str(out))[0] == 0
+        lines = out.read_bytes().splitlines(True)[:k]
+        out.write_bytes(b"".join(lines))
+        walked = []
+
+        def algebras():
+            for alg in iter_admissible(3, 4, ("linear", "cyclic")):
+                walked.append(alg)
+                yield alg
+
+        existing = sweepfile.resumed(str(out), algebras())[0]
+        assert len(walked) == len(existing) == len(lines)
+        assert list(existing) == [(a.lengths, a.cyclic) for a in walked]
+
+    def test_record_passing_off_characterization_is_a_violation(self, capsys, tmp_path):
+        out = tmp_path / "sweep.jsonl"
+        args = [*self.SWEEP_3_4, "--out", str(out)]
+        code, fresh = run_cli(capsys, *args)
+        assert (code, fresh["violations"]) == (0, 0)
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        rec = next(r for r in records if r["minimal_ag_n"] is None)
+        rec["theorem_verdicts"]["prinj"]["status"] = "pass"
+        assert sweepfile.violations(rec) == ["prinj passed off-characterization"]
+        out.write_text("".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records))
+        code, summary = run_cli(capsys, *args)
+        assert (code, summary["violations"], summary["computed"]) == (1, 1, 0)
+
+    def test_range_check_disagreement_exits_one(self, capsys, tmp_path, monkeypatch):
+        import nakayama.cli as cli
+
+        calls = []
+
+        def first_flipped(alg, n):
+            calls.append((alg, n))
+            return is_minimal_ag(alg, n) != (len(calls) == 1)
+
+        monkeypatch.setattr(cli, "is_minimal_ag", first_flipped)
+        argv = ["sweep", "--max-vertices", "3", "--max-length", "3", "--n-range", "auto"]
+        code, summary = run_cli(capsys, *argv, "--out", str(tmp_path / "rng.jsonl"))
+        assert code == 1
+        assert summary["range_checked"] == len(calls) > 1
+        assert (summary["range_violations"], summary["violations"]) == (1, 0)
+
+    @pytest.mark.parametrize(
+        "where, detail",
+        [(".", "cannot read"), ("missing/sweep.jsonl", "cannot write")],
+        ids=["directory", "missing-directory"],
+    )
+    def test_unusable_out_path_is_an_io_error(self, capsys, tmp_path, where, detail):
+        out = tmp_path / where
+        code, payload = run_cli(capsys, *self.SWEEP_3_4, "--out", str(out))
+        assert (code, payload["error"]) == (2, "IoError")
+        assert payload["detail"].startswith(f"{detail} {out}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
 
     def test_linear_file_widened_to_both_shapes_matches_fresh(self, capsys, tmp_path):
         # linear algebras come first in the enumeration, so resuming them

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import gc
 import os
 import re
@@ -307,6 +308,32 @@ def test_shares_no_state_with_the_engine(call):
     alg = KupischSeries.validate([3, 3, 4], True)
     ORACLE_CALLS[call](alg, M(1, 2))
     assert "_memo" not in alg.__dict__
+
+
+# ENGINE_IMPORTS[module] = the names the oracle may import from that engine
+# module: the interval types and the argument check, never a formula under
+# test; the package itself re-exports the engine, so it imports nothing
+ENGINE_IMPORTS = {
+    "nakayama": set(),
+    "nakayama.modules": {"IntervalModule", "ModuleSum", "_interval", "_intervals"},
+    "nakayama.homology": set(),
+    "nakayama.precluster": set(),
+    "nakayama.classify": set(),
+}
+
+
+def test_the_oracle_imports_no_engine_formula():
+    # `import m` binds "*", a relative import is resolved in the package
+    imported = []
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported += [(alias.name, "*") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["nakayama" if node.level else "", node.module]))
+            imported += [(module, alias.name) for alias in node.names]
+    shared = [(m, name) for m, name in imported if m in ENGINE_IMPORTS]
+    assert [(m, name) for m, name in shared if name not in ENGINE_IMPORTS[m]] == []
+    assert {name for m, name in shared} == ENGINE_IMPORTS["nakayama.modules"]
 
 
 # REFUSALS[kind] = (m, keyword arguments, error): a query over CYCLIC
@@ -770,22 +797,27 @@ INTERVAL_QUERIES = {
     "oracle_ext1_dim y": lambda m, **kw: oracle_ext1_dim(CYCLIC, M(1, 1), m, **kw),
     "oracle_is_injective": lambda m, **kw: oracle_is_injective(CYCLIC, m, **kw),
     "oracle_tau": lambda m, **kw: oracle_tau(CYCLIC, m, **kw),
+    "realize": lambda m, **kw: realize(CYCLIC, m, **kw),
+    "oracle_socle_vector": lambda m, **kw: oracle_socle_vector(CYCLIC, m, **kw),
     "hom_dim x": lambda m: hom_dim(CYCLIC, m, M(1, 1)),
     "hom_dim y": lambda m: hom_dim(CYCLIC, M(1, 1), m),
     "ext_dim k=1 x": lambda m: ext_dim(CYCLIC, m, M(1, 1), 1),
     "ext_dim k=1 y": lambda m: ext_dim(CYCLIC, M(1, 1), m, 1),
     "ext_dim k=2 x": lambda m: ext_dim(CYCLIC, m, M(1, 1), 2),
     "ext_dim k=2 y": lambda m: ext_dim(CYCLIC, M(1, 1), m, 2),
+    "is_injective": lambda m: is_injective(CYCLIC, m),
+    "ar_translate": lambda m: ar_translate(CYCLIC, m),
+    "pd": lambda m: pd(CYCLIC, m),
 }
 
-# intervals that are not modules over CYCLIC = (3, 3, 4), with the oracle's
-# and the engine's message for each
+# intervals that are not modules over CYCLIC = (3, 3, 4), with the one
+# message of `modules._interval`, the check the engine and the oracle share
 NOT_CYCLIC_MODULES = {
-    M(True, 1): ("vertex True outside 1..3", "vertex True outside 1..3"),
-    M(1, 2.0): ("", "length must be an int in 1..3"),
-    M(0, 1): ("vertex 0 outside 1..3", "vertex 0 outside 1..3"),
-    M(4, 1): ("vertex 4 outside 1..3", "vertex 4 outside 1..3"),  # v + 1
-    M(1, 4): ("", "length must be an int in 1..3"),  # c_1 + 1
+    M(True, 1): "vertex True outside 1..3",
+    M(1, 2.0): "length must be an int in 1..3",
+    M(0, 1): "vertex 0 outside 1..3",
+    M(4, 1): "vertex 4 outside 1..3",  # v + 1
+    M(1, 4): "length must be an int in 1..3",  # c_1 + 1
 }
 
 
@@ -800,11 +832,7 @@ def refusal(call):
 @pytest.mark.parametrize("bad", NOT_CYCLIC_MODULES, ids=repr)
 def test_refused_interval_and_one_summand_sum_raise_alike(query, bad):
     call = INTERVAL_QUERIES[query]
-    oracle_why, engine_why = NOT_CYCLIC_MODULES[bad]
-    if query.startswith("oracle"):
-        want = f"{bad} is not a module over (3, 3, 4)" + (f": {oracle_why}" if oracle_why else "")
-    else:
-        want = f"{bad} is not well-formed: {engine_why}"
+    want = f"{bad} is not well-formed: {NOT_CYCLIC_MODULES[bad]}"
     assert refusal(lambda: call(bad)) == (NotAdmissible, want)
     assert refusal(lambda: call(ModuleSum.of(bad))) == (NotAdmissible, want)
 
